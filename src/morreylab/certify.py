@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .norms import (GridFunction, as_matrix, dominance_report, grand_profile,
+from .norms import (as_matrix, dominance_report, grand_profile,
                     inner_seminorm_matrix, lebesgue_norm, morrey_norm,
                     phi_functional)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
@@ -36,7 +36,8 @@ from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
                      make_potential_setup, sobolev_exponent,
                      theoretical_constant)
 from .space import (QuasimetricSpace, ahlfors_fit, doubling_constant,
-                    quasimetric_constants, rep_balls, sharp_growth_constant)
+                    prefix_profile, quasimetric_constants, rep_balls,
+                    sharp_growth_constant)
 
 
 class CertifyError(ValueError):
@@ -63,10 +64,6 @@ class FunctionFamily:
     @property
     def size(self) -> int:
         return int(self.values.shape[1])
-
-    def members(self) -> list:
-        return [GridFunction(name=nm, values=self.values[:, k].copy())
-                for k, nm in enumerate(self.names)]
 
 
 def _stride_pick(count: int, cap: int) -> np.ndarray:
@@ -117,9 +114,7 @@ def _power_profile_columns(space):
 def _oscillating_columns(space):
     n = space.n
     idx = np.arange(n)
-    order = np.argsort(space.dist[0], kind="stable")
-    rank = np.empty(n, dtype=int)
-    rank[order] = idx
+    rank = prefix_profile(space).rank[0]
     cols = np.stack([
         np.where(idx % 2 == 0, 1.0, -1.0),
         np.where(rank % 2 == 0, 1.0, -1.0),

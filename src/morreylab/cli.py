@@ -42,14 +42,20 @@ def _outdir(args) -> Path:
 def _load_space_arg(token: str):
     path = Path(token)
     if path.exists():
-        return load_space(path)
-    try:
-        return catalog.get_space(token)
-    except (KeyError, SpaceError, ValueError):
-        known = ", ".join(sorted(catalog.catalog()))
+        space = load_space(path)
+    else:
+        try:
+            space = catalog.get_space(token)
+        except (KeyError, SpaceError, ValueError):
+            known = ", ".join(sorted(catalog.catalog()))
+            raise CertifyError(
+                f"{token!r} is neither a space file nor a catalog name; "
+                f"catalog names: {known}")
+    if space.n > MAX_POINTS:
         raise CertifyError(
-            f"{token!r} is neither a space file nor a catalog name; "
-            f"catalog names: {known}")
+            f"exhaustive ball enumeration is capped at n <= {MAX_POINTS}, "
+            f"space has {space.n} points")
+    return space
 
 
 def _load_function(token: str, space) -> GridFunction:
@@ -267,10 +273,6 @@ def _parse_calibration(text: str) -> FreeConstants:
 
 def _cmd_certify_run(args) -> int:
     space = _load_space_arg(args.space)
-    if space.n > MAX_POINTS:
-        raise CertifyError(
-            f"exhaustive ball enumeration is capped at n <= {MAX_POINTS}, "
-            f"space has {space.n} points")
     consts = _parse_calibration(args.calibrate) if args.calibrate else None
     params = _certify_params(args)
     report = certify_boundedness(

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .norms import as_matrix
-from .space import QuasimetricSpace, representative_radii
+from .space import QuasimetricSpace, prefix_profile, representative_radii
 
 __all__ = [
     "OperatorError",
@@ -41,22 +40,6 @@ class OperatorError(ValueError):
 # maximal functions
 
 
-def _group_prefixes(space: QuasimetricSpace, center: int):
-    """Unique distance thresholds from a center with cumulative weights.
-
-    Returns (thresholds, counts-inclusive cumulative weight) where entry k
-    covers the ball {d <= t_k}, reached by radii just above t_k.
-    """
-    d = space.dist[center]
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    uniq, idx = np.unique(ds, return_index=True)
-    # cumulative weight through each unique threshold
-    cw = np.cumsum(space.weights[order])
-    ends = np.append(idx[1:] - 1, len(ds) - 1)
-    return uniq, cw[ends], order, ends
-
-
 def maximal(f, space: QuasimetricSpace, *, radius_cap: str = "diameter") -> np.ndarray:
     """Centered maximal function sup_r (1/mu B(x,r)) integral_B |f| dmu.
 
@@ -70,16 +53,19 @@ def maximal(f, space: QuasimetricSpace, *, radius_cap: str = "diameter") -> np.n
     m = F.shape[1]
     av = np.abs(F) * space.weights[:, None]
     d_X = space.diameter
+    prof = prefix_profile(space)
     out = np.zeros((space.n, m))
     for x in range(space.n):
-        uniq, cw, order, ends = _group_prefixes(space, x)
-        num = np.cumsum(av[order], axis=0)[ends]
+        ds = prof.dists[x]
+        # last point of each distance tie: the balls {d <= t}, reached by
+        # radii just above each threshold t
+        ends = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))
         if radius_cap == "diameter":
-            keep = uniq < d_X
-            if not keep.any():
+            ends = ends[ds[ends] < d_X]
+            if not ends.size:
                 continue
-            num, cw = num[keep], cw[keep]
-        out[x] = (num / cw[:, None]).max(axis=0)
+        num = np.cumsum(av[prof.order[x]], axis=0)[ends]
+        out[x] = (num / prof.cum[x, ends + 1][:, None]).max(axis=0)
     batched = isinstance(f, np.ndarray) and f.ndim == 2
     return out if batched else out[:, 0]
 
@@ -95,22 +81,15 @@ def modified_maximal(f, space: QuasimetricSpace, N0: float) -> np.ndarray:
     F = as_matrix(f, space)
     m = F.shape[1]
     av = np.abs(F) * space.weights[:, None]
+    prof = prefix_profile(space)
     out = np.zeros((space.n, m))
     for x in range(space.n):
-        d = space.dist[x]
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cw = np.cumsum(space.weights[order])
-        cf = np.cumsum(av[order], axis=0)
-        pos = ds[ds > 0]
+        cf = np.zeros((space.n + 1, m))
+        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
+        pos = prof.dists[x][prof.dists[x] > 0]
         reps = representative_radii(np.concatenate([pos, pos / N0]), None)
-        idx_num = np.searchsorted(ds, reps, side="left")
-        idx_den = np.searchsorted(ds, N0 * reps, side="left")
-        num = np.zeros((len(reps), m))
-        nz = idx_num > 0
-        num[nz] = cf[idx_num[nz] - 1]
-        den = cw[idx_den - 1]
-        out[x] = (num / den[:, None]).max(axis=0)
+        num = cf[prof.counts(x, reps)]
+        out[x] = (num / prof.measures(x, N0 * reps)[:, None]).max(axis=0)
     batched = isinstance(f, np.ndarray) and f.ndim == 2
     return out if batched else out[:, 0]
 
@@ -141,17 +120,7 @@ def potential_matrix(space: QuasimetricSpace, kind: str, alpha: float,
     elif kind == "k-alpha":
         K[off] = D[off] ** (alpha - 1.0)
     elif kind == "measure-kernel":
-        mus = np.zeros((n, n))
-        for x in range(n):
-            order = np.argsort(D[x], kind="stable")
-            ds = D[x][order]
-            cw = np.cumsum(space.weights[order])
-            idx = np.searchsorted(ds, D[x], side="left")
-            row = np.zeros(n)
-            nz = idx > 0
-            row[nz] = cw[idx[nz] - 1]
-            mus[x] = row
-        K[off] = mus[off] ** (alpha - 1.0)
+        K[off] = prefix_profile(space).point_measures[off] ** (alpha - 1.0)
     else:
         raise OperatorError(f"unknown potential kind {kind!r}")
     space._cache[key] = K
@@ -229,23 +198,6 @@ def cz_apply(f, space: QuasimetricSpace, kernel: CZKernel):
     return out if batched else out[:, 0]
 
 
-def _ball_measure_rows(space: QuasimetricSpace) -> np.ndarray:
-    """mu B(x, d(x,y)) for every ordered pair, zero on the diagonal."""
-    n = space.n
-    out = np.zeros((n, n))
-    for x in range(n):
-        d = space.dist[x]
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cw = np.cumsum(space.weights[order])
-        idx = np.searchsorted(ds, d, side="left")
-        nz = idx > 0
-        row = np.zeros(n)
-        row[nz] = cw[idx[nz] - 1]
-        out[x] = row
-    return out
-
-
 def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
                        separation: float = 2.0) -> dict:
     """Size, smoothness, doubling and Dini diagnostics for a kernel.
@@ -264,7 +216,7 @@ def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
     np.fill_diagonal(K, 0.0)
     n = space.n
     D = space.dist
-    mus = _ball_measure_rows(space)
+    mus = prefix_profile(space).point_measures
     off = ~np.eye(n, dtype=bool)
     size = np.abs(K[off]) * mus[off]
     k_sz = int(np.argmax(size))
@@ -301,13 +253,11 @@ def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
             if len(omega_v) > 1 else 1.0
         # integrate omega(t)/t over the measured octave range only; the
         # behavior below the smallest resolved scale is judged from the decay
-        # rate of omega there, not integrated
-        pieces = []
-        for i in range(len(omega_t) - 1):
-            lo, hi = omega_t[i], omega_t[i + 1]
-            val, _ = integrate.quad(
-                lambda s: np.interp(s, omega_t, omega_v) / s, lo, hi)
-            pieces.append(val)
+        # rate of omega there, not integrated.  omega is a + b s on each
+        # piece, so omega(s)/s integrates to a ln(hi/lo) + b (hi - lo)
+        lo, hi = omega_t[:-1], omega_t[1:]
+        slope = np.diff(omega_v) / (hi - lo)
+        pieces = (omega_v[:-1] - slope * lo) * np.log(hi / lo) + slope * (hi - lo)
         divergent = False
         small_slope = math.nan
         if len(omega_t) >= 2:

@@ -121,14 +121,6 @@ class ScaleFunction:
             return p.get("label", "transported shift")
         return k
 
-    def spec_dict(self) -> dict:
-        if self.kind == "compose-inverse":
-            return {"kind": "compose-inverse", "label": self.describe()}
-        out = {"kind": self.kind}
-        out.update({k: v for k, v in self.params.items()
-                    if isinstance(v, (int, float, list, str))})
-        return out
-
 
 def _parse_shorthand(text: str) -> dict:
     """CLI shorthand: pow:theta[:c], lin:c, alog:c[:k], const:c, zero, table:x=v,..."""
@@ -466,6 +458,28 @@ def aux_eval(setup: PotentialSetup, which: str, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _invert_increasing(fn, y: float, delta: float, top: float) -> float:
+    """Solve fn(x) = y for x in (0, delta] by bisection, fn increasing.
+
+    ``top`` is fn(delta).  Values of y at or beyond it clamp to delta; values
+    at or below zero clamp to zero.
+    """
+    if y <= 0:
+        return 0.0
+    if y >= top:
+        return delta
+    lo, hi = delta * 1e-18, delta
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if fn(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return (lo + hi) / 2.0
+
+
 def invert_phi_bar(setup: PotentialSetup, y: float) -> float:
     """Solve phi_bar(x) = y for x in (0, delta], by bisection.
 
@@ -473,21 +487,8 @@ def invert_phi_bar(setup: PotentialSetup, y: float) -> float:
     y at or beyond phi_bar(delta) clamp to delta; values at or below zero
     clamp to zero.
     """
-    if y <= 0:
-        return 0.0
-    top = aux_eval(setup, "phi-bar", setup.delta)
-    if y >= top:
-        return setup.delta
-    lo, hi = setup.delta * 1e-18, setup.delta
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if aux_eval(setup, "phi-bar", mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return (lo + hi) / 2.0
+    bar = lambda x: aux_eval(setup, "phi-bar", x)
+    return _invert_increasing(bar, y, setup.delta, bar(setup.delta))
 
 
 def _estimate_shift_slope(A, delta: float, depth: int = 24) -> tuple[float, bool]:
@@ -593,25 +594,10 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
                              "shift grows too fast for the exponent passage")
         bar_top = float(bar(delta))
 
-        def bar_inverse(y: float) -> float:
-            if y <= 0:
-                return 0.0
-            if y >= bar_top:
-                return delta
-            lo, hi = delta * 1e-18, delta
-            for _ in range(100):
-                mid = (lo + hi) / 2.0
-                if bar(mid) < y:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-12 * hi:
-                    break
-            return (lo + hi) / 2.0
-
         A_source = ScaleFunction(
             kind="compose-inverse", role="A", cap=bar_top,
-            params={"inner": bar_inverse, "outer": A_target,
+            params={"inner": lambda y: _invert_increasing(bar, y, delta, bar_top),
+                    "outer": A_target,
                     "label": "target shift transported through phi_bar"})
     elif mode == "thm-4.5":
         A_source = A_given
@@ -621,25 +607,10 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
             raise ScaleError("phi_tilde is not increasing on (0, delta]")
         tilde_top = float(tilde(delta))
 
-        def tilde_inverse(y: float) -> float:
-            if y <= 0:
-                return 0.0
-            if y >= tilde_top:
-                return delta
-            lo, hi = delta * 1e-18, delta
-            for _ in range(100):
-                mid = (lo + hi) / 2.0
-                if tilde(mid) < y:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-12 * hi:
-                    break
-            return (lo + hi) / 2.0
-
         A_target = ScaleFunction(
             kind="compose-inverse", role="A", cap=tilde_top,
-            params={"inner": tilde_inverse, "outer": A_source,
+            params={"inner": lambda y: _invert_increasing(tilde, y, delta, tilde_top),
+                    "outer": A_source,
                     "label": "source shift transported through phi_tilde"})
     else:
         raise ScaleError(f"unknown setup mode {mode!r}")

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,12 @@ __all__ = [
     "AhlforsReport",
     "NestedBallReport",
     "BallChainReport",
+    "PrefixProfile",
     "build_space",
     "ball",
     "representative_radii",
     "center_radii",
+    "prefix_profile",
     "rep_balls",
     "quasimetric_constants",
     "quasimetric_witnesses",
@@ -125,10 +128,13 @@ class BallTable:
     measure arrays coincide.  Radii are enumerated on the union of the jump
     thresholds of the ball and of its dilate, so both measures are exact step
     function values for every real radius in the represented interval.
+    ``counts`` holds each ball's member count, so its members are the prefix
+    ``prefix_profile(space).order[center, :count]``.
     """
 
     centers: np.ndarray
     radii: np.ndarray
+    counts: np.ndarray
     masks: np.ndarray
     measures: np.ndarray
     dilation: float
@@ -191,6 +197,36 @@ class BallChainReport:
     checked: int
     failures: int
     witness: dict | None
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixProfile:
+    """Every center's points in distance order, with cumulative weights.
+
+    Row x of ``order`` lists the points by distance from x, ties in index
+    order, and ``rank`` is its inverse.  The strict ball B(x, r) is the prefix
+    ``order[x, :k]`` with ``k = counts(x, r)``, and its measure is
+    ``cum[x, k]``.
+    """
+
+    order: np.ndarray
+    rank: np.ndarray
+    dists: np.ndarray
+    cum: np.ndarray
+
+    def counts(self, x: int, radii) -> np.ndarray:
+        """Member count of B(x, r) for each radius."""
+        return np.searchsorted(self.dists[x], radii, side="left")
+
+    def measures(self, x: int, radii) -> np.ndarray:
+        """mu B(x, r) for each radius."""
+        return self.cum[x, self.counts(x, radii)]
+
+    @cached_property
+    def point_measures(self) -> np.ndarray:
+        """mu B(x, d(x, y)) at [x, y]; zero on the diagonal."""
+        return np.stack([self.measures(x, self.dists[x, self.rank[x]])
+                         for x in range(self.order.shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +394,24 @@ def center_radii(space: QuasimetricSpace, center: int, *, dilation: float = 1.0,
     return representative_radii(ts, upper, closed=closed)
 
 
+def prefix_profile(space: QuasimetricSpace) -> PrefixProfile:
+    """The space's distance-sorted prefix profile, built once and cached."""
+    cached = space._cache.get("prefix_profile")
+    if cached is not None:
+        return cached
+    n = space.n
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+    cum = np.zeros((n, n + 1))
+    np.cumsum(space.weights[order], axis=1, out=cum[:, 1:])
+    profile = PrefixProfile(order=order, rank=rank,
+                            dists=np.take_along_axis(space.dist, order, axis=1),
+                            cum=cum)
+    space._cache["prefix_profile"] = profile
+    return profile
+
+
 def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
               radius_cap: str = "diameter", closed: bool = False,
               dedupe: bool = False) -> BallTable:
@@ -373,29 +427,17 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
     if cached is not None:
         return cached
     upper = "diameter" if radius_cap == "diameter" else None
-    centers, radii, masks = [], [], []
-    for x in range(space.n):
-        for r in center_radii(space, x, dilation=dilation, upper=upper, closed=closed):
-            centers.append(x)
-            radii.append(r)
-            masks.append(space.dist[x] < r)
-    if not centers:
-        table = BallTable(
-            centers=np.zeros(0, dtype=int), radii=np.zeros(0), masks=np.zeros((0, space.n), dtype=bool),
-            measures=np.zeros(0), dilation=dilation, dilated_measures=np.zeros(0),
-            masks_f=np.zeros((0, space.n)),
-        )
-        space._cache[key] = table
-        return table
-    centers = np.asarray(centers, dtype=int)
-    radii = np.asarray(radii, dtype=float)
-    masks = np.asarray(masks, dtype=bool)
-    measures = masks @ space.weights
-    if dilation == 1.0:
-        dil = measures
-    else:
-        dil_masks = space.dist[centers] < (dilation * radii)[:, None]
-        dil = dil_masks @ space.weights
+    prof = prefix_profile(space)
+    per_center = [center_radii(space, x, dilation=dilation, upper=upper, closed=closed)
+                  for x in range(space.n)]
+    centers = np.repeat(np.arange(space.n), [r.size for r in per_center])
+    radii = np.concatenate(per_center)
+    counts = np.concatenate([prof.counts(x, r) for x, r in enumerate(per_center)])
+    dil_counts = np.concatenate([prof.counts(x, dilation * r)
+                                 for x, r in enumerate(per_center)])
+    masks = prof.rank[centers] < counts[:, None]
+    measures = prof.cum[centers, counts]
+    dil = prof.cum[centers, dil_counts]
     if dedupe:
         packed = np.packbits(masks, axis=1)
         seen: dict[bytes, int] = {}
@@ -406,10 +448,10 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
                 seen[k] = i
                 keep.append(i)
         keep = np.asarray(keep, dtype=int)
-        centers, radii, masks = centers[keep], radii[keep], masks[keep]
+        centers, radii, counts, masks = centers[keep], radii[keep], counts[keep], masks[keep]
         measures, dil = measures[keep], dil[keep]
     table = BallTable(
-        centers=centers, radii=radii, masks=masks, measures=measures,
+        centers=centers, radii=radii, counts=counts, masks=masks, measures=measures,
         dilation=dilation, dilated_measures=dil, masks_f=masks.astype(float),
     )
     space._cache[key] = table
@@ -481,66 +523,42 @@ def quasimetric_witnesses(space: QuasimetricSpace) -> dict:
     return {"C_t": C_t, "triple": best_t, "C_s": C_s, "pair": best_s}
 
 
-def _sorted_profile(space: QuasimetricSpace, center: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from ``center`` sorted ascending with cumulative weights."""
-    order = np.argsort(space.dist[center], kind="stable")
-    ds = space.dist[center][order]
-    cw = np.cumsum(space.weights[order])
-    return ds, cw
-
-
-def _ball_measure_at(ds: np.ndarray, cw: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Measure of the strict ball at each radius, from a sorted profile."""
-    idx = np.searchsorted(ds, radii, side="left")
-    out = np.zeros(len(radii))
-    pos = idx > 0
-    out[pos] = cw[idx[pos] - 1]
-    return out
-
-
-def doubling_constant(space: QuasimetricSpace) -> float:
-    """Minimal C_d with mu B(x, 2r) <= C_d mu B(x, r) for all x and 0 < r < d_X.
+def _doubling_scan(space: QuasimetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Per center: the largest mu B(x, 2r) / mu B(x, r) over 0 < r < d_X, and
+    the first representative radius attaining it.
 
     Representative radii merge the jump thresholds of both balls (distances
     and their halves), so the scan is exact for every real radius in (0, d_X).
     """
-    cached = space._cache.get("C_d")
+    cached = space._cache.get("doubling_scan")
     if cached is not None:
         return cached
+    best = np.zeros(space.n)
+    at = np.zeros(space.n)
     d_X = space.diameter
-    best = 1.0
-    for x in range(space.n):
-        if d_X <= 0:
-            break
-        ds, cw = _sorted_profile(space, x)
-        pos = ds[ds > 0]
-        reps = representative_radii(np.concatenate([pos, pos / 2.0]), d_X)
-        if reps.size == 0:
-            continue
-        small = _ball_measure_at(ds, cw, reps)
-        big = _ball_measure_at(ds, cw, 2.0 * reps)
-        best = max(best, float((big / small).max()))
-    space._cache["C_d"] = best
-    return best
+    if d_X > 0:
+        prof = prefix_profile(space)
+        for x in range(space.n):
+            pos = prof.dists[x][prof.dists[x] > 0]
+            reps = representative_radii(np.concatenate([pos, pos / 2.0]), d_X)
+            ratios = prof.measures(x, 2.0 * reps) / prof.measures(x, reps)
+            k = int(np.argmax(ratios))
+            best[x], at[x] = ratios[k], reps[k]
+    space._cache["doubling_scan"] = (best, at)
+    return best, at
+
+
+def doubling_constant(space: QuasimetricSpace) -> float:
+    """Minimal C_d with mu B(x, 2r) <= C_d mu B(x, r) for all x and 0 < r < d_X."""
+    best, _ = _doubling_scan(space)
+    return max(1.0, float(best.max()))
 
 
 def doubling_witness(space: QuasimetricSpace) -> tuple[int, float]:
     """(center, radius) achieving the doubling constant."""
-    C_d = doubling_constant(space)
-    d_X = space.diameter
-    for x in range(space.n):
-        ds, cw = _sorted_profile(space, x)
-        pos = ds[ds > 0]
-        reps = representative_radii(np.concatenate([pos, pos / 2.0]), d_X)
-        if reps.size == 0:
-            continue
-        small = _ball_measure_at(ds, cw, reps)
-        big = _ball_measure_at(ds, cw, 2.0 * reps)
-        ratios = big / small
-        k = int(np.argmax(ratios))
-        if ratios[k] >= C_d * (1 - 1e-15):
-            return (x, float(reps[k]))
-    return (0, 0.0)
+    best, at = _doubling_scan(space)
+    hits = np.flatnonzero(best >= doubling_constant(space) * (1 - 1e-15))
+    return (int(hits[0]), float(at[hits[0]])) if hits.size else (0, 0.0)
 
 
 def _min_positive_distance(space: QuasimetricSpace) -> float:
@@ -576,14 +594,14 @@ def ahlfors_fit(space: QuasimetricSpace, alpha: float | None = None,
         raise SpaceError("empty radius window")
     upper_fails = lo == 0.0
 
+    prof = prefix_profile(space)
     pts_r, pts_mu, pts_center = [], [], []
     for x in range(space.n):
-        ds, cw = _sorted_profile(space, x)
-        reps = representative_radii(ds[ds > 0], d_X)
+        reps = representative_radii(prof.dists[x][prof.dists[x] > 0], d_X)
         radii = reps[(reps >= lo) & (reps <= hi)]
         if radii.size == 0:
             continue
-        mus = _ball_measure_at(ds, cw, radii)
+        mus = prof.measures(x, radii)
         keep = mus > 0
         pts_r.append(radii[keep])
         pts_mu.append(mus[keep])
@@ -639,15 +657,29 @@ def sharp_growth_constant(space: QuasimetricSpace) -> float:
     cached = space._cache.get("b_sharp")
     if cached is not None:
         return cached
-    best = 0.0
-    for x in range(space.n):
-        ds, cw = _sorted_profile(space, x)
-        pos = ds > 0
-        if not pos.any():
-            continue
-        best = max(best, float((cw[pos] / ds[pos]).max()))
+    prof = prefix_profile(space)
+    pos = prof.dists > 0
+    best = float((prof.cum[:, 1:][pos] / prof.dists[pos]).max()) if pos.any() else 0.0
     space._cache["b_sharp"] = best
     return best
+
+
+def _running_max(space: QuasimetricSpace, y: int) -> np.ndarray:
+    """[x, k]: the largest d(x, z) over the k + 1 points z nearest to y.
+
+    B(y, r) lies inside B(x, R) exactly when entry [x, k - 1] is below R,
+    where k is the member count of B(y, r).
+    """
+    return np.maximum.accumulate(space.dist[:, prefix_profile(space).order[y]], axis=1)
+
+
+def _ball_reach(space: QuasimetricSpace, table: BallTable) -> np.ndarray:
+    """[i, x]: the largest d(x, z) over the members z of ball i."""
+    reach = np.empty((table.size, space.n))
+    for y in range(space.n):
+        rows = np.flatnonzero(table.centers == y)
+        reach[rows] = _running_max(space, y)[:, table.counts[rows] - 1].T
+    return reach
 
 
 def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -> NestedBallReport:
@@ -664,7 +696,7 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     if nb == 0:
         return NestedBallReport(True, 0.0, {}, 0)
     exponent = math.log2(C_d) if C_d > 1 else 0.0
-    packed = np.packbits(table.masks, axis=1)
+    reach = _ball_reach(space, table)
     log_mu = np.log(table.measures)
     log_r = np.log(table.radii)
     worst = 0.0
@@ -673,8 +705,7 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     block = max(1, int(2**22 // max(nb, 1)))
     for start in range(0, nb, block):
         stop = min(start + block, nb)
-        inner = packed[start:stop, None, :] & ~packed[None, :, :]
-        subset = ~inner.any(axis=2)
+        subset = reach[start:stop][:, table.centers] < table.radii[None, :]
         radius_ok = table.radii[start:stop, None] <= table.radii[None, :]
         valid = subset & radius_ok
         checked += int(valid.sum())
@@ -708,26 +739,24 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
     mid = C_t * (C_s + 1.0)
     a_bar = C_t * (C_t * (C_s + 1.0) + 1.0)
     table = rep_balls(space)
-    D = space.dist
-    checked = 0
-    failures = 0
+    prof = prefix_profile(space)
+    # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
+    far = np.zeros((table.size, space.n))
+    for y in range(space.n):
+        rows = np.flatnonzero(table.masks[:, y])
+        k = prof.counts(y, mid * table.radii[rows])
+        far[rows, y] = _running_max(space, y)[table.centers[rows], k - 1]
+    balls, via = np.nonzero(table.masks)
+    r = table.radii[balls]
+    step1 = _ball_reach(space, table)[balls, via] < mid * r
+    step2 = far[balls, via] < a_bar * r
+    bad = np.flatnonzero(~(step1 & step2))
     witness = None
-    for b in range(table.size):
-        x = int(table.centers[b])
-        r = float(table.radii[b])
-        members = np.nonzero(table.masks[b])[0]
-        for y in members:
-            checked += 1
-            inner = D[int(y)][table.masks[b]]
-            step1 = bool((inner < mid * r).all())
-            mid_mask = D[int(y)] < mid * r
-            step2 = bool((D[x][mid_mask] < a_bar * r).all())
-            if not (step1 and step2):
-                failures += 1
-                if witness is None:
-                    witness = {"center": x, "radius": r, "via": int(y),
-                               "step1": step1, "step2": step2}
-    return BallChainReport(failures == 0, checked, failures, witness)
+    if bad.size:
+        i = bad[0]
+        witness = {"center": int(table.centers[balls[i]]), "radius": float(r[i]),
+                   "via": int(via[i]), "step1": bool(step1[i]), "step2": bool(step2[i])}
+    return BallChainReport(bad.size == 0, int(balls.size), int(bad.size), witness)
 
 
 def geometry_constants(space: QuasimetricSpace, alpha: float | None = None,

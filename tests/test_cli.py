@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morreylab
+from morreylab import cli
 from morreylab.catalog import get_space
 from morreylab.cli import main
 from morreylab.norms import GridFunction
@@ -52,6 +58,30 @@ def test_space_build_rejects_oversized(staged, capsys):
     code = main(["space", "build", "--kind", "grid", "--n", "5000"])
     assert code == 1
     assert "4096" in capsys.readouterr().err
+
+
+def test_point_cap_guards_every_subcommand(staged, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 8)
+    assert main(["space", "analyze", "grid-16"]) == 1
+    assert "capped at n <= 8, space has 16 points" in capsys.readouterr().err
+    assert not (staged["out"] / "grid-16-geometry.json").exists()
+    fn_file = staged["tmp"] / "f16.fn"
+    space = get_space("grid-16")
+    GridFunction(name="f16", values=np.ones(16)).save(fn_file, space)
+    assert main(["norm", "eval", str(fn_file), "grid-16", "--norm", "morrey"]) == 1
+    assert main(["op", "apply", str(fn_file), "grid-16", "--op", "maximal"]) == 1
+    assert capsys.readouterr().err.count("capped at n <= 8") == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(morreylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    probe = ("import sys, morreylab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_norm_eval_grand_morrey_prints_argmax(staged, capsys):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import morreylab.space as space_module
 from morreylab.catalog import (
     asymmetric_demo,
     calibrated_circle,
@@ -80,6 +81,68 @@ def oracle_ball_measure(space, center, radius):
         if space.dist[center][j] < radius:
             total += space.weights[j]
     return total
+
+
+def oracle_rep_balls(space, dilation=1.0, radius_cap="diameter"):
+    """(center, radius, member set, measure, dilated measure) per representative
+    ball, from direct member loops, in rep_balls order."""
+    upper = "diameter" if radius_cap == "diameter" else None
+    balls = []
+    for x in range(space.n):
+        for r in center_radii(space, x, dilation=dilation, upper=upper):
+            members = frozenset(y for y in range(space.n) if space.dist[x][y] < r)
+            balls.append((x, float(r), members, oracle_ball_measure(space, x, r),
+                          oracle_ball_measure(space, x, dilation * r)))
+    return balls
+
+
+def oracle_nested(space, C_d):
+    """Nested pair count, worst ratio, and each nested pair's ratio."""
+    exponent = math.log2(C_d) if C_d > 1 else 0.0
+    balls = oracle_rep_balls(space)
+    ratios = {}
+    for y, r, inner, mu_in, _ in balls:
+        for x, R, outer, mu_out, _ in balls:
+            if inner <= outer and r <= R:
+                ratios[(y, r), (x, R)] = (mu_out / mu_in) / (C_d * (R / r) ** exponent)
+    return len(ratios), max(ratios.values()), ratios
+
+
+def oracle_chain(space, C_t, C_s):
+    """(checked, failures, first failing witness) by direct member loops."""
+    mid = C_t * (C_s + 1.0)
+    a_bar = C_t * (C_t * (C_s + 1.0) + 1.0)
+    D = space.dist
+    checked = failures = 0
+    witness = None
+    for x, r, members, _, _ in oracle_rep_balls(space):
+        for y in sorted(members):
+            checked += 1
+            step1 = all(D[y][z] < mid * r for z in members)
+            step2 = all(D[x][z] < a_bar * r for z in range(space.n) if D[y][z] < mid * r)
+            if not (step1 and step2):
+                failures += 1
+                if witness is None:
+                    witness = {"center": x, "radius": r, "via": y,
+                               "step1": step1, "step2": step2}
+    return checked, failures, witness
+
+
+def oracle_spaces():
+    """Random asymmetric matrices (with and without distance ties), snowflakes,
+    and tied-distance circles."""
+    rng = np.random.default_rng(11)
+    spaces = []
+    for k in range(8):
+        n = int(rng.integers(3, 8))
+        mat = (rng.integers(1, 4, size=(n, n)).astype(float) if k % 2
+               else rng.uniform(0.5, 3.0, size=(n, n)))
+        np.fill_diagonal(mat, 0.0)
+        spaces.append(build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                                  rng.uniform(0.5, 2.0, size=n).tolist()))
+    spaces += [snowflake_grid(9), snowflake_grid(7, exponent=0.3),
+               calibrated_circle(8), calibrated_circle(9), asymmetric_demo()]
+    return spaces
 
 
 def oracle_doubling_dense(space, samples=4000):
@@ -236,6 +299,29 @@ def test_rep_balls_dedupe_preserves_value_set():
     full_keys = {(full.masks[i].tobytes(), full.measures[i]) for i in range(full.size)}
     small_keys = {(small.masks[i].tobytes(), small.measures[i]) for i in range(small.size)}
     assert small_keys == full_keys
+
+
+@pytest.mark.parametrize("dilation", [1.0, 3.0])
+@pytest.mark.parametrize("radius_cap", ["diameter", "none"])
+def test_rep_balls_match_member_set_oracle(dilation, radius_cap):
+    for s in oracle_spaces():
+        table = rep_balls(s, dilation=dilation, radius_cap=radius_cap)
+        expected = oracle_rep_balls(s, dilation, radius_cap)
+        assert table.size == len(expected)
+        for i, (x, r, members, mu, dil) in enumerate(expected):
+            assert (int(table.centers[i]), float(table.radii[i])) == (x, r)
+            assert frozenset(np.flatnonzero(table.masks[i]).tolist()) == members
+            assert table.counts[i] == len(members)
+            assert table.measures[i] == pytest.approx(mu, rel=1e-13)
+            assert table.dilated_measures[i] == pytest.approx(dil, rel=1e-13)
+        # dedupe keeps exactly the first ball of each (members, measures) key
+        keys = [(table.masks[i].tobytes(), table.measures[i], table.dilated_measures[i])
+                for i in range(table.size)]
+        first = sorted({k: i for i, k in reversed(list(enumerate(keys)))}.values())
+        small = rep_balls(s, dilation=dilation, radius_cap=radius_cap, dedupe=True)
+        assert small.size == len(first)
+        for name in ("centers", "radii", "counts", "masks", "measures", "dilated_measures"):
+            assert np.array_equal(getattr(small, name), getattr(table, name)[first])
 
 
 def test_center_radii_closed_includes_diameter():
@@ -450,3 +536,42 @@ def test_nested_ball_bound_passes_on_shipped_spaces():
     for name in ("grid-16", "circle-16", "two-atom", "snowflake-16"):
         rep = nested_ball_bound_check(get_space(name))
         assert rep.passed, f"{name}: worst {rep.worst_ratio} at {rep.witness}"
+
+
+def test_nested_ball_bound_matches_member_set_oracle():
+    failing = 0
+    for s in oracle_spaces():
+        true_C_d = doubling_constant(s)
+        # C_d = 1 lies below every true constant here, so pairs fail
+        for C_d in (true_C_d, 1.0):
+            rep = nested_ball_bound_check(s, C_d)
+            pairs, worst, ratios = oracle_nested(s, C_d)
+            assert rep.pairs_checked == pairs
+            assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+            assert rep.passed == (rep.worst_ratio <= 1.0 + 1e-12)
+            inner, outer = rep.witness["inner"], rep.witness["outer"]
+            assert ratios[inner, outer] == pytest.approx(worst, rel=1e-12)
+            mu_in = oracle_ball_measure(s, *inner)
+            mu_out = oracle_ball_measure(s, *outer)
+            assert rep.witness["measure_ratio"] == pytest.approx(mu_out / mu_in, rel=1e-12)
+            failing += not rep.passed
+        x, r = doubling_witness(s)
+        ratio = oracle_ball_measure(s, x, 2 * r) / oracle_ball_measure(s, x, r)
+        assert ratio == pytest.approx(true_C_d, rel=1e-12)
+    assert failing >= len(oracle_spaces())
+
+
+def test_ball_chain_matches_member_set_oracle(monkeypatch):
+    for s in oracle_spaces():
+        rep = ball_chain_check(s)
+        checked, failures, witness = oracle_chain(s, *quasimetric_constants(s))
+        assert (rep.checked, rep.failures, rep.witness) == (checked, failures, witness)
+    # constants below the true ones make the inclusions fail somewhere
+    monkeypatch.setattr(space_module, "quasimetric_constants", lambda space: (0.5, 1.0))
+    failing = 0
+    for s in oracle_spaces():
+        rep = ball_chain_check(s)
+        assert (rep.checked, rep.failures, rep.witness) == oracle_chain(s, 0.5, 1.0)
+        assert rep.passed == (rep.failures == 0)
+        failing += rep.failures > 0
+    assert failing == len(oracle_spaces())
