@@ -285,9 +285,13 @@ def _cmd_certify_run(args) -> int:
     status = "PASS" if report.structural_pass else "FAIL"
     calib = ("-" if report.calibrated_pass is None
              else ("PASS" if report.calibrated_pass else "FAIL"))
+    gates = report.failed_gates()
+    if report.calibrated_pass is False:
+        gates.append("calibrated")
+    named = f" failed={','.join(gates)}" if gates else ""
     print(f"{report.inequality} on {space.name}: ratio={report.ratio:.6g} "
-          f"bound={report.bound:.6g} structural={status} calibrated={calib} "
-          f"-> {path}")
+          f"bound={report.bound:.6g} structural={status} calibrated={calib}"
+          f"{named} -> {path}")
     failed = (not report.structural_pass) or report.calibrated_pass is False
     return 2 if failed else 0
 

@@ -11,7 +11,11 @@ consistently by every inequality certified in this package.
 Grand norms add a supremum over an exponent shift epsilon.  That supremum is
 taken over a fixed master grid of nodes in (0, s_max); all grand quantities
 in one computation share the grid, so comparisons between them are exact by
-construction and stable under grid refinement.
+construction and stable under grid refinement.  A grid is evaluated in one
+pass over its shift schedule: the ball integrals of all nodes in a block are
+one stacked matrix product, which keeps the per-node BLAS call (a
+matrix-vector product for one column, a matrix product for several) and so
+the bits of a node-by-node evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .scales import EpsilonGrid, GrandParams, MorreyVariant, grid_for
+from .scales import (EpsilonGrid, GrandParams, MorreyVariant, ShiftSchedule,
+                     grid_for, shift_schedule)
 from .space import QuasimetricSpace, rep_balls
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
     "lebesgue_norm",
     "morrey_norm",
     "inner_seminorm_matrix",
+    "seminorm_profile",
     "grand_profile",
     "phi_functional",
     "grand_morrey_norm",
@@ -174,16 +180,42 @@ def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
 # grand norms
 
 
+# elements of one block's (nodes, balls, columns) integral stack
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
+                     schedule: ShiftSchedule) -> np.ndarray:
+    """Inner seminorms N(eps; f) per schedule node (rows) and column of F.
+
+    Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit:
+    each node's ball integrals are its own slice of one stacked product.
+    """
+    p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
+    low = p_eff < 1
+    if low.any():
+        raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
+    table, den = variant_table(space, schedule.variant)
+    out = np.zeros((p_eff.size, F.shape[1]))
+    if table.size == 0:
+        return out
+    absF = np.abs(F)
+    w = space.weights[:, None]
+    step = max(1, _BLOCK_ELEMENTS // max(1, table.size * F.shape[1]))
+    for a in range(0, p_eff.size, step):
+        pe = p_eff[a:a + step, None, None]
+        pw = absF ** pe * w
+        integrals = np.matmul(table.masks_f[None], pw)
+        integrals *= den[:, None] ** -lam_eff[a:a + step, None, None]
+        out[a:a + step] = integrals.max(axis=1) ** (1.0 / pe[:, 0])
+    return out
+
+
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
                   nodes: np.ndarray) -> np.ndarray:
     """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and column."""
-    out = np.empty((len(nodes), F.shape[1]))
-    for i, eps in enumerate(nodes):
-        pe = params.p - float(eps)
-        le = params.lam - float(params.A(float(eps)))
-        w = float(params.phi(float(eps))) ** (1.0 / pe)
-        out[i] = w * inner_seminorm_matrix(F, space, pe, le, params.variant)
-    return out
+    schedule = shift_schedule(params, nodes)
+    return schedule.weight[:, None] * seminorm_profile(F, space, schedule)
 
 
 def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
@@ -270,15 +302,14 @@ def dominance_report(space: QuasimetricSpace, params: GrandParams, sigma: float)
     above = nodes[nodes >= sigma]
     if above.size == 0:
         above = np.asarray([sigma])
+    schedule = shift_schedule(params, above)
     log_den = np.log(den)
     log_mu = np.log(table.measures)
     inv_sig = 1.0 / (params.p - sigma)
     lam_sig = params.lam - float(params.A(sigma))
     m_delta = -np.inf
     witness = {}
-    for eps in above:
-        pe = params.p - float(eps)
-        lam_eps = params.lam - float(params.A(float(eps)))
+    for eps, pe, lam_eps in zip(above, schedule.p_eff, schedule.lam_eff):
         log_factor = (lam_sig * inv_sig - lam_eps / pe) * log_den \
             + (1.0 / pe - inv_sig) * log_mu
         k = int(np.argmax(log_factor))

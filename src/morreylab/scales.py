@@ -16,6 +16,7 @@ on the other side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +32,8 @@ __all__ = [
     "GrandParams",
     "make_grand_params",
     "grid_for",
+    "ShiftSchedule",
+    "shift_schedule",
     "sobolev_exponent",
     "hedberg_exponents",
     "delta_exponent",
@@ -300,7 +303,8 @@ class GrandParams:
     """Parameters of one grand Morrey norm.
 
     ``closed_grid`` makes the shift range (0, s_max] instead of (0, s_max),
-    which is the convention of the modified-norm family.
+    which is the convention of the modified-norm family.  ``shift_schedule``
+    keeps the schedules it builds for these parameters in ``_schedules``.
     """
 
     p: float
@@ -311,6 +315,8 @@ class GrandParams:
     s_max: float
     grid_count: int = 64
     closed_grid: bool = False
+    _schedules: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
 
 def _shift_limit(A: ScaleFunction, lam: float, cap: float) -> float:
@@ -353,6 +359,45 @@ def grid_for(params: GrandParams, closed: bool | None = None) -> EpsilonGrid:
     if closed is None:
         closed = params.closed_grid
     return build_epsilon_grid(params.s_max, count=params.grid_count, closed=closed)
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftSchedule:
+    """Shifted exponent pairs and weights of a grand norm at fixed nodes.
+
+    Entry i belongs to ``nodes[i]`` = eps: ``p_eff`` = p - eps, ``lam_eff`` =
+    lam - A(eps) and ``weight`` = phi(eps)^(1/(p - eps)).
+    """
+
+    nodes: np.ndarray
+    p_eff: np.ndarray
+    lam_eff: np.ndarray
+    weight: np.ndarray
+    variant: MorreyVariant
+
+
+def shift_schedule(params: GrandParams, nodes) -> ShiftSchedule:
+    """The shift schedule of ``params`` at ``nodes``, built once per node set.
+
+    Every entry comes from one scalar call of A and of phi at its node, in
+    scalar arithmetic, so it matches a node-by-node evaluation bit for bit.
+    """
+    nodes = np.array(nodes, dtype=float)
+    key = nodes.tobytes()
+    sched = params._schedules.get(key)
+    if sched is None:
+        p_eff, lam_eff, weight = [], [], []
+        for eps in nodes:
+            pe = params.p - float(eps)
+            p_eff.append(pe)
+            lam_eff.append(params.lam - float(params.A(float(eps))))
+            weight.append(float(params.phi(float(eps))) ** (1.0 / pe))
+        sched = ShiftSchedule(nodes=nodes, p_eff=np.asarray(p_eff, dtype=float),
+                              lam_eff=np.asarray(lam_eff, dtype=float),
+                              weight=np.asarray(weight, dtype=float),
+                              variant=params.variant)
+        params._schedules[key] = sched
+    return sched
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +638,13 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
             raise ScaleError("phi_bar is not increasing on (0, delta]; "
                              "shift grows too fast for the exponent passage")
         bar_top = float(bar(delta))
+        # memoised: each distinct shift is bisected once per setup
+        inner = functools.cache(
+            lambda y: _invert_increasing(bar, y, delta, bar_top))
 
         A_source = ScaleFunction(
             kind="compose-inverse", role="A", cap=bar_top,
-            params={"inner": lambda y: _invert_increasing(bar, y, delta, bar_top),
+            params={"inner": inner,
                     "outer": A_target,
                     "label": "target shift transported through phi_bar"})
     elif mode == "thm-4.5":
@@ -606,10 +654,12 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
         if np.any(np.diff(tilde(grid)) <= 0):
             raise ScaleError("phi_tilde is not increasing on (0, delta]")
         tilde_top = float(tilde(delta))
+        inner = functools.cache(
+            lambda y: _invert_increasing(tilde, y, delta, tilde_top))
 
         A_target = ScaleFunction(
             kind="compose-inverse", role="A", cap=tilde_top,
-            params={"inner": lambda y: _invert_increasing(tilde, y, delta, tilde_top),
+            params={"inner": inner,
                     "outer": A_source,
                     "label": "source shift transported through phi_tilde"})
     else:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from morreylab import certify, scales
 from morreylab.catalog import get_space
 from morreylab.certify import (CertifyError, certify_boundedness,
                                empirical_ratio, generate_family,
@@ -321,3 +323,79 @@ def test_certificate_profile_csv_written(tmp_path):
     text = (tmp_path / "thm-3.6-grid-4.profile.csv").read_text()
     assert text.splitlines()[0] == "eps,eta,wratio,c_meas,c_thm"
     assert len(text.splitlines()) == len(rep.profile) + 1
+
+
+def test_transported_shift_is_bisected_once_per_distinct_node(monkeypatch):
+    calls = []
+    bisect = scales._invert_increasing
+
+    def counting(fn, y, delta, top):
+        calls.append(y)
+        return bisect(fn, y, delta, top)
+
+    monkeypatch.setattr(scales, "_invert_increasing", counting)
+    rep = certify_boundedness("thm-4.5", get_space("grid-16"), family_spec="mixed",
+                              seed=3, params={"grid_count": 16})
+    out = rep.params["output"]
+    cap = out["p"] - 1.0
+    # the transported target shift is asked about its role-validation grid,
+    # its domain cap, the refined output grid (which holds the base grid) and
+    # the pivot
+    shifts = np.unique(np.concatenate([
+        scales._validation_grid(cap), [cap, rep.params["sigma"]],
+        scales.build_epsilon_grid(out["s_max"], count=16).refine().nodes]))
+    assert len(calls) <= shifts.size + 4
+    assert len(set(calls)) == len(calls)
+
+
+def _inflate_last_ratio(monkeypatch, calls_before_last):
+    """Make the last refinement level's measured ratio jump by a factor 2."""
+    real = certify.empirical_ratio
+    seen = []
+
+    def ratio(out_norms, in_norms, names):
+        r, witness = real(out_norms, in_norms, names)
+        seen.append(r)
+        return (2.0 * r if len(seen) > calls_before_last else r), witness
+
+    monkeypatch.setattr(certify, "empirical_ratio", ratio)
+
+
+def test_refinement_gate_checks_every_level(monkeypatch):
+    s = get_space("grid-4")
+    kwargs = dict(family_spec="ball-indicators", sharpen=False, refinement_levels=2)
+    rep = certify_boundedness("thm-3.6", s, **kwargs)
+    deltas = rep.checks["refinement_deltas"]
+    assert len(deltas) == 2
+    assert rep.checks["refinement_stable"]
+    assert rep.structural_pass and rep.failed_gates() == []
+    # base ratio, measured ratio, level 1 unchanged; level 2 doubles
+    _inflate_last_ratio(monkeypatch, 3)
+    rep = certify_boundedness("thm-3.6", s, **kwargs)
+    first, second = rep.checks["refinement_deltas"]
+    assert first <= 0.05 * rep.ratio < second
+    assert not rep.checks["refinement_stable"]
+    assert not rep.structural_pass
+    assert rep.failed_gates() == ["stability"]
+
+
+def test_failed_gates_name_every_failing_check():
+    s = get_space("grid-4")
+    rep = certify_boundedness("thm-3.6", s, family_spec="ball-indicators",
+                              sharpen=False, refinement_levels=0)
+    broken = replace(rep, structural_pass=False, checks={
+        **rep.checks, "internal_consistency": False, "uniformity_ok": False,
+        "explicit_ok": False, "demo_ok": False})
+    assert broken.failed_gates() == ["consistency", "uniformity",
+                                     "explicit-constant", "demo_ok"]
+    divergent = certify_boundedness("prop-3.9", get_space("circle-16"),
+                                    family_spec="ball-indicators", params={"p": 2.0})
+    assert divergent.failed_gates() == ["finite-constant"]
+    direct = certify_boundedness("lemma-5.1", get_space("grid-4"),
+                                 family_spec="ball-indicators")
+    assert direct.structural_pass and direct.failed_gates() == []
+    missed = replace(direct, structural_pass=False,
+                     checks={**direct.checks, "within_formula": False})
+    assert missed.failed_gates() == ["explicit-constant"]
+    missed = replace(missed, checks={**missed.checks, "weak_1_1_ok": False})
+    assert missed.failed_gates() == ["weak_1_1_ok"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import morreylab
-from morreylab import cli
+from morreylab import certify, cli
 from morreylab.catalog import get_space
 from morreylab.cli import main
 from morreylab.norms import GridFunction
@@ -175,7 +175,8 @@ def test_certify_run_calibration_failure_exit_two(staged, capsys):
             "--family", "ball-indicators"]
     assert main(base + ["--calibrate", "c_cz=1"]) == 0
     assert main(base + ["--calibrate", "c_cz=0.0001"]) == 2
-    assert "calibrated=FAIL" in capsys.readouterr().out
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "structural=PASS calibrated=FAIL failed=calibrated ->" in line
 
 
 def test_certify_run_unknown_free_constant(staged, capsys):
@@ -189,7 +190,28 @@ def test_certify_run_infinite_constant_exit_two(staged, capsys):
     code = main(["certify", "run", "--theorem", "prop-3.9", "circle-16",
                  "--family", "ball-indicators", "--p", "2"])
     assert code == 2
-    assert "structural=FAIL" in capsys.readouterr().out
+    assert "structural=FAIL calibrated=- failed=finite-constant ->" in \
+        capsys.readouterr().out
+
+
+def test_certify_run_names_failed_gates(staged, capsys, monkeypatch):
+    argv = ["certify", "run", "--theorem", "thm-3.6", staged["space"],
+            "--family", "ball-indicators", "--refine", "2", "--no-sharpen"]
+    assert main(argv) == 0
+    assert "failed=" not in capsys.readouterr().out
+    # the second refinement level doubles the measured ratio
+    real = certify.empirical_ratio
+    seen = []
+
+    def ratio(out_norms, in_norms, names):
+        r, witness = real(out_norms, in_norms, names)
+        seen.append(r)
+        return (2.0 * r if len(seen) > 3 else r), witness
+
+    monkeypatch.setattr(certify, "empirical_ratio", ratio)
+    assert main(argv) == 2
+    line = capsys.readouterr().out
+    assert "structural=FAIL calibrated=- failed=stability ->" in line
 
 
 def test_report_index(staged, capsys):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from morreylab.catalog import calibrated_circle, get_space, line_grid
+from morreylab import norms
+from morreylab.catalog import calibrated_circle, get_space, line_grid, snowflake_grid
 from morreylab.norms import (
     GridFunction,
     NormError,
@@ -23,7 +24,9 @@ from morreylab.scales import (
     MorreyVariant,
     grid_for,
     make_grand_params,
+    make_potential_setup,
 )
+from morreylab.space import build_space
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +283,67 @@ def test_grand_profile_shape():
     nodes = grid_for(params).nodes[:5]
     out = grand_profile(F, s, params, nodes)
     assert out.shape == (5, 3)
+
+
+def oracle_grand_profile(F, space, params, nodes):
+    """Node-by-node grand profile, one seminorm call and one A/phi call per node."""
+    out = np.empty((len(nodes), F.shape[1]))
+    for i, eps in enumerate(nodes):
+        pe = params.p - float(eps)
+        le = params.lam - float(params.A(float(eps)))
+        w = float(params.phi(float(eps))) ** (1.0 / pe)
+        out[i] = w * inner_seminorm_matrix(F, space, pe, le, params.variant)
+    return out
+
+
+def _profile_spaces():
+    """A seeded asymmetric space, a tied asymmetric one, a tied circle and a
+    snowflake."""
+    rng = np.random.default_rng(29)
+    spaces = []
+    for tied in (False, True):
+        n = 18
+        mat = (rng.integers(1, 6, size=(n, n)).astype(float) if tied
+               else rng.uniform(0.5, 3.0, size=(n, n)))
+        np.fill_diagonal(mat, 0.0)
+        spaces.append(build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                                  rng.uniform(0.5, 2.0, size=n).tolist()))
+    return spaces + [calibrated_circle(24), snowflake_grid(20)]
+
+
+def _profile_params(variant):
+    """Plain params and both transported shifts of the potential setups."""
+    plain = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", variant, 32)
+    bar = make_potential_setup(2.0, 0.5, 0.125, 1.0, "lin:0.05", 1.0, 2.0, 0.1,
+                               mode="thm-4.4")
+    tilde = make_potential_setup(2.0, 0.5, 0.125, 1.0, "lin:0.05", 1.0, 2.5, 0.1,
+                                 mode="thm-4.5")
+    return [plain,
+            make_grand_params(2.0, 0.5, "pow:1", bar.A_source, variant, 32),
+            make_grand_params(tilde.q, 0.5, "pow:2.5", tilde.A_target, variant, 32,
+                              closed_grid=True)]
+
+
+@pytest.mark.parametrize("space", _profile_spaces(), ids=lambda s: s.name or "matrix")
+def test_grand_profile_matches_node_by_node_oracle_bitwise(space):
+    rng = np.random.default_rng(31)
+    variants = (MorreyVariant(), MorreyVariant(kind="radius", gamma=1.5),
+                MorreyVariant(kind="modified", dilation=2.0, radius_cap="none"))
+    for variant in variants:
+        table, _ = norms.variant_table(space, variant)
+        for m in (1, 2, 40):
+            F = rng.uniform(-2.0, 2.0, size=(space.n, m))
+            F[rng.random(F.shape) < 0.2] = 0.0
+            layouts = [F] if m == 1 else [F, np.asfortranarray(F), F[:, ::-1]]
+            step = norms._BLOCK_ELEMENTS // (table.size * m)
+            for params in _profile_params(variant):
+                grid = grid_for(params)
+                while grid.count <= step:  # at least two node blocks
+                    grid = grid.refine()
+                for G in layouts:
+                    got = grand_profile(G, space, params, grid.nodes)
+                    want = oracle_grand_profile(G, space, params, grid.nodes)
+                    assert np.array_equal(got, want), (variant, m, params.A.describe())
 
 
 # ---------------------------------------------------------------------------
