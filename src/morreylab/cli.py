@@ -25,8 +25,9 @@ from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
                      make_grand_params)
-from .space import (SpaceError, ball_chain_check, geometry_constants,
-                    load_space, nested_ball_bound_check, save_space)
+from .space import (SpaceError, ball_chain_check, dilation_constants,
+                    geometry_constants, load_space, nested_ball_bound_check,
+                    save_space)
 
 # exhaustive ball enumeration is quadratic in n; larger spaces are refused
 MAX_POINTS = 4096
@@ -200,10 +201,8 @@ def _cmd_op_apply(args) -> int:
     if op == "maximal":
         out_vals = maximal(fn.values, space)
     elif op == "modified-maximal":
-        from .space import quasimetric_constants
-        C_t, C_s = quasimetric_constants(space)
         out_vals = modified_maximal(fn.values, space,
-                                    C_t * (1.0 + 2.0 * C_s))
+                                    dilation_constants(space)[0])
     elif op == "potential-distance":
         out_vals = potential(fn.values, space, "gamma-kernel", args.alpha,
                              args.gamma)
@@ -418,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="free constants, e.g. c0=2.5,c_cz=1.2")
     p_run.add_argument("--no-sharpen", action="store_true")
     p_run.add_argument("--refine", type=int, default=1,
-                       help="grid refinement levels for stability checks")
+                       help="grid refinement levels for the stability gate of "
+                            "grand-norm certificates (at least 1)")
     p_run.add_argument("--outdir")
     p_run.set_defaults(handler=_cmd_certify_run)
 

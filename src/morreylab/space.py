@@ -39,6 +39,7 @@ __all__ = [
     "prefix_profile",
     "rep_balls",
     "quasimetric_constants",
+    "dilation_constants",
     "quasimetric_witnesses",
     "doubling_constant",
     "doubling_witness",
@@ -491,6 +492,16 @@ def quasimetric_constants(space: QuasimetricSpace) -> tuple[float, float]:
     return result
 
 
+def dilation_constants(space: QuasimetricSpace) -> tuple[float, float]:
+    """(N_0, a_bar) = (C_t (1 + 2 C_s), C_t (C_t (C_s + 1) + 1)).
+
+    N_0 dilates the denominator of the modified maximal operator; a_bar is
+    the ball-chain enlargement B(x, r) within B(x, a_bar r).
+    """
+    C_t, C_s = quasimetric_constants(space)
+    return C_t * (1.0 + 2.0 * C_s), C_t * (C_t * (C_s + 1.0) + 1.0)
+
+
 def quasimetric_witnesses(space: QuasimetricSpace) -> dict:
     """Index witnesses achieving the minimal C_t and C_s exactly."""
     C_t, C_s = quasimetric_constants(space)
@@ -737,7 +748,7 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
     """
     C_t, C_s = quasimetric_constants(space)
     mid = C_t * (C_s + 1.0)
-    a_bar = C_t * (C_t * (C_s + 1.0) + 1.0)
+    a_bar = dilation_constants(space)[1]
     table = rep_balls(space)
     prof = prefix_profile(space)
     # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
@@ -766,6 +777,7 @@ def geometry_constants(space: QuasimetricSpace, alpha: float | None = None,
     C_t, C_s = quasimetric_constants(space)
     C_d = doubling_constant(space)
     fit = ahlfors_fit(space, alpha=alpha, beta=beta, window=window)
+    N_0, a_bar = dilation_constants(space)
     return GeometryConstants(
         C_t=C_t,
         C_s=C_s,
@@ -775,6 +787,6 @@ def geometry_constants(space: QuasimetricSpace, alpha: float | None = None,
         beta_upper=fit.beta_upper,
         c_up=fit.c_up,
         b_growth=fit.b_growth,
-        N_0=C_t * (1.0 + 2.0 * C_s),
-        a_bar=C_t * (C_t * (C_s + 1.0) + 1.0),
+        N_0=N_0,
+        a_bar=a_bar,
     )

@@ -211,7 +211,7 @@ def test_grand_potential_pairing_matches_passage_map():
     s = get_space("grid-16")
     setup = riesz_corollary_setup()
     rep = certify_boundedness("thm-4.4", s, family_spec="ball-indicators",
-                              sharpen=False, refinement_levels=0)
+                              sharpen=False, refinement_levels=1)
     for row in rep.profile:
         want = float(aux_eval(setup, "phi-bar", row["eps"]))
         assert row["eta"] == pytest.approx(want, rel=1e-10)
@@ -318,7 +318,7 @@ def test_write_index(tmp_path):
 def test_certificate_profile_csv_written(tmp_path):
     s = get_space("grid-4")
     rep = certify_boundedness("thm-3.6", s, family_spec="ball-indicators",
-                              sharpen=False, refinement_levels=0)
+                              sharpen=False, refinement_levels=1)
     save_report(rep, tmp_path / "thm-3.6-grid-4.json")
     text = (tmp_path / "thm-3.6-grid-4.profile.csv").read_text()
     assert text.splitlines()[0] == "eps,eta,wratio,c_meas,c_thm"
@@ -361,6 +361,33 @@ def _inflate_last_ratio(monkeypatch, calls_before_last):
     monkeypatch.setattr(certify, "empirical_ratio", ratio)
 
 
+@pytest.mark.parametrize("sharpen", [False, True])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_reduction_evaluates_each_side_once(monkeypatch, levels, sharpen):
+    real = certify.seminorm_profile
+    calls = []
+
+    def counting(F, space, schedule):
+        calls.append(schedule.nodes.size)
+        return real(F, space, schedule)
+
+    monkeypatch.setattr(certify, "seminorm_profile", counting)
+    rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
+                              seed=3, sharpen=sharpen, refinement_levels=levels)
+    assert rep.family["sharpened"] is sharpen
+    assert len(calls) == 2
+
+
+def test_reduction_base_level_is_independent_of_refinement_depth():
+    s = get_space("grid-16")
+    one, two = (certify_boundedness("thm-4.5", s, family_spec="mixed", seed=3,
+                                    refinement_levels=k) for k in (1, 2))
+    for key in ("ratio", "bound", "witness", "members", "profile"):
+        assert getattr(one, key) == getattr(two, key), key
+    assert one.checks["refinement_measured"] == \
+        two.checks["refinement_measured"][:2]
+
+
 def test_refinement_gate_checks_every_level(monkeypatch):
     s = get_space("grid-4")
     kwargs = dict(family_spec="ball-indicators", sharpen=False, refinement_levels=2)
@@ -382,7 +409,7 @@ def test_refinement_gate_checks_every_level(monkeypatch):
 def test_failed_gates_name_every_failing_check():
     s = get_space("grid-4")
     rep = certify_boundedness("thm-3.6", s, family_spec="ball-indicators",
-                              sharpen=False, refinement_levels=0)
+                              sharpen=False, refinement_levels=1)
     broken = replace(rep, structural_pass=False, checks={
         **rep.checks, "internal_consistency": False, "uniformity_ok": False,
         "explicit_ok": False, "demo_ok": False})

@@ -137,12 +137,20 @@ def test_certify_run_exit_zero_and_report(staged, capsys):
 
 def test_certify_run_rerun_byte_identical(staged):
     argv = ["certify", "run", "--theorem", "thm-3.6", staged["space"],
-            "--family", "ball-indicators", "--refine", "0", "--no-sharpen"]
+            "--family", "ball-indicators", "--refine", "1", "--no-sharpen"]
     assert main(argv) == 0
     path = staged["out"] / "thm-3.6-grid-4.json"
     first = path.read_bytes()
     assert main(argv) == 0
     assert path.read_bytes() == first
+
+
+def test_certify_run_refine_zero_refused_by_reduction_only(staged, capsys):
+    argv = ["certify", "run", staged["space"], "--family", "ball-indicators",
+            "--refine", "0"]
+    assert main(argv + ["--theorem", "thm-3.6"]) == 1
+    assert "stability gate" in capsys.readouterr().err
+    assert main(argv + ["--theorem", "lemma-5.2"]) == 0
 
 
 def test_certify_run_bundle_file_flags_win(staged, capsys):
