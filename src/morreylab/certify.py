@@ -29,8 +29,8 @@ import numpy as np
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
 from .norms import (as_matrix, dominance_report, grand_profile,  # noqa: F401
-                    inner_seminorm_matrix, lebesgue_norm, morrey_norm,
-                    phi_functional, seminorm_profile)
+                    grand_rows, inner_seminorm_matrix, lebesgue_norm,
+                    morrey_norm, phi_functional, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
 from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
@@ -204,6 +204,10 @@ def empirical_ratio(out_norms, in_norms, names):
     return float(ratios[k]), str(names[k])
 
 
+# relative gain a sharpening trial needs to replace the best ratio so far
+_SHARPEN_GAIN = 1e-15
+
+
 def sharpen_witness(evaluate, values, iterations: int = 32, step: float = 0.1):
     """Greedy coordinate search for a larger ratio around a witness.
 
@@ -225,7 +229,7 @@ def sharpen_witness(evaluate, values, iterations: int = 32, step: float = 0.1):
             else:
                 trial[j] = v[j] * fac
             cand = float(evaluate(trial))
-            if cand > best * (1.0 + 1e-15):
+            if cand > best * (1.0 + _SHARPEN_GAIN):
                 v, best = trial, cand
                 break
     return v, best
@@ -242,15 +246,10 @@ def _apply(apply_op, F):
     return out
 
 
-def _sharpen(sharpen, apply_op, in_norm, out_norm, F, names, ratio_raw,
-             witness):
-    """Sharpen the witness member of F against out_norm / in_norm (each maps
-    a member matrix to per-member norms).  On a strict gain over ratio_raw,
-    name the new member in names and return (column, its operator values,
-    ratio); otherwise, or without sharpen, (None, None, None)."""
-    if not sharpen:
-        return None, None, None
-
+def _ratio_evaluator(apply_op, in_norm, out_norm):
+    """The sharpening ratio out_norm(T f) / in_norm(f) of one member vector,
+    0 at zero input norm; in_norm and out_norm map a member matrix to
+    per-member norms."""
     def evaluate(vec):
         col = vec[:, None]
         pin = float(in_norm(col)[0])
@@ -258,8 +257,59 @@ def _sharpen(sharpen, apply_op, in_norm, out_norm, F, names, ratio_raw,
             return 0.0
         return float(out_norm(np.asarray(apply_op(col), dtype=float))[0]) / pin
 
+    return evaluate
+
+
+def _early_rejecting_evaluator(apply_op, out_norm, space, schedule):
+    """The sharpening ratio against the input grand norm at ``schedule``,
+    stopping each trial that provably cannot replace the best ratio.
+
+    The best ratio follows sharpen_witness: the first call sets it, and so
+    does every later one that gains more than _SHARPEN_GAIN.  A trial takes
+    its output norm in full, then the input profile in chunks of 1, 4, 16,
+    ... nodes, largest first in the last fully evaluated profile.  Division
+    is monotone, so once pout / (largest input row so far) gains too little,
+    so does pout / (input grand norm): the trial returns that upper bound.
+    A trial that is accepted is always evaluated in full, bit for bit as by
+    _ratio_evaluator.
+    """
+    best = None
+    order = np.arange(schedule.nodes.size)
+
+    def evaluate(vec):
+        nonlocal best, order
+        col = vec[:, None]
+        pout = float(out_norm(np.asarray(apply_op(col), dtype=float))[0])
+        rows = np.empty(order.size)
+        top, done = 0.0, 0
+        chunk = 1 if best is not None else order.size
+        while done < order.size:
+            if (best is not None and top > 0.0
+                    and pout / top <= best * (1.0 + _SHARPEN_GAIN)):
+                return pout / top
+            part = order[done:done + chunk]
+            rows[part] = grand_rows(col, space, schedule, part)[:, 0]
+            done += part.size
+            chunk *= 4
+            top = float(rows[order[:done]].max())
+        order = np.argsort(-rows, kind="stable")
+        ratio = 0.0 if top <= 0.0 else pout / top
+        if best is None or ratio > best * (1.0 + _SHARPEN_GAIN):
+            best = ratio
+        return ratio
+
+    return evaluate
+
+
+def _sharpen(sharpen, evaluate, apply_op, F, names, ratio_raw, witness):
+    """Sharpen the witness member of F against the ratio ``evaluate``.  On a
+    strict gain over ratio_raw, name the new member in names and return
+    (column, its operator values, ratio); otherwise, or without sharpen,
+    (None, None, None)."""
+    if not sharpen:
+        return None, None, None
     v_best, r_best = sharpen_witness(evaluate, F[:, names.index(witness)])
-    if not r_best > ratio_raw * (1.0 + 1e-15):
+    if not r_best > ratio_raw * (1.0 + _SHARPEN_GAIN):
         return None, None, None
     names.append(f"{witness}+sharpened")
     col = v_best[:, None]
@@ -567,7 +617,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
                      explicit_constant=False, sharpen=True,
                      refinement_levels=1, inequality="reduction",
                      hypotheses=None, extra_params=None, extra_checks=None,
-                     notes=()) -> CertReport:
+                     out_values=None, notes=()) -> CertReport:
     """Certify a grand-to-grand operator bound through per-shift measurements.
 
     On output nodes eps <= sigma the operator is measured directly:
@@ -588,7 +638,9 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
 
     The stability gate re-measures on refinement_levels >= 1 refined grids.
     Refinement keeps every node, so each side is evaluated once, on the
-    finest grid, and every level reads its rows from there.
+    finest grid, and every level reads its rows from there.  out_values,
+    when given, are the operator's values on family.values, which the caller
+    has applied already.
     """
     t0 = time.perf_counter()
     if pairing is None:
@@ -637,7 +689,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         lo, s_out.weight[rows(s_out, lo)] / s_in.weight[rows(s_in, eta)])
 
     F = np.ascontiguousarray(family.values, dtype=float)
-    out_vals = _apply(apply_op, F)
+    out_vals = _apply(apply_op, F) if out_values is None else out_values
     names = list(family.names)
 
     # base-grid grand norms: the first witness and every sharpening trial
@@ -650,8 +702,10 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         return grand_profile(V, space, params_out, grids_out[0].nodes).max(axis=0)
 
     ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F), names)
-    col, col_out, ratio_sharp = _sharpen(sharpen, apply_op, grand_in, grand_out,
-                                         F, names, ratio_raw, witness)
+    evaluate = _early_rejecting_evaluator(apply_op, grand_out, space,
+                                          shift_schedule(params_in, base_in))
+    col, col_out, ratio_sharp = _sharpen(sharpen, evaluate, apply_op, F, names,
+                                         ratio_raw, witness)
     if ratio_sharp is not None:
         F = np.hstack([F, col])
         out_vals = np.hstack([out_vals, col_out])
@@ -813,8 +867,9 @@ def verify_direct(space: QuasimetricSpace, family: FunctionFamily, apply_op,
     out = np.asarray(out_norm(out_vals), dtype=float)
     ratio_raw, witness = empirical_ratio(out, inn, names)
 
-    col, col_out, ratio_sharp = _sharpen(sharpen, apply_op, in_norm, out_norm,
-                                         F, names, ratio_raw, witness)
+    col, col_out, ratio_sharp = _sharpen(
+        sharpen, _ratio_evaluator(apply_op, in_norm, out_norm), apply_op, F,
+        names, ratio_raw, witness)
     if ratio_sharp is not None:
         inn = np.append(inn, in_norm(col))
         out = np.append(out, out_norm(col_out))
@@ -1242,12 +1297,15 @@ def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
                                     A_eps=float(pout.A(e)), b=b, N0=N0,
                                     consts=consts)
 
-    checks = dict(extra_checks(pin, pout, pairing, per_eps, fam)
+    def apply_op(V):
+        return potential(V, space, kernel_kind, alpha, gamma)
+
+    # one application to the family serves the builder checks and the engine
+    fam_out = _apply(apply_op, fam.values)
+    checks = dict(extra_checks(pin, pout, pairing, per_eps, fam, fam_out)
                   if callable(extra_checks) else (extra_checks or {}))
     return verify_reduction(
-        space, fam,
-        lambda V: potential(V, space, kernel_kind, alpha, gamma),
-        pin, pout, sigma,
+        space, fam, apply_op, pin, pout, sigma, out_values=fam_out,
         pairing=pairing, per_eps_constant=per_eps, consts=consts,
         sharpen=sharpen, refinement_levels=refinement_levels,
         inequality=inequality, hypotheses=hyp,
@@ -1416,13 +1474,11 @@ def _cert_grand_line_potential(space, *, family_spec, seed, params, consts,
     var_out_unc = MorreyVariant(kind="modified", dilation=N0 * abar,
                                 radius_cap="none")
 
-    def uncapped_checks(pin, pout, pairing, per_eps, fam):
+    def uncapped_checks(pin, pout, pairing, per_eps, fam, out_vals):
         nodes = grid_for(pout).nodes
         sigma = float(params.get("sigma", 0.05))
         lo = np.unique(np.append(nodes[nodes <= sigma], sigma))
         eta = np.asarray([float(pairing(e)) for e in lo])
-        out_vals = np.asarray(potential(fam.values, space, "k-alpha", alpha),
-                              dtype=float)
         in_unc = seminorm_profile(fam.values, space, replace(
             shift_schedule(pin, eta), variant=var_in_unc))
         out_unc = seminorm_profile(out_vals, space, replace(

@@ -21,7 +21,7 @@ the bits of a node-by-node evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "morrey_norm",
     "inner_seminorm_matrix",
     "seminorm_profile",
+    "grand_rows",
     "grand_profile",
     "phi_functional",
     "grand_morrey_norm",
@@ -205,10 +206,25 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     for a in range(0, p_eff.size, step):
         pe = p_eff[a:a + step, None, None]
         pw = absF ** pe * w
-        integrals = np.matmul(table.masks_f[None], pw)
-        integrals *= den[:, None] ** -lam_eff[a:a + step, None, None]
-        out[a:a + step] = integrals.max(axis=1) ** (1.0 / pe[:, 0])
+        # (nodes, columns, balls): the ball axis last for the scaling and the max
+        scaled = np.ascontiguousarray(
+            np.matmul(table.masks_f[None], pw).transpose(0, 2, 1))
+        scaled *= den ** -lam_eff[a:a + step, None, None]
+        out[a:a + step] = scaled.max(axis=2) ** (1.0 / pe[:, 0])
     return out
+
+
+def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
+               rows) -> np.ndarray:
+    """The rows ``rows`` of the weighted profile of ``schedule``.
+
+    Each row equals the same row of grand_profile over the whole schedule
+    bit for bit, since every node is evaluated on its own.
+    """
+    part = replace(schedule, nodes=schedule.nodes[rows],
+                   p_eff=schedule.p_eff[rows], lam_eff=schedule.lam_eff[rows],
+                   weight=schedule.weight[rows])
+    return part.weight[:, None] * seminorm_profile(F, space, part)
 
 
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,

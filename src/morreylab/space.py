@@ -699,6 +699,15 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     A pair qualifies when the member set of B(y, r) is contained in that of
     B(x, R) and r <= R.  The worst ratio of the two sides is reported with a
     witness.
+
+    rep_balls lists each center's radii in growing order, so the outer balls
+    at center x that qualify for inner ball i are a suffix of x's balls: those
+    with radius above reach[i, x] and at least r_i.  The pair count is a sum
+    of suffix lengths, and the largest surrogate slack log mu_j - e log r_j
+    of each inner ball comes from per-center suffix maxima, at O(B n) cost.
+    Only the outer balls within a rounding margin of that maximum are
+    evaluated with the exact slack expression, so the ratio and the witness
+    are bit for bit those of a scan over all B^2 pairs.
     """
     if C_d is None:
         C_d = doubling_constant(space)
@@ -710,26 +719,53 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     reach = _ball_reach(space, table)
     log_mu = np.log(table.measures)
     log_r = np.log(table.radii)
+    surrogate = log_mu - exponent * log_r
+    # the balls of center x are the table rows bounds[x]:bounds[x + 1]
+    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
+    checked = 0
+    best = np.full(nb, -np.inf)
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        rx = table.radii[a:b]
+        suffix = np.maximum(np.searchsorted(rx, reach[:, x], side="right"),
+                            np.searchsorted(rx, table.radii, side="left"))
+        checked += int((b - a) * nb - suffix.sum())
+        suffix_max = np.append(np.maximum.accumulate(surrogate[a:b][::-1])[::-1],
+                               -np.inf)
+        np.maximum(best, suffix_max[suffix], out=best)
+    # the exact slack of (i, j) is surrogate[j] minus a term of i, up to a few
+    # roundings at the magnitude of the logs; the margin covers both sides
+    margin = 64 * np.finfo(float).eps * (
+        np.abs(log_mu).max() + exponent * np.abs(log_r).max()
+        + abs(math.log(C_d)) + 1.0)
+    order = np.argsort(surrogate, kind="stable")
+    ranked = surrogate[order]
+    lo = np.searchsorted(ranked, best - margin, side="left")
+    size = np.searchsorted(ranked, best, side="right") - lo
     worst = 0.0
     witness = {}
-    checked = 0
-    block = max(1, int(2**22 // max(nb, 1)))
+    # rows go in the blocks of the dense scan, which takes the first largest
+    # slack within a block and the first block with the largest ratio
+    block = max(1, int(2**22 // nb))
     for start in range(0, nb, block):
-        stop = min(start + block, nb)
-        subset = reach[start:stop][:, table.centers] < table.radii[None, :]
-        radius_ok = table.radii[start:stop, None] <= table.radii[None, :]
-        valid = subset & radius_ok
-        checked += int(valid.sum())
-        if not valid.any():
+        k = size[start:start + block]
+        inner = np.repeat(np.arange(start, start + k.size), k)
+        if inner.size == 0:
             continue
-        lhs = log_mu[None, :] - log_mu[start:stop, None]
-        rhs = math.log(C_d) + exponent * (log_r[None, :] - log_r[start:stop, None])
+        outer = order[np.arange(inner.size) + np.repeat(lo[start:start + k.size]
+                                                        - (np.cumsum(k) - k), k)]
+        valid = ((reach[inner, table.centers[outer]] < table.radii[outer])
+                 & (table.radii[inner] <= table.radii[outer]))
+        lhs = log_mu[outer] - log_mu[inner]
+        rhs = math.log(C_d) + exponent * (log_r[outer] - log_r[inner])
         slack = np.where(valid, lhs - rhs, -np.inf)
-        k = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        ratio = float(np.exp(slack[k]))
+        top = slack.max()
+        ratio = float(np.exp(top))
         if ratio > worst:
             worst = ratio
-            i, j = int(k[0] + start), int(k[1])
+            hit = np.flatnonzero(slack == top)
+            first = hit[np.lexsort((outer[hit], inner[hit]))[0]]
+            i, j = int(inner[first]), int(outer[first])
             witness = {
                 "inner": (int(table.centers[i]), float(table.radii[i])),
                 "outer": (int(table.centers[j]), float(table.radii[j])),

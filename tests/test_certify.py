@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morreylab import certify, scales
+from morreylab import certify, norms, scales
 from morreylab.catalog import get_space
 from morreylab.certify import (CertifyError, certify_boundedness,
                                empirical_ratio, generate_family,
@@ -426,3 +426,65 @@ def test_failed_gates_name_every_failing_check():
     assert missed.failed_gates() == ["explicit-constant"]
     missed = replace(missed, checks={**missed.checks, "weak_1_1_ok": False})
     assert missed.failed_gates() == ["weak_1_1_ok"]
+
+
+def _full_input_evaluator(apply_op, out_norm, space, schedule):
+    """The sharpening ratio with every trial's input grand norm in full."""
+    def in_norm(V):
+        return (schedule.weight[:, None]
+                * norms.seminorm_profile(V, space, schedule)).max(axis=0)
+    return certify._ratio_evaluator(apply_op, in_norm, out_norm)
+
+
+@pytest.mark.parametrize("seed", [3, 1204])
+@pytest.mark.parametrize("theorem", ["thm-3.6", "thm-4.5", "thm-5.4"])
+def test_early_rejected_sharpening_keeps_report_bodies(monkeypatch, theorem, seed):
+    s = get_space("grid-16")
+    pruned = certify_boundedness(theorem, s, family_spec="mixed", seed=seed)
+    monkeypatch.setattr(certify, "_early_rejecting_evaluator",
+                        _full_input_evaluator)
+    full = certify_boundedness(theorem, s, family_spec="mixed", seed=seed)
+    assert json.dumps(pruned.body()) == json.dumps(full.body())
+
+
+def test_sharpening_rejects_trials_before_their_full_input_norm(monkeypatch):
+    """Input rows a sharpening trial evaluates: the trial's vector is the
+    input operand, so its rows are told apart by shared memory."""
+    real_profile, real_sharpen = norms.seminorm_profile, certify.sharpen_witness
+    trial = [None]
+    rows = []
+
+    def counting(F, space, schedule):
+        if trial[0] is not None and np.shares_memory(F, trial[0]):
+            rows[-1] += schedule.nodes.size
+        return real_profile(F, space, schedule)
+
+    def sharpen(evaluate, values, *args, **kwargs):
+        def tracked(vec):
+            trial[0] = vec
+            rows.append(0)
+            return evaluate(vec)
+        return real_sharpen(tracked, values, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "seminorm_profile", counting)
+    monkeypatch.setattr(certify, "sharpen_witness", sharpen)
+    certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
+                        seed=3)
+    # the first evaluation sets the best ratio and reads every input node
+    assert len(rows) > 1 and rows[0] > 0
+    assert sum(rows) < len(rows) * rows[0]
+
+
+def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):
+    real = certify.potential
+    columns = []
+
+    def counting(f, *args, **kwargs):
+        columns.append(np.asarray(f).shape[1])
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "potential", counting)
+    s = get_space("grid-16")
+    size = generate_family(s, "mixed", seed=3).size
+    certify_boundedness("thm-5.4", s, family_spec="mixed", seed=3, sharpen=False)
+    assert columns == [size]

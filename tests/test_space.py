@@ -108,6 +108,44 @@ def oracle_nested(space, C_d):
     return len(ratios), max(ratios.values()), ratios
 
 
+def dense_nested_check(space, C_d):
+    """The nested-ball scan over all B^2 pairs of representative balls, in row
+    blocks of 2^22 pairs: (pairs_checked, worst_ratio, witness, passed)."""
+    table = rep_balls(space)
+    nb = table.size
+    exponent = math.log2(C_d) if C_d > 1 else 0.0
+    reach = space_module._ball_reach(space, table)
+    log_mu = np.log(table.measures)
+    log_r = np.log(table.radii)
+    worst = 0.0
+    witness = {}
+    checked = 0
+    block = max(1, int(2**22 // max(nb, 1)))
+    for start in range(0, nb, block):
+        stop = min(start + block, nb)
+        subset = reach[start:stop][:, table.centers] < table.radii[None, :]
+        radius_ok = table.radii[start:stop, None] <= table.radii[None, :]
+        valid = subset & radius_ok
+        checked += int(valid.sum())
+        if not valid.any():
+            continue
+        lhs = log_mu[None, :] - log_mu[start:stop, None]
+        rhs = math.log(C_d) + exponent * (log_r[None, :] - log_r[start:stop, None])
+        slack = np.where(valid, lhs - rhs, -np.inf)
+        k = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        ratio = float(np.exp(slack[k]))
+        if ratio > worst:
+            worst = ratio
+            i, j = int(k[0] + start), int(k[1])
+            witness = {
+                "inner": (int(table.centers[i]), float(table.radii[i])),
+                "outer": (int(table.centers[j]), float(table.radii[j])),
+                "measure_ratio": float(table.measures[j] / table.measures[i]),
+                "bound": float(C_d * (table.radii[j] / table.radii[i]) ** exponent),
+            }
+    return checked, worst, witness, worst <= 1.0 + 1e-12
+
+
 def oracle_chain(space, C_t, C_s):
     """(checked, failures, first failing witness) by direct member loops."""
     mid = C_t * (C_s + 1.0)
@@ -559,6 +597,25 @@ def test_nested_ball_bound_matches_member_set_oracle():
         ratio = oracle_ball_measure(s, x, 2 * r) / oracle_ball_measure(s, x, r)
         assert ratio == pytest.approx(true_C_d, rel=1e-12)
     assert failing >= len(oracle_spaces())
+
+
+_NESTED_SPACES = {
+    "oracle": oracle_spaces,
+    "snowflake-128": lambda: [snowflake_grid(128)],
+    "circle-128": lambda: [calibrated_circle(128)],
+    "grid-64": lambda: [get_space("grid-64")],
+    "circle-65": lambda: [get_space("circle-65")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_SPACES))
+def test_nested_ball_bound_equals_dense_pair_scan(name):
+    # C_d = 1 gives exponent 0, so many pairs tie on the worst ratio
+    for s in _NESTED_SPACES[name]():
+        for C_d in (doubling_constant(s), 1.0, 3.0):
+            rep = nested_ball_bound_check(s, C_d)
+            got = (rep.pairs_checked, rep.worst_ratio, rep.witness, rep.passed)
+            assert got == dense_nested_check(s, C_d), (s.name, C_d)
 
 
 def test_ball_chain_matches_member_set_oracle(monkeypatch):
