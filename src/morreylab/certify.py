@@ -28,9 +28,10 @@ import numpy as np
 
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
-from .norms import (as_matrix, dominance_report, grand_profile,  # noqa: F401
-                    grand_rows, inner_seminorm_matrix, lebesgue_norm,
-                    morrey_norm, phi_functional, seminorm_profile)
+from .norms import (ProfileScreen, as_matrix,  # noqa: F401
+                    dominance_report, grand_profile, grand_rows,
+                    inner_seminorm_matrix, lebesgue_norm, morrey_norm,
+                    phi_functional, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
 from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
@@ -260,40 +261,43 @@ def _ratio_evaluator(apply_op, in_norm, out_norm):
     return evaluate
 
 
-def _early_rejecting_evaluator(apply_op, out_norm, space, schedule):
-    """The sharpening ratio against the input grand norm at ``schedule``,
-    stopping each trial that provably cannot replace the best ratio.
+def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
+    """The sharpening ratio of the output grand norm at schedule ``s_out`` to
+    the input grand norm at ``s_in``, screened by certified surrogates.
 
     The best ratio follows sharpen_witness: the first call sets it, and so
-    does every later one that gains more than _SHARPEN_GAIN.  A trial takes
-    its output norm in full, then the input profile in chunks of 1, 4, 16,
-    ... nodes, largest first in the last fully evaluated profile.  Division
-    is monotone, so once pout / (largest input row so far) gains too little,
-    so does pout / (input grand norm): the trial returns that upper bound.
-    A trial that is accepted is always evaluated in full, bit for bit as by
-    _ratio_evaluator.
+    does every later one that gains more than _SHARPEN_GAIN.  Each trial
+    takes both sides' surrogate rows (norms.ProfileScreen).  Division is
+    monotone, so a trial with max(out) (1 + delta) / (max(in) (1 - delta))
+    <= best (1 + _SHARPEN_GAIN) cannot be accepted, and returns that upper
+    bound.  Otherwise each side's grand norm is the largest of its exact
+    rows (grand_rows) among the candidates, which hold the exact maximum,
+    so the ratio is bit for bit that of _ratio_evaluator.  ``work`` counts
+    the trials, the surrogate rejections and the exact rows.
     """
+    screen_out, screen_in = ProfileScreen(space, s_out), ProfileScreen(space, s_in)
     best = None
-    order = np.arange(schedule.nodes.size)
+
+    def exact(screen, V, rows):
+        part = screen.candidates(rows)
+        work["exact_rows"] += part.size
+        return float(grand_rows(V, space, screen.schedule, part).max())
 
     def evaluate(vec):
-        nonlocal best, order
+        nonlocal best
+        work["trials"] += 1
         col = vec[:, None]
-        pout = float(out_norm(np.asarray(apply_op(col), dtype=float))[0])
-        rows = np.empty(order.size)
-        top, done = 0.0, 0
-        chunk = 1 if best is not None else order.size
-        while done < order.size:
-            if (best is not None and top > 0.0
-                    and pout / top <= best * (1.0 + _SHARPEN_GAIN)):
-                return pout / top
-            part = order[done:done + chunk]
-            rows[part] = grand_rows(col, space, schedule, part)[:, 0]
-            done += part.size
-            chunk *= 4
-            top = float(rows[order[:done]].max())
-        order = np.argsort(-rows, kind="stable")
-        ratio = 0.0 if top <= 0.0 else pout / top
+        col_out = np.asarray(apply_op(col), dtype=float)
+        rows_out, rows_in = screen_out.rows(col_out), screen_in.rows(col)
+        if best is not None and rows_out is not None and rows_in is not None:
+            upper = float(rows_out.max()) * (1.0 + screen_out.delta)
+            lower = float(rows_in.max()) * (1.0 - screen_in.delta)
+            if lower > 0.0 and upper / lower <= best * (1.0 + _SHARPEN_GAIN):
+                work["surrogate_rejections"] += 1
+                return upper / lower
+        pout = exact(screen_out, col_out, rows_out)
+        pin = exact(screen_in, col, rows_in)
+        ratio = 0.0 if pin <= 0.0 else pout / pin
         if best is None or ratio > best * (1.0 + _SHARPEN_GAIN):
             best = ratio
         return ratio
@@ -367,11 +371,14 @@ class CertReport:
     calibrated_pass: bool | None = None
     notes: tuple = ()
     runtime_s: float = 0.0
+    sharpening_work: dict = field(default_factory=dict)
 
     def body(self) -> dict:
-        """JSON-safe content with the runtime stripped, for byte-stable files."""
+        """JSON-safe content without the runtime and the sharpening work
+        counters, for byte-stable files."""
         data = asdict(self)
         data.pop("runtime_s")
+        data.pop("sharpening_work")
         return _jsonable(data)
 
     def failed_gates(self) -> list:
@@ -426,13 +433,16 @@ def save_report(report: CertReport, path) -> Path:
 
     The body is serialized with sorted keys and without the runtime, so a
     rerun with identical inputs produces byte-identical bytes; the sidecar
-    holds the runtime and a timestamp.
+    holds the runtime, a timestamp and, for reduction certificates, the
+    sharpening work counters.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report.body(), indent=2, sort_keys=True) + "\n")
     meta = {"runtime_s": float(report.runtime_s),
             "written_at": datetime.now(timezone.utc).isoformat()}
+    if report.sharpening_work:
+        meta["sharpening"] = dict(report.sharpening_work)
     Path(str(path) + ".runmeta.json").write_text(json.dumps(meta, indent=2) + "\n")
     stem = str(path)
     if stem.endswith(".json"):
@@ -702,10 +712,14 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         return grand_profile(V, space, params_out, grids_out[0].nodes).max(axis=0)
 
     ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F), names)
-    evaluate = _early_rejecting_evaluator(apply_op, grand_out, space,
-                                          shift_schedule(params_in, base_in))
-    col, col_out, ratio_sharp = _sharpen(sharpen, evaluate, apply_op, F, names,
-                                         ratio_raw, witness)
+    work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0}
+    # the evaluator, and the block buffers of its screens, live only while
+    # sharpening runs
+    col, col_out, ratio_sharp = _sharpen(
+        sharpen, _early_rejecting_evaluator(
+            apply_op, space, shift_schedule(params_out, grids_out[0].nodes),
+            shift_schedule(params_in, base_in), work),
+        apply_op, F, names, ratio_raw, witness)
     if ratio_sharp is not None:
         F = np.hstack([F, col])
         out_vals = np.hstack([out_vals, col_out])
@@ -840,6 +854,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         calibrated_pass=calibrated,
         notes=tuple(notes),
         runtime_s=time.perf_counter() - t0,
+        sharpening_work=work,
     )
 
 

@@ -15,12 +15,16 @@ construction and stable under grid refinement.  A grid is evaluated in one
 pass over its shift schedule: the ball integrals of all nodes in a block are
 one stacked matrix product, which keeps the per-node BLAS call (a
 matrix-vector product for one column, a matrix product for several) and so
-the bits of a node-by-node evaluation.
+the bits of a node-by-node evaluation.  ProfileScreen trades those bits for
+speed where a bound suffices: one matrix product across the nodes of a block
+gives surrogate rows of one column within a proven relative margin of the
+exact rows, so a caller evaluates exactly only the rows that can decide.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +43,8 @@ __all__ = [
     "inner_seminorm_matrix",
     "seminorm_profile",
     "grand_rows",
+    "surrogate_margin",
+    "ProfileScreen",
     "grand_profile",
     "phi_functional",
     "grand_morrey_norm",
@@ -225,6 +231,89 @@ def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
                    p_eff=schedule.p_eff[rows], lam_eff=schedule.lam_eff[rows],
                    weight=schedule.weight[rows])
     return part.weight[:, None] * seminorm_profile(F, space, part)
+
+
+# elements of one node block's (nodes, balls) surrogate product
+_SURROGATE_ELEMENTS = 1 << 17
+# ulps the surrogate margin allows for the terms |f|^p w, the den factor,
+# the 1/p root and the weight on both paths, with slack for rounding the
+# bounds built from it
+_SURROGATE_ULPS = 64
+# smallest nonzero intermediate of a screened evaluation: above it every
+# float is normal, where the relative error bounds hold
+_SURROGATE_FLOOR = 2.0 ** -1000
+
+
+def surrogate_margin(n: int, den_exponent: float) -> float:
+    """Relative margin delta between a surrogate row and its exact row.
+
+    Both paths sum the same n nonnegative terms in different orders, each
+    within gamma_n = n u / (1 - n u) of the exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2), which gives
+    2 gamma_n.  The surrogate's den factor exp(-lam log den) carries the
+    rounding of lam log den into the exponent, 2 den_exponent u with
+    den_exponent = max |lam log den|; _SURROGATE_ULPS ulps cover the rest.
+    """
+    u = np.finfo(float).eps / 2
+    return 2.0 * n * u / (1.0 - n * u) + (_SURROGATE_ULPS + 2.0 * den_exponent) * u
+
+
+class ProfileScreen:
+    """A certified surrogate of the weighted profile of one column at one
+    schedule, and the rows that must be evaluated exactly.
+
+    ``rows`` takes one GEMM of the ball masks against the node columns
+    |f|^p_eff w per node block and den factors from one log(den), so its
+    bits differ from the per-node rows of grand_rows.  Each exact row lies
+    within [s (1 - delta), s (1 + delta)] of its surrogate row s, delta from
+    surrogate_margin.  ``candidates`` are the rows whose upper bound reaches
+    the largest lower bound; the exact maximum row is always among them.
+    """
+
+    def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
+        self.table, den = variant_table(space, schedule.variant)
+        self.space, self.schedule = space, schedule
+        self.log_den = np.log(den)
+        self.den_exponent = float(np.abs(schedule.lam_eff).max()
+                                  * np.abs(self.log_den).max(initial=0.0))
+        self.delta = surrogate_margin(space.n, self.den_exponent)
+        # one node block's product and den factors, reused by every call:
+        # allocating them afresh per call made a screen about twice as slow
+        # at n = 64
+        self.step = max(1, _SURROGATE_ELEMENTS // max(1, self.table.size))
+        shape = (min(self.step, schedule.nodes.size), self.table.size)
+        self._scaled, self._factor = np.empty(shape), np.empty(shape)
+
+    def rows(self, F: np.ndarray) -> np.ndarray | None:
+        """Surrogate weighted rows of the one-column F, or None where delta
+        does not hold: a subnormal intermediate or a non-finite row."""
+        sched, table = self.schedule, self.table
+        pw = np.abs(F[:, 0]) ** sched.p_eff[:, None] * self.space.weights
+        terms = pw[pw > 0]
+        floor = (min(1.0, terms.min(initial=1.0) * math.exp(-self.den_exponent))
+                 * min(1.0, float(sched.weight.min())))
+        if floor < _SURROGATE_FLOOR:
+            return None
+        top = np.empty(sched.nodes.size)
+        for a in range(0, top.size, self.step):
+            k = min(self.step, top.size - a)
+            block = slice(a, a + k)
+            # (nodes, balls): the ball axis last for the scaling and the max
+            scaled = np.matmul(pw[block], table.masks_f.T, out=self._scaled[:k])
+            factor = np.multiply.outer(-sched.lam_eff[block], self.log_den,
+                                       out=self._factor[:k])
+            scaled *= np.exp(factor, out=factor)
+            top[block] = scaled.max(axis=1, initial=0.0)
+        rows = sched.weight * top ** (1.0 / sched.p_eff)
+        return rows if np.all(np.isfinite(rows)) else None
+
+    def candidates(self, rows: np.ndarray | None) -> np.ndarray:
+        """Indices of the rows that can hold the exact maximum: all of them
+        without a surrogate."""
+        if rows is None:
+            return np.arange(self.schedule.nodes.size)
+        return np.flatnonzero(rows * (1.0 + self.delta)
+                              >= rows.max() * (1.0 - self.delta))
 
 
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,

@@ -130,7 +130,9 @@ class BallTable:
     thresholds of the ball and of its dilate, so both measures are exact step
     function values for every real radius in the represented interval.
     ``counts`` holds each ball's member count, so its members are the prefix
-    ``prefix_profile(space).order[center, :count]``.
+    ``prefix_profile(space).order[center, :count]``.  ``masks_f``, the float
+    copy of ``masks`` that ball integrals multiply, is built on first use:
+    the geometry scans never read it.
     """
 
     centers: np.ndarray
@@ -140,11 +142,14 @@ class BallTable:
     measures: np.ndarray
     dilation: float
     dilated_measures: np.ndarray
-    masks_f: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def size(self) -> int:
         return self.centers.shape[0]
+
+    @cached_property
+    def masks_f(self) -> np.ndarray:
+        return self.masks.astype(float)
 
 
 @dataclass(frozen=True)
@@ -453,7 +458,7 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
         measures, dil = measures[keep], dil[keep]
     table = BallTable(
         centers=centers, radii=radii, counts=counts, masks=masks, measures=measures,
-        dilation=dilation, dilated_measures=dil, masks_f=masks.astype(float),
+        dilation=dilation, dilated_measures=dil,
     )
     space._cache[key] = table
     return table

@@ -428,12 +428,12 @@ def test_failed_gates_name_every_failing_check():
     assert missed.failed_gates() == ["weak_1_1_ok"]
 
 
-def _full_input_evaluator(apply_op, out_norm, space, schedule):
-    """The sharpening ratio with every trial's input grand norm in full."""
-    def in_norm(V):
-        return (schedule.weight[:, None]
-                * norms.seminorm_profile(V, space, schedule)).max(axis=0)
-    return certify._ratio_evaluator(apply_op, in_norm, out_norm)
+def _full_input_evaluator(apply_op, space, s_out, s_in, work):
+    """The sharpening ratio with every trial's grand norms in full."""
+    def grand(schedule):
+        return lambda V: (schedule.weight[:, None]
+                          * norms.seminorm_profile(V, space, schedule)).max(axis=0)
+    return certify._ratio_evaluator(apply_op, grand(s_in), grand(s_out))
 
 
 @pytest.mark.parametrize("seed", [3, 1204])
@@ -473,6 +473,58 @@ def test_sharpening_rejects_trials_before_their_full_input_norm(monkeypatch):
     # the first evaluation sets the best ratio and reads every input node
     assert len(rows) > 1 and rows[0] > 0
     assert sum(rows) < len(rows) * rows[0]
+
+
+def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch):
+    """Exact single-column rows of the sharpening trials: each side of a
+    trial that the surrogates do not reject evaluates its argmax row and
+    only the rows within the surrogate margin of it."""
+    real_rows, real_sharpen = certify.grand_rows, certify.sharpen_witness
+    trials = []
+
+    def recording(F, space, schedule, rows):
+        out = real_rows(F, space, schedule, rows)
+        delta = norms.ProfileScreen(space, schedule).delta
+        trials[-1].append((out[:, 0], delta))
+        return out
+
+    def sharpen(evaluate, values, *args, **kwargs):
+        def tracked(vec):
+            trials.append([])
+            return evaluate(vec)
+        return real_sharpen(tracked, values, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "grand_rows", recording)
+    monkeypatch.setattr(certify, "sharpen_witness", sharpen)
+    rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
+                              seed=3)
+    sides = [side for trial in trials for side in trial]
+    ties = sum(int(np.sum(vals >= vals.max() * (1.0 - 4.0 * delta))) - 1
+               for vals, delta in sides)
+    exact_rows = sum(vals.size for vals, _ in sides)
+    assert all(len(trial) in (0, 2) for trial in trials)
+    assert exact_rows <= len(sides) + ties
+    assert rep.sharpening_work == {
+        "trials": len(trials),
+        "surrogate_rejections": sum(not trial for trial in trials),
+        "exact_rows": exact_rows}
+    assert 0 < rep.sharpening_work["surrogate_rejections"] < len(trials)
+
+
+def test_reduction_runmeta_records_sharpening_work(tmp_path):
+    rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
+                              seed=3)
+    path = save_report(rep, tmp_path / "thm-3.6-grid-16.json")
+    meta = json.loads((tmp_path / "thm-3.6-grid-16.json.runmeta.json").read_text())
+    assert meta["sharpening"] == rep.sharpening_work
+    assert set(meta["sharpening"]) == {"trials", "surrogate_rejections",
+                                       "exact_rows"}
+    body = json.loads(path.read_text())
+    assert "sharpening_work" not in body and "runtime_s" not in body
+    unsharpened = certify_boundedness("thm-3.6", get_space("grid-16"),
+                                      family_spec="mixed", seed=3, sharpen=False)
+    assert unsharpened.sharpening_work == {
+        "trials": 0, "surrogate_rejections": 0, "exact_rows": 0}
 
 
 def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):

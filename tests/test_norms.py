@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morreylab import norms
 from morreylab.catalog import calibrated_circle, get_space, line_grid, snowflake_grid
@@ -25,6 +29,7 @@ from morreylab.scales import (
     grid_for,
     make_grand_params,
     make_potential_setup,
+    shift_schedule,
 )
 from morreylab.space import build_space
 
@@ -344,6 +349,100 @@ def test_grand_profile_matches_node_by_node_oracle_bitwise(space):
                     got = grand_profile(G, space, params, grid.nodes)
                     want = oracle_grand_profile(G, space, params, grid.nodes)
                     assert np.array_equal(got, want), (variant, m, params.A.describe())
+
+
+_VARIANTS = (MorreyVariant(), MorreyVariant(kind="radius", gamma=1.5),
+             MorreyVariant(kind="modified", dilation=2.0, radius_cap="none"))
+
+
+def _random_space(kind, n, seed):
+    """A seeded asymmetric space, one with tied distances, or a snowflake of
+    random points, all with random weights."""
+    rng = np.random.default_rng(seed)
+    weights = (rng.uniform(0.5, 2.0, size=n) / n).tolist()
+    if kind == "snowflake":
+        pts = np.sort(rng.uniform(0.0, 1.0, size=n)).tolist()
+        return build_space(pts, {"kind": "snowflake",
+                                 "exponent": float(rng.uniform(0.3, 0.9))}, weights)
+    mat = (rng.integers(1, 6, size=(n, n)).astype(float) if kind == "tied"
+           else rng.uniform(0.5, 3.0, size=(n, n)))
+    np.fill_diagonal(mat, 0.0)
+    return build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                       weights)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+       n=st.integers(2, 128), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)))
+@example(kind="asymmetric", n=128, seed=1, variant=0, which=0, scale=1.0)
+@example(kind="tied", n=128, seed=2, variant=1, which=1, scale=1e-3)
+@example(kind="snowflake", n=128, seed=3, variant=2, which=2, scale=1e3)
+def test_surrogate_rows_bracket_the_exact_rows(kind, n, seed, variant, which, scale):
+    space = _random_space(kind, n, seed)
+    params = _profile_params(_VARIANTS[variant])[which]
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    rng = np.random.default_rng(seed + 1)
+    F = rng.uniform(-2.0, 2.0, size=(n, 1)) * scale
+    F[rng.random(n) < 0.2] = 0.0
+    screen = norms.ProfileScreen(space, schedule)
+    approx = screen.rows(F)
+    assert approx is not None
+    exact = norms.grand_rows(F, space, schedule, np.arange(schedule.nodes.size))[:, 0]
+    assert np.all(exact >= approx * (1.0 - screen.delta))
+    assert np.all(exact <= approx * (1.0 + screen.delta))
+
+
+def _flipped_argmax_case():
+    """A space, a two-node schedule and a column whose surrogate argmax row
+    is not the exact one.
+
+    The second node's weight lies strictly between the exact and the
+    surrogate ratio of the two unweighted rows, so the two paths order the
+    weighted rows differently.
+    """
+    space = _random_space("asymmetric", 48, 5)
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
+    unit = replace(shift_schedule(params, grid_for(params).nodes[:2]),
+                   weight=np.ones(2))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        F = rng.uniform(0.0, 2.0, size=(space.n, 1))
+        exact = norms.grand_rows(F, space, unit, [0, 1])[:, 0]
+        approx = norms.ProfileScreen(space, unit).rows(F)
+        w = 0.5 * (exact[0] / exact[1] + approx[0] / approx[1])
+        schedule = replace(unit, weight=np.array([1.0, w]))
+        exact = norms.grand_rows(F, space, schedule, [0, 1])[:, 0]
+        approx = norms.ProfileScreen(space, schedule).rows(F)
+        if np.sign(exact[0] - exact[1]) * np.sign(approx[0] - approx[1]) < 0:
+            return space, schedule, F
+    raise AssertionError("no column orders the two paths differently")
+
+
+def test_surrogate_margin_keeps_the_exact_argmax_row(monkeypatch):
+    space, schedule, F = _flipped_argmax_case()
+    exact = norms.grand_rows(F, space, schedule, [0, 1])[:, 0]
+    screen = norms.ProfileScreen(space, schedule)
+    approx = screen.rows(F)
+    part = screen.candidates(approx)
+    assert norms.grand_rows(F, space, schedule, part).max() == exact.max()
+    # without the margin only the surrogate argmax row is evaluated exactly,
+    # and the grand norm comes out wrong
+    monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
+    part = norms.ProfileScreen(space, schedule).candidates(approx)
+    assert norms.grand_rows(F, space, schedule, part).max() < exact.max()
+
+
+def test_surrogate_steps_aside_for_subnormal_terms():
+    space = calibrated_circle(24)
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    screen = norms.ProfileScreen(space, schedule)
+    F = np.full((space.n, 1), 1e-160)
+    assert screen.rows(F) is None
+    assert np.array_equal(screen.candidates(None), np.arange(schedule.nodes.size))
+    assert screen.rows(F * 1e150) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,18 @@ def test_rep_balls_dedupe_preserves_value_set():
     assert small_keys == full_keys
 
 
+def test_float_masks_are_built_on_first_use_only():
+    s = snowflake_grid(24)
+    geo = geometry_constants(s)
+    nested_ball_bound_check(s, geo.C_d)
+    ball_chain_check(s)
+    tables = [v for k, v in s._cache.items() if k[0] == "rep_balls"]
+    assert tables and all("masks_f" not in t.__dict__ for t in tables)
+    table = tables[0]
+    assert np.array_equal(table.masks_f, table.masks.astype(float))
+    assert table.masks_f is table.masks_f
+
+
 @pytest.mark.parametrize("dilation", [1.0, 3.0])
 @pytest.mark.parametrize("radius_cap", ["diameter", "none"])
 def test_rep_balls_match_member_set_oracle(dilation, radius_cap):
