@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,10 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
                     geometry_constants, load_space, nested_ball_bound_check,
                     save_space)
 
-# exhaustive ball enumeration is quadratic in n; larger spaces are refused
+# exhaustive ball enumeration is not quadratic in n: a ball table holds about
+# n^2/2 balls of n members, n^3/2 bytes of bool masks and 4n^3 bytes as
+# masks_f (about 275 GB at n = 4096), so this cap does not bound memory;
+# ROADMAP item 2 plans a memory model.  Larger spaces are refused.
 MAX_POINTS = 4096
 
 
@@ -317,7 +321,13 @@ def _cmd_report_index(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    ``parse_args`` leaves the parser as it found it, so ``main`` can reuse
+    one parser across calls; the handlers are bound when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="morreylab",
         description="numerical laboratory for Morrey-type norms and "

@@ -424,10 +424,12 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
     """Enumerate every representative ball of the space.
 
     ``radius_cap`` is "diameter" for radii in (0, d_X) or "none" for radii in
-    (0, inf).  ``dedupe`` drops balls that repeat the same member set and the
-    same (plain, dilated) measure pair, which leaves every norm built on the
-    table unchanged.
+    (0, inf); any other value raises ``SpaceError``.  ``dedupe`` keeps the
+    first ball of each (member set, measure bytes, dilated measure bytes)
+    key, in table order, which leaves every norm built on the table unchanged.
     """
+    if radius_cap not in ("diameter", "none"):
+        raise SpaceError(f"unknown radius cap {radius_cap!r}")
     key = ("rep_balls", dilation, radius_cap, closed, dedupe)
     cached = space._cache.get(key)
     if cached is not None:
@@ -445,15 +447,14 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
     measures = prof.cum[centers, counts]
     dil = prof.cum[centers, dil_counts]
     if dedupe:
-        packed = np.packbits(masks, axis=1)
-        seen: dict[bytes, int] = {}
-        keep = []
-        for i in range(len(centers)):
-            k = packed[i].tobytes() + np.float64(measures[i]).tobytes() + np.float64(dil[i]).tobytes()
-            if k not in seen:
-                seen[k] = i
-                keep.append(i)
-        keep = np.asarray(keep, dtype=int)
+        # one byte row per ball: packed members, then the bytes of both
+        # measures; np.unique returns the first index of each distinct row
+        keys = np.concatenate([np.packbits(masks, axis=1),
+                               measures.view(np.uint8).reshape(-1, 8),
+                               dil.view(np.uint8).reshape(-1, 8)], axis=1)
+        _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                             return_index=True)
+        keep = np.sort(first)
         centers, radii, counts, masks = centers[keep], radii[keep], counts[keep], masks[keep]
         measures, dil = measures[keep], dil[keep]
     table = BallTable(

@@ -73,15 +73,38 @@ def test_point_cap_guards_every_subcommand(staged, capsys, monkeypatch):
     assert capsys.readouterr().err.count("capped at n <= 8") == 2
 
 
-def test_cli_import_does_not_load_scipy():
+def _subprocess_env():
+    """This environment, with the imported morreylab first on the path."""
     src = str(Path(morreylab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_cli_import_does_not_load_scipy():
     probe = ("import sys, morreylab.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_reused_parser_carries_no_state_between_calls(staged, capsys):
+    argv = ["norm", "eval", "--norm", "grand-morrey", "--p", "2",
+            "--lambda", "0.3", "--phi", "pow:1", "--A", "lin:1",
+            staged["fn"], staged["space"]]
+    cli.build_parser.cache_clear()
+    assert main(argv + ["--grid-count", "8", "--closed-grid"]) == 0
+    assert main(["norm", "eval", "--norm", "no-such-norm", staged["fn"],
+                 staged["space"]]) == 1
+    assert main(argv) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    lines = capsys.readouterr().out.splitlines()
+    fresh = subprocess.run([sys.executable, "-m", "morreylab.cli", *argv],
+                           env=_subprocess_env(), check=True,
+                           capture_output=True, text=True).stdout
+    assert lines[-1] == fresh.splitlines()[-1]
+    assert lines[0] != lines[-1]
 
 
 def test_norm_eval_grand_morrey_prints_argmax(staged, capsys):

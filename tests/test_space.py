@@ -83,13 +83,13 @@ def oracle_ball_measure(space, center, radius):
     return total
 
 
-def oracle_rep_balls(space, dilation=1.0, radius_cap="diameter"):
+def oracle_rep_balls(space, dilation=1.0, radius_cap="diameter", closed=False):
     """(center, radius, member set, measure, dilated measure) per representative
     ball, from direct member loops, in rep_balls order."""
     upper = "diameter" if radius_cap == "diameter" else None
     balls = []
     for x in range(space.n):
-        for r in center_radii(space, x, dilation=dilation, upper=upper):
+        for r in center_radii(space, x, dilation=dilation, upper=upper, closed=closed):
             members = frozenset(y for y in range(space.n) if space.dist[x][y] < r)
             balls.append((x, float(r), members, oracle_ball_measure(space, x, r),
                           oracle_ball_measure(space, x, dilation * r)))
@@ -352,11 +352,16 @@ def test_float_masks_are_built_on_first_use_only():
 
 
 @pytest.mark.parametrize("dilation", [1.0, 3.0])
-@pytest.mark.parametrize("radius_cap", ["diameter", "none"])
-def test_rep_balls_match_member_set_oracle(dilation, radius_cap):
+@pytest.mark.parametrize("radius_cap,closed", [
+    pytest.param("diameter", False, id="diameter"),
+    pytest.param("none", False, id="none"),
+    pytest.param("diameter", True, id="diameter-closed"),
+    pytest.param("none", True, id="none-closed"),
+])
+def test_rep_balls_match_member_set_oracle(dilation, radius_cap, closed):
     for s in oracle_spaces():
-        table = rep_balls(s, dilation=dilation, radius_cap=radius_cap)
-        expected = oracle_rep_balls(s, dilation, radius_cap)
+        table = rep_balls(s, dilation=dilation, radius_cap=radius_cap, closed=closed)
+        expected = oracle_rep_balls(s, dilation, radius_cap, closed)
         assert table.size == len(expected)
         for i, (x, r, members, mu, dil) in enumerate(expected):
             assert (int(table.centers[i]), float(table.radii[i])) == (x, r)
@@ -368,10 +373,44 @@ def test_rep_balls_match_member_set_oracle(dilation, radius_cap):
         keys = [(table.masks[i].tobytes(), table.measures[i], table.dilated_measures[i])
                 for i in range(table.size)]
         first = sorted({k: i for i, k in reversed(list(enumerate(keys)))}.values())
-        small = rep_balls(s, dilation=dilation, radius_cap=radius_cap, dedupe=True)
+        small = rep_balls(s, dilation=dilation, radius_cap=radius_cap, closed=closed,
+                          dedupe=True)
         assert small.size == len(first)
         for name in ("centers", "radii", "counts", "masks", "measures", "dilated_measures"):
             assert np.array_equal(getattr(small, name), getattr(table, name)[first])
+
+
+def test_rep_balls_dedupe_keeps_measures_that_differ_in_rounding():
+    # point 0 sums the ball {0, 1, 2} as (0.1 + 0.2) + 0.3 and point 2 as
+    # (0.3 + 0.2) + 0.1, one ulp apart; adding point 3's weight 100 to both
+    # rounds to one float, so under dilation 3 only the plain measures differ
+    s = build_space([0.0, 1.0, 2.0, 10.0], {"kind": "euclidean"}, [0.1, 0.2, 0.3, 100.0])
+    small = rep_balls(s, dilation=3.0, dedupe=True)
+    kept = {(int(small.centers[i]), small.measures[i]) for i in range(small.size)
+            if small.masks[i].tolist() == [True, True, True, False]
+            and small.dilated_measures[i] == 100.6}
+    assert kept == {(0, 0.1 + 0.2 + 0.3), (2, 0.3 + 0.2 + 0.1)}
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+
+
+def test_rep_balls_on_a_one_point_space():
+    s = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])
+    for dedupe in (False, True):
+        for closed in (False, True):
+            assert rep_balls(s, closed=closed, dedupe=dedupe).size == 0
+        table = rep_balls(s, radius_cap="none", dedupe=dedupe)
+        assert table.size == 1
+        assert table.masks.tolist() == [[True]]
+        assert table.counts.tolist() == [1]
+        assert table.measures.tolist() == table.dilated_measures.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("radius_cap", ["auto", "bogus", "Diameter"])
+def test_rep_balls_rejects_unknown_radius_cap(radius_cap):
+    s = line_grid(16)
+    for dedupe in (False, True):
+        with pytest.raises(SpaceError, match="unknown radius cap"):
+            rep_balls(s, radius_cap=radius_cap, dedupe=dedupe)
 
 
 def test_center_radii_closed_includes_diameter():
