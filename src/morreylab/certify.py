@@ -273,7 +273,8 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
     bound.  Otherwise each side's grand norm is the largest of its exact
     rows (grand_rows) among the candidates, which hold the exact maximum,
     so the ratio is bit for bit that of _ratio_evaluator.  ``work`` counts
-    the trials, the surrogate rejections and the exact rows.
+    the trials, the surrogate rejections, the exact rows and the screen
+    fallbacks (surrogate rows a screen declined, one per side).
     """
     screen_out, screen_in = ProfileScreen(space, s_out), ProfileScreen(space, s_in)
     best = None
@@ -289,6 +290,7 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
         col = vec[:, None]
         col_out = np.asarray(apply_op(col), dtype=float)
         rows_out, rows_in = screen_out.rows(col_out), screen_in.rows(col)
+        work["screen_fallbacks"] += (rows_out is None) + (rows_in is None)
         if best is not None and rows_out is not None and rows_in is not None:
             upper = float(rows_out.max()) * (1.0 + screen_out.delta)
             lower = float(rows_in.max()) * (1.0 - screen_in.delta)
@@ -712,7 +714,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         return grand_profile(V, space, params_out, grids_out[0].nodes).max(axis=0)
 
     ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F), names)
-    work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0}
+    work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
+            "screen_fallbacks": 0}
     # the evaluator, and the block buffers of its screens, live only while
     # sharpening runs
     col, col_out, ratio_sharp = _sharpen(

@@ -31,9 +31,10 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
                     save_space)
 
 # exhaustive ball enumeration is not quadratic in n: a ball table holds about
-# n^2/2 balls of n members, n^3/2 bytes of bool masks and 4n^3 bytes as
-# masks_f (about 275 GB at n = 4096), so this cap does not bound memory;
-# ROADMAP item 2 plans a memory model.  Larger spaces are refused.
+# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as
+# masks_f and 2n^3 bytes as masks32 (together about 450 GB at n = 4096), so
+# this cap does not bound memory; ROADMAP item 4 plans a memory model.
+# Larger spaces are refused.
 MAX_POINTS = 4096
 
 

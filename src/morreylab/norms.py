@@ -24,7 +24,6 @@ exact rows, so a caller evaluates exactly only the rows that can decide.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -233,78 +232,131 @@ def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
     return part.weight[:, None] * seminorm_profile(F, space, part)
 
 
-# elements of one node block's (nodes, balls) surrogate product
+# elements of one ball block's (balls, nodes) float32 surrogate product
 _SURROGATE_ELEMENTS = 1 << 17
-# ulps the surrogate margin allows for the terms |f|^p w, the den factor,
-# the 1/p root and the weight on both paths, with slack for rounding the
-# bounds built from it
+# nodes per float64 block of den factors, rounded to float32 block by block
+_FACTOR_NODES = 16
+# ulps the surrogate margin allows for the float64 terms |f|^p w, the den
+# factor, the 1/p root and the weight on both paths, with slack for rounding
+# the bounds built from it
 _SURROGATE_ULPS = 64
-# smallest nonzero intermediate of a screened evaluation: above it every
-# float is normal, where the relative error bounds hold
-_SURROGATE_FLOOR = 2.0 ** -1000
+# the float32 normal range a screened evaluation must stay in: at least the
+# smallest normal 2^-126, and at most half the largest float32, which leaves
+# room for the rounding of a sum of up to 2^23 terms
+_F32_TINY = float(np.finfo(np.float32).tiny)
+_F32_HUGE = 2.0 ** 127
+
+
+def _gamma(k: int, unit: float) -> float:
+    """Higham's gamma_k = k unit / (1 - k unit)."""
+    return k * unit / (1.0 - k * unit)
 
 
 def surrogate_margin(n: int, den_exponent: float) -> float:
     """Relative margin delta between a surrogate row and its exact row.
 
-    Both paths sum the same n nonnegative terms in different orders, each
-    within gamma_n = n u / (1 - n u) of the exact sum (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 4.2), which gives
-    2 gamma_n.  The surrogate's den factor exp(-lam log den) carries the
-    rounding of lam log den into the exponent, 2 den_exponent u with
-    den_exponent = max |lam log den|; _SURROGATE_ULPS ulps cover the rest.
+    Every exact row lies within [s (1 - delta), s (1 + delta)] of its
+    surrogate row s.  Both paths sum the same n nonnegative terms in
+    different orders (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2), the exact path in float64 and the
+    surrogate in float32:
+
+    - the exact path's float64 sum is within gamma_n(u) of the exact sum,
+      u = 2^-53;
+    - the surrogate rounds each term |f|^p w, each den factor and each
+      product of a ball sum with its factor to float32 once, u32 = 2^-24
+      each, and its float32 sum adds at most n - 1 more roundings, which
+      is gamma_n(u32) + 3 u32 to first order;
+    - the den factor exp(-lam log den) carries the float64 rounding of
+      lam log den into the exponent, 2 den_exponent u with den_exponent =
+      max |lam log den|;
+    - _SURROGATE_ULPS float64 ulps cover the float64 terms, the root, the
+      weight and the rounding of the bounds built from delta.
+
+    An exact row over its surrogate row is a product of factors (1 + d)
+    and their inverses, so it lies within D / (1 - D) of 1, D the sum of
+    the |d|.  D holds n + 2 float32 roundings, and its float64 parts stay
+    far below one more u32, so D <= (n + 3) u32 and gamma_{n+3}(u32) alone
+    is at least D / (1 - D): the gamma form covers the second-order terms,
+    about (n u32)^2, which the float64 ulps could not.  The bounds hold
+    while every float32 intermediate is normal and finite, which
+    ProfileScreen.rows checks.  The root 1/p with p >= 1 only shrinks a
+    relative error.
     """
-    u = np.finfo(float).eps / 2
-    return 2.0 * n * u / (1.0 - n * u) + (_SURROGATE_ULPS + 2.0 * den_exponent) * u
+    u, u32 = np.finfo(float).eps / 2, float(np.finfo(np.float32).eps) / 2
+    return (2.0 * _gamma(n, u) + _gamma(n + 3, u32)
+            + (_SURROGATE_ULPS + 2.0 * den_exponent) * u)
 
 
 class ProfileScreen:
     """A certified surrogate of the weighted profile of one column at one
     schedule, and the rows that must be evaluated exactly.
 
-    ``rows`` takes one GEMM of the ball masks against the node columns
-    |f|^p_eff w per node block and den factors from one log(den), so its
-    bits differ from the per-node rows of grand_rows.  Each exact row lies
-    within [s (1 - delta), s (1 + delta)] of its surrogate row s, delta from
-    surrogate_margin.  ``candidates`` are the rows whose upper bound reaches
-    the largest lower bound; the exact maximum row is always among them.
+    The screen holds the den factors exp(-lam_eff log den) of every (ball,
+    node) pair in float32, computed in float64 one block of _FACTOR_NODES
+    nodes at a time and rounded once.  ``rows`` then takes the float32 terms
+    |f|^p_eff w of all nodes, and per block of balls one float32 product
+    with the ball masks (``masks32``), the product with the factors and a
+    running max, so each call reads the masks once.  The root and the weight
+    stay in float64.  Its bits differ from the per-node rows of grand_rows,
+    but each exact row lies within [s (1 - delta), s (1 + delta)] of its
+    surrogate row s, delta from surrogate_margin.  ``candidates`` are the
+    rows whose upper bound reaches the largest lower bound; the exact
+    maximum row is always among them.
     """
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
         self.table, den = variant_table(space, schedule.variant)
         self.space, self.schedule = space, schedule
-        self.log_den = np.log(den)
-        self.den_exponent = float(np.abs(schedule.lam_eff).max()
-                                  * np.abs(self.log_den).max(initial=0.0))
+        log_den = np.log(den)
+        lam = schedule.lam_eff
+        self.den_exponent = float(np.abs(lam).max() * np.abs(log_den).max(initial=0.0))
         self.delta = surrogate_margin(space.n, self.den_exponent)
-        # one node block's product and den factors, reused by every call:
-        # allocating them afresh per call made a screen about twice as slow
-        # at n = 64
-        self.step = max(1, _SURROGATE_ELEMENTS // max(1, self.table.size))
-        shape = (min(self.step, schedule.nodes.size), self.table.size)
-        self._scaled, self._factor = np.empty(shape), np.empty(shape)
+        factors = np.empty((self.table.size, lam.size), dtype=np.float32)
+        hi = 0.0
+        for a in range(0, lam.size, _FACTOR_NODES):
+            block = np.exp(np.multiply.outer(log_den, -lam[a:a + _FACTOR_NODES]))
+            hi = max(hi, float(block.max(initial=0.0)))
+            if hi > _F32_HUGE:
+                break
+            factors[:, a:a + _FACTOR_NODES] = block
+        lo = float(factors.min(initial=np.inf)) if hi <= _F32_HUGE else 0.0
+        # with a den factor outside the float32 normal range every row is exact
+        self._factors = factors if lo >= _F32_TINY else None
+        self._factor_range = (lo, hi)
+        # one ball block's product, reused by every call
+        self.step = max(1, _SURROGATE_ELEMENTS // lam.size)
+        self._scaled = np.empty((min(self.step, self.table.size), lam.size),
+                                dtype=np.float32)
 
     def rows(self, F: np.ndarray) -> np.ndarray | None:
         """Surrogate weighted rows of the one-column F, or None where delta
-        does not hold: a subnormal intermediate or a non-finite row."""
-        sched, table = self.schedule, self.table
-        pw = np.abs(F[:, 0]) ** sched.p_eff[:, None] * self.space.weights
-        terms = pw[pw > 0]
-        floor = (min(1.0, terms.min(initial=1.0) * math.exp(-self.den_exponent))
-                 * min(1.0, float(sched.weight.min())))
-        if floor < _SURROGATE_FLOOR:
+        does not hold: a float32 intermediate that could leave the normal
+        range, or a non-finite row."""
+        if self._factors is None:
             return None
-        top = np.empty(sched.nodes.size)
-        for a in range(0, top.size, self.step):
-            k = min(self.step, top.size - a)
-            block = slice(a, a + k)
-            # (nodes, balls): the ball axis last for the scaling and the max
-            scaled = np.matmul(pw[block], table.masks_f.T, out=self._scaled[:k])
-            factor = np.multiply.outer(-sched.lam_eff[block], self.log_den,
-                                       out=self._factor[:k])
-            scaled *= np.exp(factor, out=factor)
-            top[block] = scaled.max(axis=1, initial=0.0)
-        rows = sched.weight * top ** (1.0 / sched.p_eff)
+        sched, masks = self.schedule, self.table.masks32
+        lo, hi = self._factor_range
+        pw = np.abs(F[:, 0]) ** sched.p_eff[:, None] * self.space.weights
+        # a ball sum is at most n times the largest term
+        if self.space.n * pw.max(initial=0.0) * max(1.0, hi) > _F32_HUGE:
+            return None
+        # (points, nodes): the node axis last, as in the factors
+        pw32 = np.ascontiguousarray(pw.T, dtype=np.float32)
+        # a nonzero ball sum is at least the smallest nonzero term, which
+        # must also stay normal once scaled and weighted
+        terms = pw32[pw.T > 0]
+        floor = (float(terms.min(initial=1.0)) * min(1.0, lo)
+                 * min(1.0, float(sched.weight.min())))
+        if floor < _F32_TINY:
+            return None
+        top = np.zeros(sched.nodes.size, dtype=np.float32)
+        for a in range(0, masks.shape[0], self.step):
+            b = min(self.step, masks.shape[0] - a)
+            scaled = np.matmul(masks[a:a + b], pw32, out=self._scaled[:b])
+            scaled *= self._factors[a:a + b]
+            np.maximum(top, scaled.max(axis=0), out=top)
+        rows = sched.weight * top.astype(float) ** (1.0 / sched.p_eff)
         return rows if np.all(np.isfinite(rows)) else None
 
     def candidates(self, rows: np.ndarray | None) -> np.ndarray:

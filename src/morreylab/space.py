@@ -131,8 +131,9 @@ class BallTable:
     function values for every real radius in the represented interval.
     ``counts`` holds each ball's member count, so its members are the prefix
     ``prefix_profile(space).order[center, :count]``.  ``masks_f``, the float
-    copy of ``masks`` that ball integrals multiply, is built on first use:
-    the geometry scans never read it.
+    copy of ``masks`` that ball integrals multiply, and ``masks32``, the
+    float32 copy that surrogate screens multiply (0 and 1 are exact in
+    both), are built on first use: the geometry scans never read them.
     """
 
     centers: np.ndarray
@@ -150,6 +151,10 @@ class BallTable:
     @cached_property
     def masks_f(self) -> np.ndarray:
         return self.masks.astype(float)
+
+    @cached_property
+    def masks32(self) -> np.ndarray:
+        return self.masks.astype(np.float32)
 
 
 @dataclass(frozen=True)

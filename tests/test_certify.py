@@ -447,6 +447,57 @@ def test_early_rejected_sharpening_keeps_report_bodies(monkeypatch, theorem, see
     assert json.dumps(pruned.body()) == json.dumps(full.body())
 
 
+@pytest.mark.parametrize("theorem", ["thm-3.6", "thm-5.4"])
+def test_screen_never_changes_a_report_body(monkeypatch, theorem):
+    """With every surrogate row declined, every trial evaluates all its rows
+    exactly; the report body stays byte for byte."""
+    s = get_space("grid-16")
+    screened = certify_boundedness(theorem, s, family_spec="mixed", seed=3)
+    monkeypatch.setattr(norms.ProfileScreen, "rows", lambda self, F: None)
+    exact = certify_boundedness(theorem, s, family_spec="mixed", seed=3)
+    assert (json.dumps(screened.body(), indent=2, sort_keys=True)
+            == json.dumps(exact.body(), indent=2, sort_keys=True))
+    assert screened.sharpening_work["screen_fallbacks"] == 0
+    work = exact.sharpening_work
+    assert work["trials"] > 0 and work["surrogate_rejections"] == 0
+    assert work["screen_fallbacks"] == 2 * work["trials"]
+
+
+def test_rejection_margin_keeps_a_trial_that_gains(monkeypatch):
+    """A trial whose surrogate ratio lies within delta of the best ratio while
+    its exact ratio gains.  The output is the input scaled by 1 + 1e-12: the
+    exact ratio gains about 1e-12, far above the sharpening threshold, but
+    the float32 terms of both sides round alike, so the surrogate ratio is 1
+    and only the margin keeps the trial from a rejection."""
+    space = get_space("circle-16")
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
+    schedule = scales.shift_schedule(params, scales.grid_for(params).nodes)
+    vec = np.linspace(0.5, 1.5, space.n)
+    scale = [1.0]
+
+    def run():
+        work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
+                "screen_fallbacks": 0}
+        evaluate = certify._early_rejecting_evaluator(
+            lambda col: col * scale[0], space, schedule, schedule, work)
+        scale[0] = 1.0
+        assert evaluate(vec) == 1.0
+        scale[0] = 1.0 + 1e-12
+        return evaluate(vec), work
+
+    screen = norms.ProfileScreen(space, schedule)
+    assert np.array_equal(screen.rows(vec[:, None] * (1.0 + 1e-12)),
+                          screen.rows(vec[:, None]))
+    ratio, work = run()
+    assert ratio > 1.0 + certify._SHARPEN_GAIN
+    assert work["surrogate_rejections"] == 0
+    # without the margin the trial is rejected as no gain
+    monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
+    ratio, work = run()
+    assert ratio <= 1.0 + certify._SHARPEN_GAIN
+    assert work["surrogate_rejections"] == 1
+
+
 def test_sharpening_rejects_trials_before_their_full_input_norm(monkeypatch):
     """Input rows a sharpening trial evaluates: the trial's vector is the
     input operand, so its rows are told apart by shared memory."""
@@ -507,7 +558,8 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
     assert rep.sharpening_work == {
         "trials": len(trials),
         "surrogate_rejections": sum(not trial for trial in trials),
-        "exact_rows": exact_rows}
+        "exact_rows": exact_rows,
+        "screen_fallbacks": 0}
     assert 0 < rep.sharpening_work["surrogate_rejections"] < len(trials)
 
 
@@ -518,13 +570,14 @@ def test_reduction_runmeta_records_sharpening_work(tmp_path):
     meta = json.loads((tmp_path / "thm-3.6-grid-16.json.runmeta.json").read_text())
     assert meta["sharpening"] == rep.sharpening_work
     assert set(meta["sharpening"]) == {"trials", "surrogate_rejections",
-                                       "exact_rows"}
+                                       "exact_rows", "screen_fallbacks"}
     body = json.loads(path.read_text())
     assert "sharpening_work" not in body and "runtime_s" not in body
     unsharpened = certify_boundedness("thm-3.6", get_space("grid-16"),
                                       family_spec="mixed", seed=3, sharpen=False)
     assert unsharpened.sharpening_work == {
-        "trials": 0, "surrogate_rejections": 0, "exact_rows": 0}
+        "trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
+        "screen_fallbacks": 0}
 
 
 def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):

@@ -445,6 +445,44 @@ def test_surrogate_steps_aside_for_subnormal_terms():
     assert screen.rows(F * 1e150) is not None
 
 
+def _circle_screen(circumference=1.0, variant=MorreyVariant()):
+    space = calibrated_circle(24, circumference)
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", variant, 32)
+    return space, norms.ProfileScreen(space, shift_schedule(params, grid_for(params).nodes))
+
+
+def test_surrogate_steps_aside_for_terms_below_the_float32_range():
+    # near eps = 0, |f|^(p - eps) w is about 1e-40 / 24: a normal float64
+    # but a subnormal float32
+    space, screen = _circle_screen()
+    F = np.full((space.n, 1), 1e-20)
+    F[0] = 1.0
+    assert screen.rows(F) is None
+    assert screen.rows(F * 1e10) is not None
+
+
+@pytest.mark.parametrize("circumference", [
+    1e3,   # radii above 1: factors r^(-100 lam) below 2^-126
+    1.0,   # radii below 1: factors above the float32 range
+])
+def test_surrogate_steps_aside_for_den_factors_outside_the_float32_range(
+        circumference):
+    F = np.linspace(0.5, 1.5, 24)[:, None]
+    _, screen = _circle_screen(circumference, MorreyVariant(kind="radius", gamma=100.0))
+    assert screen.rows(F) is None
+    _, tame = _circle_screen(circumference, MorreyVariant(kind="radius", gamma=1.0))
+    assert tame.rows(F) is not None
+
+
+def test_surrogate_steps_aside_where_a_ball_sum_could_overflow_float32():
+    # near eps = 0, n |f|^(p - eps) w is about 1e40, above 2^127 even before
+    # the den factors
+    space, screen = _circle_screen()
+    F = np.full((space.n, 1), 1e20)
+    assert screen.rows(F) is None
+    assert screen.rows(F * 1e-5) is not None
+
+
 # ---------------------------------------------------------------------------
 # dominance
 
