@@ -1,11 +1,11 @@
 """Operators: maximal functions, potential kernels, singular integrals.
 
 All operators act pointwise-exactly on finite spaces.  The two maximal
-functions are computed from per-center sorted distance profiles, so their
-suprema over radii are evaluated on every constancy interval; no sampling is
-involved.  Potential operators are dense kernel matrices applied to f times
-the point weights, with the diagonal excluded (integration over X minus the
-singleton).
+functions read the representative-ball tables of ``space.rep_balls``, so
+their suprema over radii are evaluated on every constancy interval; no
+sampling is involved.  Potential operators are dense kernel matrices
+applied to f times the point weights, with the diagonal excluded
+(integration over X minus the singleton).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .norms import as_matrix
-from .space import QuasimetricSpace, prefix_profile, representative_radii
+from .space import BallTable, QuasimetricSpace, prefix_profile, rep_balls
 
 __all__ = [
     "OperatorError",
@@ -40,6 +40,24 @@ class OperatorError(ValueError):
 # maximal functions
 
 
+def _max_ball_average(f, space: QuasimetricSpace, table: BallTable) -> np.ndarray:
+    """Per center, the max over its balls of integral_B |f| dmu / dilated measure."""
+    F = as_matrix(f, space)
+    av = np.abs(F) * space.weights[:, None]
+    prof = prefix_profile(space)
+    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
+    out = np.zeros((space.n, F.shape[1]))
+    cf = np.zeros((space.n + 1, F.shape[1]))
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        if a == b:
+            continue
+        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
+        out[x] = (cf[table.counts[a:b]] / table.dilated_measures[a:b, None]).max(axis=0)
+    batched = isinstance(f, np.ndarray) and f.ndim == 2
+    return out if batched else out[:, 0]
+
+
 def maximal(f, space: QuasimetricSpace, *, radius_cap: str = "diameter") -> np.ndarray:
     """Centered maximal function sup_r (1/mu B(x,r)) integral_B |f| dmu.
 
@@ -49,25 +67,7 @@ def maximal(f, space: QuasimetricSpace, *, radius_cap: str = "diameter") -> np.n
     """
     if radius_cap not in ("diameter", "none"):
         raise OperatorError(f"unknown radius cap {radius_cap!r}")
-    F = as_matrix(f, space)
-    m = F.shape[1]
-    av = np.abs(F) * space.weights[:, None]
-    d_X = space.diameter
-    prof = prefix_profile(space)
-    out = np.zeros((space.n, m))
-    for x in range(space.n):
-        ds = prof.dists[x]
-        # last point of each distance tie: the balls {d <= t}, reached by
-        # radii just above each threshold t
-        ends = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))
-        if radius_cap == "diameter":
-            ends = ends[ds[ends] < d_X]
-            if not ends.size:
-                continue
-        num = np.cumsum(av[prof.order[x]], axis=0)[ends]
-        out[x] = (num / prof.cum[x, ends + 1][:, None]).max(axis=0)
-    batched = isinstance(f, np.ndarray) and f.ndim == 2
-    return out if batched else out[:, 0]
+    return _max_ball_average(f, space, rep_balls(space, radius_cap=radius_cap))
 
 
 def modified_maximal(f, space: QuasimetricSpace, N0: float) -> np.ndarray:
@@ -78,20 +78,7 @@ def modified_maximal(f, space: QuasimetricSpace, N0: float) -> np.ndarray:
     """
     if N0 < 1:
         raise OperatorError(f"dilation must be >= 1, got {N0:g}")
-    F = as_matrix(f, space)
-    m = F.shape[1]
-    av = np.abs(F) * space.weights[:, None]
-    prof = prefix_profile(space)
-    out = np.zeros((space.n, m))
-    for x in range(space.n):
-        cf = np.zeros((space.n + 1, m))
-        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
-        pos = prof.dists[x][prof.dists[x] > 0]
-        reps = representative_radii(np.concatenate([pos, pos / N0]), None)
-        num = cf[prof.counts(x, reps)]
-        out[x] = (num / prof.measures(x, N0 * reps)[:, None]).max(axis=0)
-    batched = isinstance(f, np.ndarray) and f.ndim == 2
-    return out if batched else out[:, 0]
+    return _max_ball_average(f, space, rep_balls(space, dilation=N0, radius_cap="none"))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "SpaceError",
     "QuasimetricSpace",
-    "Ball",
     "BallTable",
     "GeometryConstants",
     "AhlforsReport",
@@ -33,9 +32,6 @@ __all__ = [
     "BallChainReport",
     "PrefixProfile",
     "build_space",
-    "ball",
-    "representative_radii",
-    "center_radii",
     "prefix_profile",
     "rep_balls",
     "quasimetric_constants",
@@ -51,8 +47,6 @@ __all__ = [
     "save_space",
     "load_space",
 ]
-
-RADIUS_SUP_CLOSED_FACTOR = 1.0 + 1e-9
 
 
 class SpaceError(ValueError):
@@ -111,16 +105,6 @@ class QuasimetricSpace:
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Ball B(center, radius) with strict distance inequality."""
-
-    center: int
-    radius: float
-    members: tuple[int, ...]
-    measure: float
-
-
-@dataclass(frozen=True)
 class BallTable:
     """All representative balls of a space, one per radius constancy interval.
 
@@ -130,23 +114,37 @@ class BallTable:
     thresholds of the ball and of its dilate, so both measures are exact step
     function values for every real radius in the represented interval.
     ``counts`` holds each ball's member count, so its members are the prefix
-    ``prefix_profile(space).order[center, :count]``.  ``masks_f``, the float
-    copy of ``masks`` that ball integrals multiply, and ``masks32``, the
-    float32 copy that surrogate screens multiply (0 and 1 are exact in
-    both), are built on first use: the geometry scans never read them.
+    ``prefix_profile(space).order[center, :count]``; ``rank`` is that
+    profile's rank matrix, shared, not copied.  The bool member ``masks``,
+    their float copy ``masks_f`` that ball integrals multiply, and the
+    float32 copy ``masks32`` that surrogate screens multiply (0 and 1 are
+    exact in both), are built on first use: readers of radii, counts and
+    measures never allocate them.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     counts: np.ndarray
-    masks: np.ndarray
     measures: np.ndarray
     dilation: float
     dilated_measures: np.ndarray
+    rank: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.centers.shape[0]
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """rank[centers] < counts[:, None], one center's rows at a time: the
+        gathered rank rows would take eight bytes per mask entry."""
+        n = self.rank.shape[0]
+        masks = np.empty((self.size, n), dtype=bool)
+        bounds = np.searchsorted(self.centers, np.arange(n + 1))
+        for x in range(n):
+            a, b = bounds[x], bounds[x + 1]
+            np.less(self.rank[x], self.counts[a:b, None], out=masks[a:b])
+        return masks
 
     @cached_property
     def masks_f(self) -> np.ndarray:
@@ -349,62 +347,6 @@ def load_space(path) -> QuasimetricSpace:
 # balls and representative radii
 
 
-def ball(space: QuasimetricSpace, center: int, radius: float) -> Ball:
-    """Ball around ``center`` with strict radius: {y : d(center, y) < radius}."""
-    if not 0 <= center < space.n:
-        raise SpaceError(f"center index {center} out of range")
-    if radius <= 0:
-        raise SpaceError("ball radius must be positive")
-    mask = space.dist[center] < radius
-    members = tuple(int(i) for i in np.nonzero(mask)[0])
-    return Ball(center, float(radius), members, float(space.weights[mask].sum()))
-
-
-def representative_radii(thresholds: np.ndarray, upper: float | None, closed: bool = False) -> np.ndarray:
-    """One radius per constancy interval of the given jump thresholds.
-
-    Thresholds at or above ``upper`` are dropped; midpoints of consecutive
-    intervals are returned, plus one representative between the largest kept
-    threshold and ``upper``.  With ``upper=None`` the radii run over (0, inf)
-    and the final representative sits past the largest threshold, where all
-    ball quantities saturate.  ``closed`` appends a radius just above
-    ``upper`` so the supremum effectively includes the diameter.
-    """
-    ts = np.asarray(thresholds, dtype=float)
-    ts = np.unique(ts[ts > 0])
-    if upper is None:
-        top = 1.5 * ts[-1] if ts.size else 1.0
-        edges = np.concatenate([[0.0], ts, [top]])
-        reps = (edges[:-1] + edges[1:]) / 2.0
-        reps[-1] = top
-        return reps
-    ts = ts[ts < upper]
-    edges = np.concatenate([[0.0], ts, [upper]])
-    reps = (edges[:-1] + edges[1:]) / 2.0
-    if closed:
-        reps = np.append(reps, upper * RADIUS_SUP_CLOSED_FACTOR)
-    return reps
-
-
-def center_radii(space: QuasimetricSpace, center: int, *, dilation: float = 1.0,
-                 upper: float | None = "diameter", closed: bool = False) -> np.ndarray:
-    """Representative radii for balls around one center.
-
-    With ``dilation`` != 1 the jump thresholds of the dilated ball are merged
-    in, so B(center, r) and B(center, dilation * r) are both exact on each
-    representative.
-    """
-    if upper == "diameter":
-        upper = space.diameter
-        if upper <= 0:
-            return np.asarray([], dtype=float)
-    d = space.dist[center]
-    ts = d[d > 0]
-    if dilation != 1.0:
-        ts = np.concatenate([ts, ts / dilation])
-    return representative_radii(ts, upper, closed=closed)
-
-
 def prefix_profile(space: QuasimetricSpace) -> PrefixProfile:
     """The space's distance-sorted prefix profile, built once and cached."""
     cached = space._cache.get("prefix_profile")
@@ -423,49 +365,100 @@ def prefix_profile(space: QuasimetricSpace) -> PrefixProfile:
     return profile
 
 
+def _ball_radii(space: QuasimetricSpace, dilation: float,
+                capped: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of every representative ball, center-major, radii
+    ascending; see rep_balls for the rule."""
+    ts = prefix_profile(space).dists
+    if dilation != 1.0:
+        ts = np.sort(np.concatenate([ts, ts / dilation], axis=1), axis=1)
+    n, d_X = space.n, space.diameter
+    # rows are sorted, so the first of each run of equal values marks the
+    # distinct thresholds
+    kept = ts > 0
+    kept[:, 1:] &= ts[:, 1:] != ts[:, :-1]
+    if capped:
+        kept &= ts < d_X
+    per = kept.sum(axis=1) + 1
+    if capped and d_X <= 0:
+        per[:] = 0  # a one-point space has no radius in (0, d_X)
+    top = np.full(n, d_X) if capped else np.where(per > 1, 1.5 * ts[:, -1], 1.0)
+    centers = np.repeat(np.arange(n), per)
+    is_first = np.ones(centers.size, dtype=bool)
+    is_first[1:] = centers[1:] != centers[:-1]
+    is_last = np.roll(is_first, -1)
+    lo = np.zeros(centers.size)
+    lo[~is_first] = ts[kept]
+    hi = np.empty(centers.size)
+    hi[~is_last] = ts[kept]
+    hi[is_last] = top[per > 0]
+    radii = (lo + hi) / 2.0
+    if not capped:
+        radii[is_last] = hi[is_last]
+    return centers, radii
+
+
+def _strict_counts(prof: PrefixProfile, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """#{y : d(x, y) < r} for each (x, r), exactly np.searchsorted(side="left")
+    on row x of ``prof.dists``.
+
+    Values are coded by their rank among the distinct distances, which keeps
+    every row sorted, and all rows are searched at once with the center as
+    the leading digit of the key.  Positions in a threshold order would not
+    do: a midpoint of two thresholds one ulp apart rounds onto one of them.
+    """
+    n = prof.dists.shape[0]
+    levels = np.unique(prof.dists)
+    stride = levels.size + 1
+    row_keys = (np.arange(n)[:, None] * stride + np.searchsorted(levels, prof.dists)).ravel()
+    return np.searchsorted(row_keys, centers * stride + np.searchsorted(levels, radii)) - centers * n
+
+
 def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
-              radius_cap: str = "diameter", closed: bool = False,
-              dedupe: bool = False) -> BallTable:
+              radius_cap: str = "diameter", dedupe: bool = False) -> BallTable:
     """Enumerate every representative ball of the space.
 
-    ``radius_cap`` is "diameter" for radii in (0, d_X) or "none" for radii in
-    (0, inf); any other value raises ``SpaceError``.  ``dedupe`` keeps the
-    first ball of each (member set, measure bytes, dilated measure bytes)
-    key, in table order, which leaves every norm built on the table unchanged.
+    A center's jump thresholds are its distinct positive distances, merged
+    with those distances divided by ``dilation`` when it is not 1, so both
+    B(x, r) and B(x, dilation * r) are exact on each representative.  The
+    radii are the midpoints of consecutive edges 0, thresholds, top: under
+    ``radius_cap`` "diameter" the thresholds stop below d_X and top is d_X,
+    so the radii cover (0, d_X); under "none" top is 1.5 times the largest
+    threshold (1.0 when there is none) and is itself the last radius, where
+    every ball quantity has saturated.  Any other cap raises ``SpaceError``.
+    Rows are center-major with radii ascending.  ``dedupe`` keeps the first
+    ball of each (member set, measure bytes, dilated measure bytes) key, in
+    table order, which leaves every norm built on the table unchanged.
     """
     if radius_cap not in ("diameter", "none"):
         raise SpaceError(f"unknown radius cap {radius_cap!r}")
-    key = ("rep_balls", dilation, radius_cap, closed, dedupe)
+    key = ("rep_balls", dilation, radius_cap, dedupe)
     cached = space._cache.get(key)
     if cached is not None:
         return cached
-    upper = "diameter" if radius_cap == "diameter" else None
     prof = prefix_profile(space)
-    per_center = [center_radii(space, x, dilation=dilation, upper=upper, closed=closed)
-                  for x in range(space.n)]
-    centers = np.repeat(np.arange(space.n), [r.size for r in per_center])
-    radii = np.concatenate(per_center)
-    counts = np.concatenate([prof.counts(x, r) for x, r in enumerate(per_center)])
-    dil_counts = np.concatenate([prof.counts(x, dilation * r)
-                                 for x, r in enumerate(per_center)])
-    masks = prof.rank[centers] < counts[:, None]
-    measures = prof.cum[centers, counts]
-    dil = prof.cum[centers, dil_counts]
+    centers, radii = _ball_radii(space, dilation, radius_cap == "diameter")
+    counts = _strict_counts(prof, centers, radii)
+    table = BallTable(
+        centers=centers, radii=radii, counts=counts,
+        measures=prof.cum[centers, counts], dilation=dilation,
+        dilated_measures=prof.cum[centers, _strict_counts(prof, centers, dilation * radii)],
+        rank=prof.rank,
+    )
     if dedupe:
         # one byte row per ball: packed members, then the bytes of both
         # measures; np.unique returns the first index of each distinct row
-        keys = np.concatenate([np.packbits(masks, axis=1),
-                               measures.view(np.uint8).reshape(-1, 8),
-                               dil.view(np.uint8).reshape(-1, 8)], axis=1)
+        keys = np.concatenate([np.packbits(table.masks, axis=1),
+                               table.measures.view(np.uint8).reshape(-1, 8),
+                               table.dilated_measures.view(np.uint8).reshape(-1, 8)], axis=1)
         _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
                              return_index=True)
         keep = np.sort(first)
-        centers, radii, counts, masks = centers[keep], radii[keep], counts[keep], masks[keep]
-        measures, dil = measures[keep], dil[keep]
-    table = BallTable(
-        centers=centers, radii=radii, counts=counts, masks=masks, measures=measures,
-        dilation=dilation, dilated_measures=dil,
-    )
+        table = BallTable(
+            centers=centers[keep], radii=radii[keep], counts=counts[keep],
+            measures=table.measures[keep], dilation=dilation,
+            dilated_measures=table.dilated_measures[keep], rank=prof.rank,
+        )
     space._cache[key] = table
     return table
 
@@ -557,15 +550,14 @@ def _doubling_scan(space: QuasimetricSpace) -> tuple[np.ndarray, np.ndarray]:
         return cached
     best = np.zeros(space.n)
     at = np.zeros(space.n)
-    d_X = space.diameter
-    if d_X > 0:
-        prof = prefix_profile(space)
-        for x in range(space.n):
-            pos = prof.dists[x][prof.dists[x] > 0]
-            reps = representative_radii(np.concatenate([pos, pos / 2.0]), d_X)
-            ratios = prof.measures(x, 2.0 * reps) / prof.measures(x, reps)
-            k = int(np.argmax(ratios))
-            best[x], at[x] = ratios[k], reps[k]
+    table = rep_balls(space, dilation=2.0)
+    if table.size:
+        ratios = table.dilated_measures / table.measures
+        # every center has at least one ball when d_X > 0
+        starts = np.searchsorted(table.centers, np.arange(space.n))
+        best = np.maximum.reduceat(ratios, starts)
+        hit = np.flatnonzero(ratios == best[table.centers])
+        at = table.radii[hit[np.searchsorted(table.centers[hit], np.arange(space.n))]]
     space._cache["doubling_scan"] = (best, at)
     return best, at
 
@@ -616,25 +608,13 @@ def ahlfors_fit(space: QuasimetricSpace, alpha: float | None = None,
         raise SpaceError("empty radius window")
     upper_fails = lo == 0.0
 
-    prof = prefix_profile(space)
-    pts_r, pts_mu, pts_center = [], [], []
-    for x in range(space.n):
-        reps = representative_radii(prof.dists[x][prof.dists[x] > 0], d_X)
-        radii = reps[(reps >= lo) & (reps <= hi)]
-        if radii.size == 0:
-            continue
-        mus = prof.measures(x, radii)
-        keep = mus > 0
-        pts_r.append(radii[keep])
-        pts_mu.append(mus[keep])
-        pts_center.append(np.full(int(keep.sum()), x))
-    if not pts_r:
+    table = rep_balls(space)
+    in_window = (table.radii >= lo) & (table.radii <= hi)
+    if not in_window.any():
         raise SpaceError("no representative radius falls inside the window")
-    r = np.concatenate(pts_r)
-    mu = np.concatenate(pts_mu)
-    centers = np.concatenate(pts_center)
-    if r.size == 0:
-        raise SpaceError("no representative radius falls inside the window")
+    r = table.radii[in_window]
+    mu = table.measures[in_window]
+    centers = table.centers[in_window]
 
     fitted = alpha is None and beta is None
     if fitted:
@@ -798,15 +778,16 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
     a_bar = dilation_constants(space)[1]
     table = rep_balls(space)
     prof = prefix_profile(space)
+    balls, via = np.nonzero(table.masks)
+    r = table.radii[balls]
+    # the B x n reach matrix is dropped before far is built
+    step1 = _ball_reach(space, table)[balls, via] < mid * r
     # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
     far = np.zeros((table.size, space.n))
     for y in range(space.n):
         rows = np.flatnonzero(table.masks[:, y])
         k = prof.counts(y, mid * table.radii[rows])
         far[rows, y] = _running_max(space, y)[table.centers[rows], k - 1]
-    balls, via = np.nonzero(table.masks)
-    r = table.radii[balls]
-    step1 = _ball_reach(space, table)[balls, via] < mid * r
     step2 = far[balls, via] < a_bar * r
     bad = np.flatnonzero(~(step1 & step2))
     witness = None

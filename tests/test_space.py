@@ -26,22 +26,22 @@ from morreylab.catalog import (
 from morreylab.space import (
     SpaceError,
     ahlfors_fit,
-    ball,
     ball_chain_check,
     build_space,
-    center_radii,
+    dilation_constants,
     doubling_constant,
     doubling_witness,
     geometry_constants,
     load_space,
     nested_ball_bound_check,
+    prefix_profile,
     quasimetric_constants,
     quasimetric_witnesses,
     rep_balls,
-    representative_radii,
     save_space,
     sharp_growth_constant,
 )
+from morreylab.operators import maximal, modified_maximal
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +83,60 @@ def oracle_ball_measure(space, center, radius):
     return total
 
 
-def oracle_rep_balls(space, dilation=1.0, radius_cap="diameter", closed=False):
+def representative_radii(thresholds, upper):
+    """One radius per constancy interval of the given jump thresholds: the
+    per-center rule that rep_balls applies to all centers at once.
+
+    Thresholds at or above ``upper`` are dropped and the midpoints of the
+    edges 0, thresholds, upper are returned.  With ``upper=None`` the last
+    edge is 1.5 times the largest threshold (1.0 when there is none) and is
+    itself the last radius.
+    """
+    ts = np.asarray(thresholds, dtype=float)
+    ts = np.unique(ts[ts > 0])
+    if upper is None:
+        top = 1.5 * ts[-1] if ts.size else 1.0
+        edges = np.concatenate([[0.0], ts, [top]])
+        reps = (edges[:-1] + edges[1:]) / 2.0
+        reps[-1] = top
+        return reps
+    ts = ts[ts < upper]
+    edges = np.concatenate([[0.0], ts, [upper]])
+    return (edges[:-1] + edges[1:]) / 2.0
+
+
+def reference_radii(space, x, dilation=1.0, radius_cap="diameter"):
+    """Representative radii of center x, one center at a time."""
+    if radius_cap == "diameter" and space.diameter <= 0:
+        return np.asarray([], dtype=float)
+    d = space.dist[x]
+    ts = d[d > 0]
+    if dilation != 1.0:
+        ts = np.concatenate([ts, ts / dilation])
+    return representative_radii(ts, space.diameter if radius_cap == "diameter" else None)
+
+
+def reference_rep_balls(space, dilation=1.0, radius_cap="diameter"):
+    """(centers, radii, counts, measures, dilated measures) of rep_balls from
+    per-center loops: reference_radii, then np.searchsorted on each row."""
+    prof = prefix_profile(space)
+    cols = [[], [], [], [], []]
+    for x in range(space.n):
+        radii = reference_radii(space, x, dilation, radius_cap)
+        counts = np.searchsorted(prof.dists[x], radii, side="left")
+        dil = np.searchsorted(prof.dists[x], dilation * radii, side="left")
+        for col, part in zip(cols, (np.full(radii.size, x), radii, counts,
+                                    prof.cum[x, counts], prof.cum[x, dil])):
+            col.append(part)
+    return [np.concatenate(col) for col in cols]
+
+
+def oracle_rep_balls(space, dilation=1.0, radius_cap="diameter"):
     """(center, radius, member set, measure, dilated measure) per representative
     ball, from direct member loops, in rep_balls order."""
-    upper = "diameter" if radius_cap == "diameter" else None
     balls = []
     for x in range(space.n):
-        for r in center_radii(space, x, dilation=dilation, upper=upper, closed=closed):
+        for r in reference_radii(space, x, dilation, radius_cap):
             members = frozenset(y for y in range(space.n) if space.dist[x][y] < r)
             balls.append((x, float(r), members, oracle_ball_measure(space, x, r),
                           oracle_ball_measure(space, x, dilation * r)))
@@ -183,6 +230,81 @@ def oracle_spaces():
     return spaces
 
 
+def reference_doubling_scan(space):
+    """Per center: the largest mu B(x, 2r) / mu B(x, r) and the first radius
+    attaining it, one center at a time."""
+    best = np.zeros(space.n)
+    at = np.zeros(space.n)
+    if space.diameter > 0:
+        prof = prefix_profile(space)
+        for x in range(space.n):
+            reps = reference_radii(space, x, dilation=2.0)
+            ratios = prof.measures(x, 2.0 * reps) / prof.measures(x, reps)
+            k = int(np.argmax(ratios))
+            best[x], at[x] = ratios[k], reps[k]
+    return best, at
+
+
+def reference_ahlfors_fit(space, alpha=None, beta=None):
+    """ahlfors_fit on the default window, collecting the point cloud one
+    center at a time."""
+    lo, hi = space_module._min_positive_distance(space) / 2.0, space.diameter
+    prof = prefix_profile(space)
+    pts_r, pts_mu, pts_center = [], [], []
+    for x in range(space.n):
+        reps = reference_radii(space, x)
+        radii = reps[(reps >= lo) & (reps <= hi)]
+        mus = prof.measures(x, radii)
+        keep = mus > 0
+        pts_r.append(radii[keep])
+        pts_mu.append(mus[keep])
+        pts_center.append(np.full(int(keep.sum()), x))
+    r, mu, centers = (np.concatenate(p) for p in (pts_r, pts_mu, pts_center))
+    fitted = alpha is None and beta is None
+    if fitted:
+        alpha = beta = max(float(np.polyfit(np.log(r), np.log(mu), 1)[0]), 1e-9)
+    low, up, growth = mu / r**alpha, mu / r**beta, mu / r
+    k_low, k_up, k_b = int(np.argmin(low)), int(np.argmax(up)), int(np.argmax(growth))
+    return space_module.AhlforsReport(
+        alpha_lower=float(alpha), c_low=float(low[k_low]),
+        low_witness=(int(centers[k_low]), float(r[k_low])),
+        beta_upper=float(beta), c_up=float(up[k_up]),
+        up_witness=(int(centers[k_up]), float(r[k_up])),
+        b_growth=float(growth[k_b]), b_witness=(int(centers[k_b]), float(r[k_b])),
+        window=(lo, hi), fitted=fitted)
+
+
+def reference_maximal(F, space, radius_cap):
+    """Maximal function over the balls {d <= t}, one per distance tie."""
+    av = np.abs(F) * space.weights[:, None]
+    prof = prefix_profile(space)
+    out = np.zeros(F.shape)
+    for x in range(space.n):
+        ds = prof.dists[x]
+        ends = np.flatnonzero(np.append(ds[1:] != ds[:-1], True))
+        if radius_cap == "diameter":
+            ends = ends[ds[ends] < space.diameter]
+            if not ends.size:
+                continue
+        num = np.cumsum(av[prof.order[x]], axis=0)[ends]
+        out[x] = (num / prof.cum[x, ends + 1][:, None]).max(axis=0)
+    return out
+
+
+def reference_modified_maximal(F, space, N0):
+    """Modified maximal function on each center's merged thresholds."""
+    av = np.abs(F) * space.weights[:, None]
+    prof = prefix_profile(space)
+    out = np.zeros(F.shape)
+    for x in range(space.n):
+        cf = np.zeros((space.n + 1, F.shape[1]))
+        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
+        reps = reference_radii(space, x, dilation=N0, radius_cap="none")
+        num = cf[prof.counts(x, reps)]
+        out[x] = (num / prof.measures(x, N0 * reps)[:, None]).max(axis=0)
+    return out
+
+
 def oracle_doubling_dense(space, samples=4000):
     """Doubling ratio maximized over a dense grid of radii; lower bound only."""
     d_X = space.diameter
@@ -264,43 +386,38 @@ def test_space_id_distinguishes(tmp_path):
 
 def test_ball_strict_inequality_frozen():
     s = line_grid(4)
-    b = ball(s, 0, 0.5)
-    assert b.members == (0, 1)
-    assert abs(b.measure - 0.5) < 1e-15
-    b2 = ball(s, 1, 0.999)
-    assert b2.members == (0, 1, 2, 3)
-    assert abs(b2.measure - 1.0) < 1e-15
+    prof = prefix_profile(s)
+    k = int(prof.counts(0, [0.5])[0])
+    assert sorted(prof.order[0, :k].tolist()) == [0, 1]
+    assert abs(prof.measures(0, [0.5])[0] - 0.5) < 1e-15
+    k = int(prof.counts(1, [0.999])[0])
+    assert sorted(prof.order[1, :k].tolist()) == [0, 1, 2, 3]
+    assert abs(prof.measures(1, [0.999])[0] - 1.0) < 1e-15
 
 
 def test_ball_matches_oracle_random():
     rng = np.random.default_rng(7)
     s = line_grid(16)
+    prof = prefix_profile(s)
     for _ in range(200):
         x = int(rng.integers(0, s.n))
         r = float(rng.uniform(1e-6, 1.5))
-        assert abs(ball(s, x, r).measure - oracle_ball_measure(s, x, r)) < 1e-14
-
-
-def test_ball_rejects_bad_args():
-    s = line_grid(4)
-    with pytest.raises(SpaceError):
-        ball(s, 9, 0.5)
-    with pytest.raises(SpaceError):
-        ball(s, 0, 0.0)
+        assert abs(prof.measures(x, [r])[0] - oracle_ball_measure(s, x, r)) < 1e-14
 
 
 def test_representative_radii_cover_every_interval():
-    ts = np.array([0.25, 0.5, 0.75])
-    reps = representative_radii(ts, 1.0)
-    assert len(reps) == 4
-    assert np.allclose(reps, [0.125, 0.375, 0.625, 0.875])
-    closed = representative_radii(ts, 1.0, closed=True)
-    assert len(closed) == 5
-    assert closed[-1] > 1.0
+    # center 0 has thresholds 0.25, 0.5, 0.75 below d_X = 1
+    s = build_space([0.0, 0.25, 0.5, 0.75, 1.0], {"kind": "euclidean"}, [1.0] * 5)
+    table = rep_balls(s)
+    reps = table.radii[table.centers == 0]
+    assert reps.tolist() == [0.125, 0.375, 0.625, 0.875]
 
 
 def test_representative_radii_unbounded():
-    reps = representative_radii(np.array([1.0, 2.0]), None)
+    # center 0 has thresholds 1 and 2; past the largest one sits 1.5 * 2
+    s = build_space([0.0, 1.0, 2.0], {"kind": "euclidean"}, [1.0] * 3)
+    table = rep_balls(s, radius_cap="none")
+    reps = table.radii[table.centers == 0]
     assert reps[-1] == 3.0
     assert len(reps) == 3
 
@@ -343,25 +460,35 @@ def test_float_masks_are_built_on_first_use_only():
     s = snowflake_grid(24)
     geo = geometry_constants(s)
     nested_ball_bound_check(s, geo.C_d)
+    f = np.linspace(-1.0, 2.0, s.n)
+    maximal(f, s)
+    maximal(f, s, radius_cap="none")
+    modified_maximal(f, s, 3.0)
+    tables = {k: v for k, v in s._cache.items() if k[0] == "rep_balls"}
+    # the doubling scan, the Ahlfors fit, the nested-ball check and both
+    # maximal operators read radii, counts and measures only
+    assert len(tables) == 4
+    assert all("masks" not in t.__dict__ for t in tables.values())
+    assert all(t.rank is prefix_profile(s).rank for t in tables.values())
     ball_chain_check(s)
-    tables = [v for k, v in s._cache.items() if k[0] == "rep_balls"]
-    assert tables and all("masks_f" not in t.__dict__ for t in tables)
-    table = tables[0]
-    assert np.array_equal(table.masks_f, table.masks.astype(float))
-    assert table.masks_f is table.masks_f
+    plain = tables.pop(("rep_balls", 1.0, "diameter", False))
+    assert "masks" in plain.__dict__
+    assert all("masks" not in t.__dict__ for t in tables.values())
+    assert "masks_f" not in plain.__dict__
+    assert np.array_equal(plain.masks_f, plain.masks.astype(float))
+    assert plain.masks_f is plain.masks_f
 
 
-@pytest.mark.parametrize("dilation", [1.0, 3.0])
-@pytest.mark.parametrize("radius_cap,closed", [
-    pytest.param("diameter", False, id="diameter"),
-    pytest.param("none", False, id="none"),
-    pytest.param("diameter", True, id="diameter-closed"),
-    pytest.param("none", True, id="none-closed"),
-])
-def test_rep_balls_match_member_set_oracle(dilation, radius_cap, closed):
+# one ulp below 2 puts d / dilation one ulp above d/2 wherever a distance
+# d/2 exists too, so the midpoint of the two rounds onto the lower threshold
+@pytest.mark.parametrize("dilation", [1.0, 1.7, 2.0, 3.0, "N_0",
+                                      pytest.param(np.nextafter(2.0, 0.0), id="below-2")])
+@pytest.mark.parametrize("radius_cap", ["diameter", "none"])
+def test_rep_balls_match_member_set_oracle(dilation, radius_cap):
     for s in oracle_spaces():
-        table = rep_balls(s, dilation=dilation, radius_cap=radius_cap, closed=closed)
-        expected = oracle_rep_balls(s, dilation, radius_cap, closed)
+        factor = dilation_constants(s)[0] if dilation == "N_0" else dilation
+        table = rep_balls(s, dilation=factor, radius_cap=radius_cap)
+        expected = oracle_rep_balls(s, factor, radius_cap)
         assert table.size == len(expected)
         for i, (x, r, members, mu, dil) in enumerate(expected):
             assert (int(table.centers[i]), float(table.radii[i])) == (x, r)
@@ -369,15 +496,48 @@ def test_rep_balls_match_member_set_oracle(dilation, radius_cap, closed):
             assert table.counts[i] == len(members)
             assert table.measures[i] == pytest.approx(mu, rel=1e-13)
             assert table.dilated_measures[i] == pytest.approx(dil, rel=1e-13)
+        reference = reference_rep_balls(s, factor, radius_cap)
+        for name, want in zip(("centers", "radii", "counts", "measures",
+                               "dilated_measures"), reference):
+            assert np.array_equal(getattr(table, name), want), name
         # dedupe keeps exactly the first ball of each (members, measures) key
         keys = [(table.masks[i].tobytes(), table.measures[i], table.dilated_measures[i])
                 for i in range(table.size)]
         first = sorted({k: i for i, k in reversed(list(enumerate(keys)))}.values())
-        small = rep_balls(s, dilation=dilation, radius_cap=radius_cap, closed=closed,
-                          dedupe=True)
+        small = rep_balls(s, dilation=factor, radius_cap=radius_cap, dedupe=True)
         assert small.size == len(first)
         for name in ("centers", "radii", "counts", "masks", "measures", "dilated_measures"):
             assert np.array_equal(getattr(small, name), getattr(table, name)[first])
+
+
+def test_ball_table_readers_equal_per_center_loops():
+    # tied integer matrices, asymmetric ones, snowflakes, circles, one point
+    spaces = oracle_spaces() + [build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])]
+    rng = np.random.default_rng(23)
+    for s in spaces:
+        best, at = reference_doubling_scan(s)
+        got_best, got_at = space_module._doubling_scan(s)
+        assert np.array_equal(got_best, best) and np.array_equal(got_at, at)
+        assert doubling_constant(s) == max(1.0, float(best.max()))
+        hits = np.flatnonzero(best >= doubling_constant(s) * (1 - 1e-15))
+        assert doubling_witness(s) == ((int(hits[0]), float(at[hits[0]])) if s.diameter > 0
+                                       else (0, 0.0))
+        if s.diameter > 0:
+            assert ahlfors_fit(s) == reference_ahlfors_fit(s)
+            assert ahlfors_fit(s, alpha=1.0, beta=1.0) == reference_ahlfors_fit(s, 1.0, 1.0)
+        else:
+            with pytest.raises(SpaceError):
+                ahlfors_fit(s)
+        N0 = dilation_constants(s)[0]
+        for m in (1, 38):
+            F = rng.uniform(-1.0, 2.0, size=(s.n, m))
+            for cap in ("diameter", "none"):
+                assert np.array_equal(maximal(F, s, radius_cap=cap),
+                                      reference_maximal(F, s, cap))
+            for dil in (1.0, 3.0, N0):
+                assert np.array_equal(modified_maximal(F, s, dil),
+                                      reference_modified_maximal(F, s, dil))
+        assert np.array_equal(maximal(F[:, 0], s), reference_maximal(F[:, :1], s, "diameter")[:, 0])
 
 
 def test_rep_balls_dedupe_keeps_measures_that_differ_in_rounding():
@@ -396,8 +556,7 @@ def test_rep_balls_dedupe_keeps_measures_that_differ_in_rounding():
 def test_rep_balls_on_a_one_point_space():
     s = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])
     for dedupe in (False, True):
-        for closed in (False, True):
-            assert rep_balls(s, closed=closed, dedupe=dedupe).size == 0
+        assert rep_balls(s, dedupe=dedupe).size == 0
         table = rep_balls(s, radius_cap="none", dedupe=dedupe)
         assert table.size == 1
         assert table.masks.tolist() == [[True]]
@@ -411,14 +570,6 @@ def test_rep_balls_rejects_unknown_radius_cap(radius_cap):
     for dedupe in (False, True):
         with pytest.raises(SpaceError, match="unknown radius cap"):
             rep_balls(s, radius_cap=radius_cap, dedupe=dedupe)
-
-
-def test_center_radii_closed_includes_diameter():
-    s = line_grid(4)
-    rs = center_radii(s, 0, closed=True)
-    assert rs[-1] > s.diameter
-    mask = s.dist[0] < rs[-1]
-    assert mask.all()
 
 
 # ---------------------------------------------------------------------------
