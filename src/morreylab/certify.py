@@ -31,7 +31,7 @@ import numpy as np
 from .norms import (ProfileScreen, as_matrix,  # noqa: F401
                     dominance_report, grand_profile, grand_rows,
                     inner_seminorm_matrix, lebesgue_norm, morrey_norm,
-                    phi_functional, seminorm_profile)
+                    phi_functional, pruning_work, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
 from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
@@ -374,13 +374,14 @@ class CertReport:
     notes: tuple = ()
     runtime_s: float = 0.0
     sharpening_work: dict = field(default_factory=dict)
+    pruning_work: dict = field(default_factory=dict)
 
     def body(self) -> dict:
-        """JSON-safe content without the runtime and the sharpening work
-        counters, for byte-stable files."""
+        """JSON-safe content without the runtime and the work counters, for
+        byte-stable files."""
         data = asdict(self)
-        data.pop("runtime_s")
-        data.pop("sharpening_work")
+        for key in ("runtime_s", "sharpening_work", "pruning_work"):
+            data.pop(key)
         return _jsonable(data)
 
     def failed_gates(self) -> list:
@@ -436,7 +437,7 @@ def save_report(report: CertReport, path) -> Path:
     The body is serialized with sorted keys and without the runtime, so a
     rerun with identical inputs produces byte-identical bytes; the sidecar
     holds the runtime, a timestamp and, for reduction certificates, the
-    sharpening work counters.
+    sharpening and the profile pruning work counters.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -445,6 +446,8 @@ def save_report(report: CertReport, path) -> Path:
             "written_at": datetime.now(timezone.utc).isoformat()}
     if report.sharpening_work:
         meta["sharpening"] = dict(report.sharpening_work)
+    if report.pruning_work:
+        meta["pruning"] = dict(report.pruning_work)
     Path(str(path) + ".runmeta.json").write_text(json.dumps(meta, indent=2) + "\n")
     stem = str(path)
     if stem.endswith(".json"):
@@ -713,22 +716,24 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     def grand_out(V):
         return grand_profile(V, space, params_out, grids_out[0].nodes).max(axis=0)
 
-    ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F), names)
     work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
             "screen_fallbacks": 0}
-    # the evaluator, and the block buffers of its screens, live only while
-    # sharpening runs
-    col, col_out, ratio_sharp = _sharpen(
-        sharpen, _early_rejecting_evaluator(
-            apply_op, space, shift_schedule(params_out, grids_out[0].nodes),
-            shift_schedule(params_in, base_in), work),
-        apply_op, F, names, ratio_raw, witness)
-    if ratio_sharp is not None:
-        F = np.hstack([F, col])
-        out_vals = np.hstack([out_vals, col_out])
+    with pruning_work() as pruning:
+        ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F),
+                                             names)
+        # the evaluator, and the block buffers of its screens, live only
+        # while sharpening runs
+        col, col_out, ratio_sharp = _sharpen(
+            sharpen, _early_rejecting_evaluator(
+                apply_op, space, shift_schedule(params_out, grids_out[0].nodes),
+                shift_schedule(params_in, base_in), work),
+            apply_op, F, names, ratio_raw, witness)
+        if ratio_sharp is not None:
+            F = np.hstack([F, col])
+            out_vals = np.hstack([out_vals, col_out])
 
-    prof_in = seminorm_profile(F, space, s_in)
-    prof_out = seminorm_profile(out_vals, space, s_out)
+        prof_in = seminorm_profile(F, space, s_in)
+        prof_out = seminorm_profile(out_vals, space, s_out)
 
     # every grid level is a row selection of the two finest profiles
     levels = []
@@ -858,6 +863,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         notes=tuple(notes),
         runtime_s=time.perf_counter() - t0,
         sharpening_work=work,
+        pruning_work=pruning,
     )
 
 

@@ -12,18 +12,31 @@ Grand norms add a supremum over an exponent shift epsilon.  That supremum is
 taken over a fixed master grid of nodes in (0, s_max); all grand quantities
 in one computation share the grid, so comparisons between them are exact by
 construction and stable under grid refinement.  A grid is evaluated in one
-pass over its shift schedule: the ball integrals of all nodes in a block are
-one stacked matrix product, which keeps the per-node BLAS call (a
-matrix-vector product for one column, a matrix product for several) and so
-the bits of a node-by-node evaluation.  ProfileScreen trades those bits for
-speed where a bound suffices: one matrix product across the nodes of a block
-gives surrogate rows of one column within a proven relative margin of the
-exact rows, so a caller evaluates exactly only the rows that can decide.
+pass over its shift schedule, and every row of a profile keeps the bits of
+a node-by-node evaluation (inner_seminorm_matrix):
+
+- the full path stacks the ball integrals of a block of nodes into one
+  matrix product, which keeps the per-node BLAS call (a matrix-vector
+  product for one column, a matrix product for several);
+- the pruned path, for m >= 2 columns on a table large against its
+  padding, screens every (ball, node, column) triple with float32
+  products over blocks of balls and nodes, certified within a relative
+  margin delta (surrogate_margin), and evaluates exactly only the balls
+  that can hold a (node, column) maximum: per node one float64 product
+  over those ball rows, padded so that the BLAS keeps the full product's
+  bits for them.
+
+ProfileScreen trades those bits for speed where a bound suffices: the same
+float32 kernel and range checks give surrogate rows of one column within
+delta of the exact rows, so a caller evaluates exactly only the rows that
+can decide.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +54,7 @@ __all__ = [
     "morrey_norm",
     "inner_seminorm_matrix",
     "seminorm_profile",
+    "pruning_work",
     "grand_rows",
     "surrogate_margin",
     "ProfileScreen",
@@ -188,14 +202,25 @@ def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
 
 # elements of one block's (nodes, balls, columns) integral stack
 _BLOCK_ELEMENTS = 1 << 15
+# the pruned path: each exact row-subset product does at least _EXACT_MADDS
+# multiply-adds, so it takes at least pad = ceil(_EXACT_MADDS / (n m)) ball
+# rows; a profile of m >= 2 columns takes the path when its table holds at
+# least _PRUNE_RATIO times pad balls; a node block screens about
+# _PRUNE_PAIRS (node, column) pairs
+_EXACT_MADDS = 1 << 20
+_PRUNE_RATIO = 8
+_PRUNE_PAIRS = 256
 
 
 def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
                      schedule: ShiftSchedule) -> np.ndarray:
     """Inner seminorms N(eps; f) per schedule node (rows) and column of F.
 
-    Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit:
-    each node's ball integrals are its own slice of one stacked product.
+    Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit.
+    On the full path each node's ball integrals are its own slice of one
+    stacked product.  A profile of m >= 2 columns on a table of at least
+    _PRUNE_RATIO times its padding takes the pruned path (_pruned_max)
+    instead, which keeps the bits; pruning_work counts its work.
     """
     p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
     low = p_eff < 1
@@ -205,18 +230,137 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     out = np.zeros((p_eff.size, F.shape[1]))
     if table.size == 0:
         return out
+    n, m = F.shape
     absF = np.abs(F)
     w = space.weights[:, None]
-    step = max(1, _BLOCK_ELEMENTS // max(1, table.size * F.shape[1]))
+    pad = -(-_EXACT_MADDS // max(1, n * m))
+    prune = m >= 2 and table.size >= _PRUNE_RATIO * pad
+    if prune:
+        delta = surrogate_margin(n, float(np.abs(lam_eff).max()
+                                          * np.abs(np.log(den)).max()))
+        # a margin of 1 or more (or NaN) admits every ball
+        prune = delta < 1.0
+    step = (max(1, _PRUNE_PAIRS // m) if prune
+            else max(1, _BLOCK_ELEMENTS // max(1, table.size * m)))
+    seeds = np.zeros(0, dtype=np.intp)
     for a in range(0, p_eff.size, step):
         pe = p_eff[a:a + step, None, None]
         pw = absF ** pe * w
+        lam = lam_eff[a:a + step, None, None]
+        top = None
+        if prune:
+            top, seeds = _pruned_max(table, pw, den ** -lam, delta, pad, seeds)
+        if top is None:
+            top = _full_max(table.masks_f, pw, den, lam)
+        out[a:a + step] = top ** (1.0 / pe[:, 0])
+    return out
+
+
+def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
+              lam: np.ndarray) -> np.ndarray:
+    """The largest scaled ball integral per (node, column) over every ball:
+    the terms pw (nodes, points, columns) times the masks, one stacked
+    product per block of nodes, times the den factors den ** -lam, lam of
+    shape (nodes, 1, 1)."""
+    k, _, m = pw.shape
+    top = np.empty((k, m))
+    step = max(1, _BLOCK_ELEMENTS // max(1, masks_f.shape[0] * m))
+    for a in range(0, k, step):
         # (nodes, columns, balls): the ball axis last for the scaling and the max
         scaled = np.ascontiguousarray(
-            np.matmul(table.masks_f[None], pw).transpose(0, 2, 1))
-        scaled *= den ** -lam_eff[a:a + step, None, None]
-        out[a:a + step] = scaled.max(axis=2) ** (1.0 / pe[:, 0])
-    return out
+            np.matmul(masks_f[None], pw[a:a + step]).transpose(0, 2, 1))
+        scaled *= den ** -lam[a:a + step]
+        top[a:a + step] = scaled.max(axis=2)
+    return top
+
+
+def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
+                pad: int, seeds: np.ndarray) -> tuple:
+    """_full_max bit for bit from the candidate balls only, and the balls
+    that hold the maxima, which seed the next node block; (None, seeds)
+    where a float32 intermediate of the screen could leave the normal range.
+
+    Per block of balls, one float32 product of the masks with the terms of
+    every (node, column) pair side by side, times the den factors rounded
+    to float32, gives a surrogate s of each scaled ball integral within the
+    relative margin delta (surrogate_margin).  So the ball holding the
+    exact maximum of a (node, column) pair has s (1 + delta) >= t (1 - delta)
+    for every surrogate t of the pair, and in particular for the running
+    maximum of its surrogates over the blocks so far, started from the
+    surrogates of the ``seeds`` balls (the maxima of the previous node
+    block, usually close to this block's).  A pair whose surrogates are
+    all zero has only zero integrals.  Per node, the union of these
+    candidates over the columns, padded with further balls in table order
+    to at least ``pad`` rows, goes through one float64 product of those
+    mask rows with pw[i] and the same scaling and max as _full_max.  The
+    padding keeps that product above the BLAS's small-matrix path, so it
+    keeps the bits of the full product's rows (pinned by
+    tests/test_norms.py).  The rows are converted from the bool masks, so a
+    table that only this path reads never builds ``masks_f``.
+    """
+    k, n, m = pw.shape
+    pw32 = _f32_terms(pw, float(factors.min()), float(factors.max()))
+    if pw32 is None:
+        _count(range_fallbacks=1)
+        return None, seeds
+    factors32 = np.ascontiguousarray(factors[:, 0].T, dtype=np.float32)
+    masks32 = table.masks32
+    step = max(1, _SURROGATE_ELEMENTS // (k * m))
+    block = np.empty((min(step, table.size), k * m), dtype=np.float32)
+    top = np.zeros(k * m, dtype=np.float32)
+    if seeds.size:
+        top = _f32_scaled(masks32[seeds], pw32, factors32[seeds]).max(axis=0)
+    cand = np.zeros((k, table.size), dtype=bool)
+    for b in range(0, table.size, step):
+        s = _f32_scaled(masks32[b:b + step], pw32, factors32[b:b + step], block)
+        np.maximum(top, s.max(axis=0), out=top)
+        # s >= top (1 - delta) / (1 + delta), rounded down to float32
+        bound = top.astype(float) * ((1.0 - delta) / (1.0 + delta))
+        thr = bound.astype(np.float32)
+        up = thr > bound
+        thr[up] = np.nextafter(thr[up], np.float32(0.0))
+        thr[top == 0.0] = np.inf
+        balls, pair = np.divmod(np.flatnonzero(s >= thr), k * m)
+        cand[pair // m, b + balls] = True
+    counts = np.count_nonzero(cand, axis=1)
+    out = np.empty((k, m))
+    best = np.empty((k, m), dtype=np.intp)
+    for i in range(k):
+        if counts[i] < pad:
+            cand[i, np.flatnonzero(~cand[i])[:pad - counts[i]]] = True
+        rows = np.flatnonzero(cand[i])
+        scaled = table.masks[rows].astype(float) @ pw[i]
+        scaled *= factors[i, 0, rows][:, None]
+        out[i] = scaled.max(axis=0)
+        best[i] = rows[scaled.argmax(axis=0)]
+    _count(pruned_rows=k, candidate_balls=int(counts.sum()),
+           padded_balls=int(np.count_nonzero(cand)))
+    return out, np.unique(best)
+
+
+# the counters of the pruned path, while a pruning_work block is open
+_PRUNING: ContextVar[dict | None] = ContextVar("pruning", default=None)
+
+
+@contextmanager
+def pruning_work():
+    """Count the pruned path's work in the profiles evaluated inside the
+    block: node rows, candidate balls, padded balls (the rows of the exact
+    products) and range fallbacks (node blocks that took the full path)."""
+    work = {"pruned_rows": 0, "candidate_balls": 0, "padded_balls": 0,
+            "range_fallbacks": 0}
+    token = _PRUNING.set(work)
+    try:
+        yield work
+    finally:
+        _PRUNING.reset(token)
+
+
+def _count(**counts) -> None:
+    work = _PRUNING.get()
+    if work is not None:
+        for key, value in counts.items():
+            work[key] += value
 
 
 def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
@@ -232,7 +376,8 @@ def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
     return part.weight[:, None] * seminorm_profile(F, space, part)
 
 
-# elements of one ball block's (balls, nodes) float32 surrogate product
+# elements of one ball block's (balls, nodes x columns) float32 surrogate
+# product
 _SURROGATE_ELEMENTS = 1 << 17
 # nodes per float64 block of den factors, rounded to float32 block by block
 _FACTOR_NODES = 16
@@ -288,6 +433,41 @@ def surrogate_margin(n: int, den_exponent: float) -> float:
             + (_SURROGATE_ULPS + 2.0 * den_exponent) * u)
 
 
+def _f32_terms(pw: np.ndarray, lo: float, hi: float,
+               weight: float = 1.0) -> np.ndarray | None:
+    """The terms pw (nodes, points, columns) in float32 as (points, nodes x
+    columns), or None where a float32 intermediate of a screen with den
+    factors in [lo, hi] could leave the normal range.
+
+    A factor must lie in the range itself.  A ball sum is at most n times
+    the largest term, which times hi must stay below _F32_HUGE; a nonzero
+    ball sum is at least the smallest nonzero term, which once scaled by lo
+    and ``weight`` must stay normal.
+    """
+    k, n, m = pw.shape
+    if lo < _F32_TINY or hi > _F32_HUGE:
+        return None
+    if n * pw.max(initial=0.0) * max(1.0, hi) > _F32_HUGE:
+        return None
+    terms = pw.transpose(1, 0, 2).reshape(n, k * m)
+    pw32 = terms.astype(np.float32)
+    floor = (float(pw32[terms > 0].min(initial=1.0)) * min(1.0, lo)
+             * min(1.0, weight))
+    return pw32 if floor >= _F32_TINY else None
+
+
+def _f32_scaled(masks32: np.ndarray, pw32: np.ndarray, factors: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The float32 ball sums masks32 @ pw32, each (node, column) column times
+    its ball's den factor in ``factors`` (balls, nodes): (balls, nodes x
+    columns), written to the leading rows of ``out`` when given."""
+    b, k = factors.shape
+    scaled = np.matmul(masks32, pw32, out=None if out is None else out[:b])
+    view = scaled.reshape(b, k, -1)
+    np.multiply(view, factors[:, :, None], out=view)
+    return scaled
+
+
 class ProfileScreen:
     """A certified surrogate of the weighted profile of one column at one
     schedule, and the rows that must be evaluated exactly.
@@ -320,10 +500,11 @@ class ProfileScreen:
             if hi > _F32_HUGE:
                 break
             factors[:, a:a + _FACTOR_NODES] = block
-        lo = float(factors.min(initial=np.inf)) if hi <= _F32_HUGE else 0.0
-        # with a den factor outside the float32 normal range every row is exact
-        self._factors = factors if lo >= _F32_TINY else None
-        self._factor_range = (lo, hi)
+        # _f32_terms declines every column, so every row is exact, when a den
+        # factor leaves the float32 normal range
+        self._factors = factors
+        self._factor_range = (float(factors.min(initial=np.inf))
+                              if hi <= _F32_HUGE else 0.0, hi)
         # one ball block's product, reused by every call
         self.step = max(1, _SURROGATE_ELEMENTS // lam.size)
         self._scaled = np.empty((min(self.step, self.table.size), lam.size),
@@ -333,28 +514,16 @@ class ProfileScreen:
         """Surrogate weighted rows of the one-column F, or None where delta
         does not hold: a float32 intermediate that could leave the normal
         range, or a non-finite row."""
-        if self._factors is None:
-            return None
         sched, masks = self.schedule, self.table.masks32
-        lo, hi = self._factor_range
         pw = np.abs(F[:, 0]) ** sched.p_eff[:, None] * self.space.weights
-        # a ball sum is at most n times the largest term
-        if self.space.n * pw.max(initial=0.0) * max(1.0, hi) > _F32_HUGE:
-            return None
-        # (points, nodes): the node axis last, as in the factors
-        pw32 = np.ascontiguousarray(pw.T, dtype=np.float32)
-        # a nonzero ball sum is at least the smallest nonzero term, which
-        # must also stay normal once scaled and weighted
-        terms = pw32[pw.T > 0]
-        floor = (float(terms.min(initial=1.0)) * min(1.0, lo)
-                 * min(1.0, float(sched.weight.min())))
-        if floor < _F32_TINY:
+        pw32 = _f32_terms(pw[:, :, None], *self._factor_range,
+                          float(sched.weight.min()))
+        if pw32 is None:
             return None
         top = np.zeros(sched.nodes.size, dtype=np.float32)
         for a in range(0, masks.shape[0], self.step):
-            b = min(self.step, masks.shape[0] - a)
-            scaled = np.matmul(masks[a:a + b], pw32, out=self._scaled[:b])
-            scaled *= self._factors[a:a + b]
+            scaled = _f32_scaled(masks[a:a + self.step], pw32,
+                                 self._factors[a:a + self.step], self._scaled)
             np.maximum(top, scaled.max(axis=0), out=top)
         rows = sched.weight * top.astype(float) ** (1.0 / sched.p_eff)
         return rows if np.all(np.isfinite(rows)) else None

@@ -448,17 +448,23 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
     if dedupe:
         # one byte row per ball: packed members, then the bytes of both
         # measures; np.unique returns the first index of each distinct row
-        keys = np.concatenate([np.packbits(table.masks, axis=1),
+        packed = np.packbits(table.masks, axis=1)
+        keys = np.concatenate([packed,
                                table.measures.view(np.uint8).reshape(-1, 8),
                                table.dilated_measures.view(np.uint8).reshape(-1, 8)], axis=1)
         _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
                              return_index=True)
-        keep = np.sort(first)
-        table = BallTable(
-            centers=centers[keep], radii=radii[keep], counts=counts[keep],
-            measures=table.measures[keep], dilation=dilation,
-            dilated_measures=table.dilated_measures[keep], rank=prof.rank,
-        )
+        if first.size < table.size:
+            keep = np.sort(first)
+            table = BallTable(
+                centers=centers[keep], radii=radii[keep], counts=counts[keep],
+                measures=table.measures[keep], dilation=dilation,
+                dilated_measures=table.dilated_measures[keep], rank=prof.rank,
+            )
+            # the kept rows of the key's masks fill the cache of ``masks``,
+            # unpacked once the full table's masks are gone
+            vars(table)["masks"] = np.unpackbits(packed[keep], axis=1,
+                                                 count=space.n).view(bool)
     space._cache[key] = table
     return table
 

@@ -31,7 +31,7 @@ from morreylab.scales import (
     make_potential_setup,
     shift_schedule,
 )
-from morreylab.space import build_space
+from morreylab.space import build_space, rep_balls
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,154 @@ def test_surrogate_steps_aside_where_a_ball_sum_could_overflow_float32():
     F = np.full((space.n, 1), 1e20)
     assert screen.rows(F) is None
     assert screen.rows(F * 1e-5) is not None
+
+
+def _padded(rows, size, pad):
+    """The ball rows ``rows`` padded with further rows in table order to at
+    least ``pad`` rows, as the pruned path pads its candidates."""
+    keep = np.zeros(size, dtype=bool)
+    keep[rows] = True
+    keep[np.flatnonzero(~keep)[:max(0, pad - len(rows))]] = True
+    return np.flatnonzero(keep)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_row_subset_product_keeps_the_full_product_bits(n):
+    """The pruned path's exact rows rest on this BLAS property: a row subset
+    of the ball masks, padded to the pruned path's minimum, times the terms
+    gives the same rows of the full product bit for bit.  Unpadded subsets
+    do not (a one-row subset goes to a matrix-vector product)."""
+    space = calibrated_circle(n)
+    table = rep_balls(space)
+    rng = np.random.default_rng(n)
+    for m in range(2, 65):
+        F = rng.uniform(-2.0, 2.0, size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=m)
+        F[rng.random(F.shape) < 0.2] = 0.0
+        pw = np.abs(F) ** 1.7 * space.weights[:, None]
+        full = table.masks_f @ pw
+        pad = -(-norms._EXACT_MADDS // (n * m))
+        for rows in ([int(rng.integers(table.size))],
+                     np.sort(rng.choice(table.size, size=table.size // 50, replace=False))):
+            rows = _padded(rows, table.size, pad)
+            subset = table.masks[rows].astype(float) @ pw
+            assert np.array_equal(subset, full[rows]), (m, rows.size)
+
+
+def _pruned_space(kind):
+    """An asymmetric space, one with tied distances (63 distinct values) or
+    a snowflake, each of 128 points and thousands of balls."""
+    if kind != "tied":
+        return _random_space(kind, 128, 4)
+    rng = np.random.default_rng(4)
+    mat = rng.integers(1, 64, size=(128, 128)).astype(float)
+    np.fill_diagonal(mat, 0.0)
+    return build_space(list(range(128)), {"kind": "matrix", "matrix": mat.tolist()},
+                       (rng.uniform(0.5, 2.0, size=128) / 128).tolist())
+
+
+@pytest.mark.parametrize("kind", ["asymmetric", "tied", "snowflake"])
+def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
+    space = _pruned_space(kind)
+    rng = np.random.default_rng(59)
+    for v, variant in enumerate(_VARIANTS):
+        table, _ = norms.variant_table(space, variant)
+        setups = _profile_params(variant)
+        for k, m in enumerate((2, 5, 9, 38, 39, 41)):
+            F = rng.uniform(-2.0, 2.0, size=(space.n, m)) * (1e-3, 1.0, 1e3)[k % 3]
+            F[rng.random(F.shape) < 0.2] = 0.0
+            F[:, m // 2] = 0.0
+            params = setups[(k + v) % 3]
+            # six nodes in two node blocks, so the second block's running
+            # maximum starts from the first block's maxima
+            schedule = shift_schedule(params, grid_for(params).nodes[::5][:6])
+            monkeypatch.setattr(norms, "_PRUNE_PAIRS", 3 * m)
+            # with ratio 1 every table here takes the pruned path, since
+            # each holds at least pad balls
+            monkeypatch.setattr(norms, "_PRUNE_RATIO", 1)
+            assert table.size >= -(-norms._EXACT_MADDS // (space.n * m))
+            with norms.pruning_work() as work:
+                got = norms.seminorm_profile(F, space, schedule)
+            assert work["pruned_rows"] == schedule.nodes.size
+            assert work["range_fallbacks"] == 0
+            assert 0 < work["candidate_balls"] <= work["padded_balls"]
+            monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+            with norms.pruning_work() as work:
+                want = norms.seminorm_profile(F, space, schedule)
+            assert work["pruned_rows"] == 0
+            assert np.array_equal(got, want), (variant, m)
+            assert np.all(got[:, m // 2] == 0.0)
+
+
+def _near_tie_case():
+    """A 39-column F with one nonzero column, and a one-node schedule, whose
+    surrogate puts a ball above the one holding the exact maximum.
+
+    Both balls lie beyond the pruned path's padding, the other columns are
+    zero and the schedule has no earlier node block to seed the running
+    maximum, so only the margin can make the exact argmax ball a candidate.
+    The search moves the term of one point, which lies in the runner-up
+    ball but not in the top ball, through the exact tie of the two.
+    """
+    space = _random_space("asymmetric", 128, 5)
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
+    schedule = shift_schedule(params, grid_for(params).nodes[:1])
+    table, den = norms.variant_table(space, schedule.variant)
+    factors = den ** -schedule.lam_eff[:, None, None]
+    m = 39
+    pad = -(-norms._EXACT_MADDS // (space.n * m))
+
+    def integrals(f):
+        F = np.zeros((space.n, m))
+        F[:, 0] = f
+        pw = np.abs(F) ** schedule.p_eff[:, None, None] * space.weights[:, None]
+        exact = (table.masks_f @ pw[0])[:, 0] * factors[0, 0]
+        surrogate = norms._f32_scaled(
+            table.masks32, norms._f32_terms(pw, factors.min(), factors.max()),
+            np.ascontiguousarray(factors[:, 0].T, dtype=np.float32))[:, 0]
+        return F, exact, surrogate
+
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        f = rng.uniform(0.0, 2.0, size=space.n)
+        _, exact, _ = integrals(f)
+        top, second = np.argsort(exact)[::-1][:2]
+        extra = np.flatnonzero(table.masks[second] & ~table.masks[top])
+        if extra.size == 0:
+            continue
+        x = extra[0]
+        tie = (space.weights[x] * abs(f[x]) ** schedule.p_eff[0]
+               + (exact[top] - exact[second]) / factors[0, 0, second])
+        for k in range(-60, 61):
+            f[x] = (tie * (1.0 + k * 1e-8) / space.weights[x]) ** (1.0 / schedule.p_eff[0])
+            F, exact, surrogate = integrals(f)
+            best, decoy = int(np.argmax(exact)), int(np.argmax(surrogate))
+            # the decoy comes first in table order, so the running maximum
+            # reaches its surrogate no later than the exact argmax ball's,
+            # and the two seminorms still differ after the root
+            root = exact[[decoy, best]] ** (1.0 / schedule.p_eff[0])
+            if (pad <= decoy < best and surrogate[best] < surrogate[decoy]
+                    and root[0] < root[1]):
+                return space, schedule, F
+    raise AssertionError("no column puts a surrogate above the exact maximum")
+
+
+def test_pruning_margin_keeps_the_exact_maximum_ball(monkeypatch):
+    space, schedule, F = _near_tie_case()
+    with norms.pruning_work() as work:
+        got = norms.seminorm_profile(F, space, schedule)
+    assert work["pruned_rows"] == 1
+    monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+    want = norms.seminorm_profile(F, space, schedule)
+    assert np.array_equal(got, want)
+    # without the margin only the surrogate argmax ball (and the padding)
+    # is evaluated exactly, and the seminorm comes out wrong
+    monkeypatch.undo()
+    monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
+    with norms.pruning_work() as work:
+        lost = norms.seminorm_profile(F, space, schedule)
+    assert work["pruned_rows"] == 1
+    assert lost[0, 0] < want[0, 0]
+    assert np.array_equal(lost[:, 1:], want[:, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ dominate them (envelopes over sampled radii versus exact enumeration).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -454,6 +455,19 @@ def test_rep_balls_dedupe_preserves_value_set():
     full_keys = {(full.masks[i].tobytes(), full.measures[i]) for i in range(full.size)}
     small_keys = {(small.masks[i].tobytes(), small.measures[i]) for i in range(small.size)}
     assert small_keys == full_keys
+
+
+def test_rep_balls_dedupe_caches_the_kept_rows_masks():
+    # the dedupe key's masks fill the deduped table's cache, equal to a
+    # fresh build from its counts and ranks
+    for s in oracle_spaces():
+        for dilation in (1.0, 3.0):
+            small = rep_balls(s, dilation=dilation, dedupe=True)
+            assert "masks" in small.__dict__
+            fresh = dataclasses.replace(small)
+            assert "masks" not in fresh.__dict__
+            assert small.masks.dtype == fresh.masks.dtype
+            assert np.array_equal(small.masks, fresh.masks)
 
 
 def test_float_masks_are_built_on_first_use_only():
