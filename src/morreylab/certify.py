@@ -1326,9 +1326,10 @@ def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
 
     # one application to the family serves the builder checks and the engine
     fam_out = _apply(apply_op, fam.values)
-    checks = dict(extra_checks(pin, pout, pairing, per_eps, fam, fam_out)
-                  if callable(extra_checks) else (extra_checks or {}))
-    return verify_reduction(
+    with pruning_work() as checks_work:
+        checks = dict(extra_checks(pin, pout, pairing, per_eps, fam, fam_out)
+                      if callable(extra_checks) else (extra_checks or {}))
+    report = verify_reduction(
         space, fam, apply_op, pin, pout, sigma, out_values=fam_out,
         pairing=pairing, per_eps_constant=per_eps, consts=consts,
         sharpen=sharpen, refinement_levels=refinement_levels,
@@ -1340,6 +1341,10 @@ def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
         extra_checks=checks,
         notes=("paired shifts keep the shifted Sobolev relation exact",
                *extra_notes))
+    # the builder checks' profiles count with the engine's own
+    for key, value in checks_work.items():
+        report.pruning_work[key] += value
+    return report
 
 
 @_register("thm-4.4")

@@ -398,20 +398,26 @@ def _ball_radii(space: QuasimetricSpace, dilation: float,
     return centers, radii
 
 
-def _strict_counts(prof: PrefixProfile, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """#{y : d(x, y) < r} for each (x, r), exactly np.searchsorted(side="left")
-    on row x of ``prof.dists``.
+def _strict_counter(prof: PrefixProfile):
+    """The function (centers, radii) -> #{y : d(x, y) < r} for each (x, r),
+    exactly np.searchsorted(side="left") on row x of ``prof.dists``.
 
     Values are coded by their rank among the distinct distances, which keeps
     every row sorted, and all rows are searched at once with the center as
     the leading digit of the key.  Positions in a threshold order would not
     do: a midpoint of two thresholds one ulp apart rounds onto one of them.
+    The key arrays are built here, once, and serve every call.
     """
     n = prof.dists.shape[0]
     levels = np.unique(prof.dists)
     stride = levels.size + 1
     row_keys = (np.arange(n)[:, None] * stride + np.searchsorted(levels, prof.dists)).ravel()
-    return np.searchsorted(row_keys, centers * stride + np.searchsorted(levels, radii)) - centers * n
+
+    def counts(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        keys = centers * stride + np.searchsorted(levels, radii)
+        return np.searchsorted(row_keys, keys) - centers * n
+
+    return counts
 
 
 def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
@@ -438,11 +444,12 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
         return cached
     prof = prefix_profile(space)
     centers, radii = _ball_radii(space, dilation, radius_cap == "diameter")
-    counts = _strict_counts(prof, centers, radii)
+    count = _strict_counter(prof)
+    counts = count(centers, radii)
     table = BallTable(
         centers=centers, radii=radii, counts=counts,
         measures=prof.cum[centers, counts], dilation=dilation,
-        dilated_measures=prof.cum[centers, _strict_counts(prof, centers, dilation * radii)],
+        dilated_measures=prof.cum[centers, count(centers, dilation * radii)],
         rank=prof.rank,
     )
     if dedupe:
@@ -778,30 +785,41 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
     Runs over every representative ball and every member y.  Both inclusions
     follow from the minimality of C_t and C_s, so the scan is expected to
     pass with zero failures.
+
+    The scan goes one center x at a time and holds O(n^2) values: the pairs
+    (ball, member) of x, in the row-major order of the table's member masks,
+    so the witness is the first failing pair of the whole table, and two
+    n x n running maxima read at member counts.  Every step is a max, a
+    comparison or an exact search, so no bit depends on the order.
     """
     C_t, C_s = quasimetric_constants(space)
     mid = C_t * (C_s + 1.0)
     a_bar = dilation_constants(space)[1]
     table = rep_balls(space)
     prof = prefix_profile(space)
-    balls, via = np.nonzero(table.masks)
-    r = table.radii[balls]
-    # the B x n reach matrix is dropped before far is built
-    step1 = _ball_reach(space, table)[balls, via] < mid * r
-    # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
-    far = np.zeros((table.size, space.n))
-    for y in range(space.n):
-        rows = np.flatnonzero(table.masks[:, y])
-        k = prof.counts(y, mid * table.radii[rows])
-        far[rows, y] = _running_max(space, y)[table.centers[rows], k - 1]
-    step2 = far[balls, via] < a_bar * r
-    bad = np.flatnonzero(~(step1 & step2))
+    count = _strict_counter(prof)
+    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
+    checked = failures = 0
     witness = None
-    if bad.size:
-        i = bad[0]
-        witness = {"center": int(table.centers[balls[i]]), "radius": float(r[i]),
-                   "via": int(via[i]), "step1": bool(step1[i]), "step2": bool(step2[i])}
-    return BallChainReport(bad.size == 0, int(balls.size), int(bad.size), witness)
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        counts = table.counts[a:b]
+        balls, via = np.nonzero(prof.rank[x] < counts[:, None])
+        r = table.radii[a:b][balls]
+        # step 1: the largest d(y, z) over the members z of B(x, r)
+        step1 = _running_max(space, x)[via, counts[balls] - 1] < mid * r
+        # step 2: the largest d(x, z) over the z in B(y, mid r); row y of the
+        # running max lists z by distance from y
+        far = np.maximum.accumulate(space.dist[x][prof.order], axis=1)
+        step2 = far[via, count(via, mid * r) - 1] < a_bar * r
+        bad = np.flatnonzero(~(step1 & step2))
+        checked += balls.size
+        failures += bad.size
+        if bad.size and witness is None:
+            i = bad[0]
+            witness = {"center": x, "radius": float(r[i]), "via": int(via[i]),
+                       "step1": bool(step1[i]), "step2": bool(step2[i])}
+    return BallChainReport(failures == 0, checked, failures, witness)
 
 
 def geometry_constants(space: QuasimetricSpace, alpha: float | None = None,

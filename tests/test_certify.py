@@ -580,6 +580,29 @@ def test_reduction_runmeta_records_sharpening_work(tmp_path):
         "screen_fallbacks": 0}
 
 
+def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_path):
+    # thm-5.4's uncapped builder checks evaluate two 38-column profiles on
+    # circle-64 tables of 3,457 and 3,905 balls, which take the pruned path
+    # outside the engine's own profiles
+    real = norms._count
+    every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
+                           "range_fallbacks"), 0)
+
+    def counting(**counts):
+        for key, value in counts.items():
+            every[key] += value
+        real(**counts)
+
+    monkeypatch.setattr(norms, "_count", counting)
+    rep = certify_boundedness("thm-5.4", get_space("circle-64"),
+                              family_spec="mixed", seed=7, sharpen=False)
+    save_report(rep, tmp_path / "thm-5.4.json")
+    meta = json.loads((tmp_path / "thm-5.4.json.runmeta.json").read_text())
+    assert meta["pruning"] == every
+    assert every["pruned_rows"] > 0
+    assert "pruning_work" not in json.loads((tmp_path / "thm-5.4.json").read_text())
+
+
 def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):
     real = certify.potential
     columns = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,34 @@ def oracle_chain(space, C_t, C_s):
                     witness = {"center": x, "radius": r, "via": y,
                                "step1": step1, "step2": step2}
     return checked, failures, witness
+
+
+def dense_chain_check(space):
+    """The ball-chain scan over all (ball, member) pairs of the table's member
+    masks at once, with a B x n reach matrix and a B x n far matrix:
+    (passed, checked, failures, witness)."""
+    C_t, C_s = space_module.quasimetric_constants(space)
+    mid = C_t * (C_s + 1.0)
+    a_bar = space_module.dilation_constants(space)[1]
+    table = rep_balls(space)
+    prof = prefix_profile(space)
+    balls, via = np.nonzero(table.masks)
+    r = table.radii[balls]
+    step1 = space_module._ball_reach(space, table)[balls, via] < mid * r
+    # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
+    far = np.zeros((table.size, space.n))
+    for y in range(space.n):
+        rows = np.flatnonzero(table.masks[:, y])
+        k = prof.counts(y, mid * table.radii[rows])
+        far[rows, y] = space_module._running_max(space, y)[table.centers[rows], k - 1]
+    step2 = far[balls, via] < a_bar * r
+    bad = np.flatnonzero(~(step1 & step2))
+    witness = None
+    if bad.size:
+        i = bad[0]
+        witness = {"center": int(table.centers[balls[i]]), "radius": float(r[i]),
+                   "via": int(via[i]), "step1": bool(step1[i]), "step2": bool(step2[i])}
+    return bad.size == 0, int(balls.size), int(bad.size), witness
 
 
 def oracle_spaces():
@@ -478,19 +507,18 @@ def test_float_masks_are_built_on_first_use_only():
     maximal(f, s)
     maximal(f, s, radius_cap="none")
     modified_maximal(f, s, 3.0)
+    ball_chain_check(s)
     tables = {k: v for k, v in s._cache.items() if k[0] == "rep_balls"}
-    # the doubling scan, the Ahlfors fit, the nested-ball check and both
-    # maximal operators read radii, counts and measures only
+    # the doubling scan, the Ahlfors fit, the nested-ball and ball-chain
+    # checks and both maximal operators read radii, counts and measures only
     assert len(tables) == 4
     assert all("masks" not in t.__dict__ for t in tables.values())
     assert all(t.rank is prefix_profile(s).rank for t in tables.values())
-    ball_chain_check(s)
     plain = tables.pop(("rep_balls", 1.0, "diameter", False))
-    assert "masks" in plain.__dict__
-    assert all("masks" not in t.__dict__ for t in tables.values())
     assert "masks_f" not in plain.__dict__
     assert np.array_equal(plain.masks_f, plain.masks.astype(float))
     assert plain.masks_f is plain.masks_f
+    assert all("masks" not in t.__dict__ for t in tables.values())
 
 
 # one ulp below 2 puts d / dilation one ulp above d/2 wherever a distance
@@ -848,3 +876,38 @@ def test_ball_chain_matches_member_set_oracle(monkeypatch):
         assert rep.passed == (rep.failures == 0)
         failing += rep.failures > 0
     assert failing == len(oracle_spaces())
+
+
+@pytest.mark.parametrize("case", ["true", "quasimetric", "a_bar"])
+@pytest.mark.parametrize("name", sorted(_NESTED_SPACES))
+def test_ball_chain_equals_dense_scan(name, case, monkeypatch):
+    # constants below the true ones fail one step or the other: (0.5, 1.0)
+    # shrinks both enlargements, a_bar = 1.2 only the second
+    if case == "quasimetric":
+        monkeypatch.setattr(space_module, "quasimetric_constants",
+                            lambda space: (0.5, 1.0))
+    true_dilation = space_module.dilation_constants
+    if case == "a_bar":
+        monkeypatch.setattr(space_module, "dilation_constants",
+                            lambda space: (true_dilation(space)[0], 1.2))
+    for s in _NESTED_SPACES[name]():
+        rep = ball_chain_check(s)
+        got = (rep.passed, rep.checked, rep.failures, rep.witness)
+        assert got == dense_chain_check(s), (s.name, case)
+        assert (rep.failures > 0) == (case != "true")
+
+
+def test_ball_chain_scan_memory_is_quadratic():
+    # the dense scan held two B x n float64 matrices, 49 MiB here; the
+    # streamed one holds a few n x n arrays per center
+    s = snowflake_grid(128)
+    quasimetric_constants(s)
+    rep_balls(s)
+    tracemalloc.start()
+    try:
+        rep = ball_chain_check(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 4 * 2**20, peak
