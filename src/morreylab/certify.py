@@ -29,9 +29,10 @@ import numpy as np
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
 from .norms import (ProfileScreen, as_matrix,  # noqa: F401
-                    dominance_report, grand_profile, grand_rows,
-                    inner_seminorm_matrix, lebesgue_norm, morrey_norm,
-                    phi_functional, pruning_work, seminorm_profile)
+                    appended_profile, dominance_report, grand_profile,
+                    grand_rows, inner_seminorm_matrix, lebesgue_norm,
+                    morrey_norm, phi_functional, pruning_work,
+                    seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
 from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
@@ -653,7 +654,10 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
 
     The stability gate re-measures on refinement_levels >= 1 refined grids.
     Refinement keeps every node, so each side is evaluated once, on the
-    finest grid, and every level reads its rows from there.  out_values,
+    finest grid, for the family before sharpening; the first witness and
+    every level read their rows from there.  An accepted sharpened member
+    is appended to both profiles as one more column (appended_profile),
+    which keeps the bits of an evaluation of the wider family.  out_values,
     when given, are the operator's values on family.values, which the caller
     has applied already.
     """
@@ -707,20 +711,21 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     out_vals = _apply(apply_op, F) if out_values is None else out_values
     names = list(family.names)
 
-    # base-grid grand norms: the first witness and every sharpening trial
+    # the base input grid: the first level's rows and every sharpening trial
     base_in = np.unique(np.concatenate([grids_in[0].nodes, eta]))
 
-    def grand_in(V):
-        return grand_profile(V, space, params_in, base_in).max(axis=0)
-
-    def grand_out(V):
-        return grand_profile(V, space, params_out, grids_out[0].nodes).max(axis=0)
+    def grand(prof, schedule, i):
+        return (schedule.weight[i, None] * prof[i]).max(axis=0)
 
     work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
             "screen_fallbacks": 0}
     with pruning_work() as pruning:
-        ratio_raw, witness = empirical_ratio(grand_out(out_vals), grand_in(F),
-                                             names)
+        prof_in = seminorm_profile(F, space, s_in)
+        prof_out = seminorm_profile(out_vals, space, s_out)
+        # the first witness reads the family's base-grid rows
+        ratio_raw, witness = empirical_ratio(
+            grand(prof_out, s_out, rows(s_out, grids_out[0].nodes)),
+            grand(prof_in, s_in, rows(s_in, base_in)), names)
         # the evaluator, and the block buffers of its screens, live only
         # while sharpening runs
         col, col_out, ratio_sharp = _sharpen(
@@ -731,9 +736,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         if ratio_sharp is not None:
             F = np.hstack([F, col])
             out_vals = np.hstack([out_vals, col_out])
-
-        prof_in = seminorm_profile(F, space, s_in)
-        prof_out = seminorm_profile(out_vals, space, s_out)
+            prof_in = appended_profile(prof_in, F, space, s_in)
+            prof_out = appended_profile(prof_out, out_vals, space, s_out)
 
     # every grid level is a row selection of the two finest profiles
     levels = []
@@ -748,8 +752,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         levels.append({
             "lo": lo, "eta": eta, "w": s_out.weight[i_lo] / s_in.weight[i_eta],
             "c_meas": c_meas,
-            "phi_in": (s_in.weight[i_in, None] * prof_in[i_in]).max(axis=0),
-            "phi_out": (s_out.weight[i_out, None] * prof_out[i_out]).max(axis=0)})
+            "phi_in": grand(prof_in, s_in, i_in),
+            "phi_out": grand(prof_out, s_out, i_out)})
     base = levels[0]
 
     dom = dominance_report(space, params_out, sigma)

@@ -26,6 +26,15 @@ a node-by-node evaluation (inner_seminorm_matrix):
   over those ball rows, padded so that the BLAS keeps the full product's
   bits for them.
 
+appended_profile adds one column to a known profile without evaluating
+the others again: a float32 screen of that column alone picks its
+candidate balls, and one padded float64 product with all the columns
+gives its rows.  The known columns keep the bits of the wider profile
+because the BLAS keeps column subsets (the first m columns of an
+(m + 1)-column product equal the m-column product) above its
+small-matrix path; below it the whole profile is evaluated again.  Both
+subset properties are pinned by tests/test_norms.py.
+
 ProfileScreen trades those bits for speed where a bound suffices: the same
 float32 kernel and range checks give surrogate rows of one column within
 delta of the exact rows, so a caller evaluates exactly only the rows that
@@ -54,6 +63,7 @@ __all__ = [
     "morrey_norm",
     "inner_seminorm_matrix",
     "seminorm_profile",
+    "appended_profile",
     "pruning_work",
     "grand_rows",
     "surrogate_margin",
@@ -210,6 +220,9 @@ _BLOCK_ELEMENTS = 1 << 15
 _EXACT_MADDS = 1 << 20
 _PRUNE_RATIO = 8
 _PRUNE_PAIRS = 256
+# elements of one sub-block's exact product in appended_profile, at pad
+# rows per node
+_APPEND_ELEMENTS = 1 << 16
 
 
 def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
@@ -314,13 +327,8 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
     for b in range(0, table.size, step):
         s = _f32_scaled(masks32[b:b + step], pw32, factors32[b:b + step], block)
         np.maximum(top, s.max(axis=0), out=top)
-        # s >= top (1 - delta) / (1 + delta), rounded down to float32
-        bound = top.astype(float) * ((1.0 - delta) / (1.0 + delta))
-        thr = bound.astype(np.float32)
-        up = thr > bound
-        thr[up] = np.nextafter(thr[up], np.float32(0.0))
-        thr[top == 0.0] = np.inf
-        balls, pair = np.divmod(np.flatnonzero(s >= thr), k * m)
+        balls, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
+                                k * m)
         cand[pair // m, b + balls] = True
     counts = np.count_nonzero(cand, axis=1)
     out = np.empty((k, m))
@@ -336,6 +344,106 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
     _count(pruned_rows=k, candidate_balls=int(counts.sum()),
            padded_balls=int(np.count_nonzero(cand)))
     return out, np.unique(best)
+
+
+def _threshold(top: np.ndarray, delta: float) -> np.ndarray:
+    """The float32 surrogate a ball needs to be a candidate against the
+    largest surrogates ``top``: top (1 - delta) / (1 + delta), rounded down
+    to float32, and infinite where top is zero (only zero integrals)."""
+    bound = top.astype(float) * ((1.0 - delta) / (1.0 + delta))
+    thr = bound.astype(np.float32)
+    up = thr > bound
+    thr[up] = np.nextafter(thr[up], np.float32(0.0))
+    thr[top == 0.0] = np.inf
+    return thr
+
+
+def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
+                     schedule: ShiftSchedule) -> np.ndarray:
+    """seminorm_profile(F, space, schedule) bit for bit, given ``prof``, the
+    profile of F[:, :-1] at the same schedule: the last column's rows
+    appended to ``prof``.
+
+    The first m - 1 columns of an m-column product equal the (m - 1)-column
+    product wherever the BLAS keeps column subsets, which
+    tests/test_norms.py pins for products of at least _EXACT_MADDS
+    multiply-adds.  Below that (a matrix-vector product for one column,
+    OpenBLAS's small-matrix path for a small table) the bits can differ,
+    so there the whole profile is evaluated again, which costs little.
+
+    The last column: per block of nodes, a float32 screen of it over the
+    whole table picks its candidate balls (as in _pruned_max).  Their
+    union, padded in table order to pad = ceil(_EXACT_MADDS / (n m)) rows,
+    goes through one float64 product with all m columns of F, and the last
+    column takes the full path's scaling and max.  By the row-subset pin
+    the padded product keeps the full product's bits.  A margin of 1 or
+    more and a node block that fails the float32 range checks take
+    _full_max.  pruning_work counts the screened blocks.
+    """
+    p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
+    table, den = variant_table(space, schedule.variant)
+    n, m = F.shape
+    if m < 3 or table.size * n * (m - 1) < _EXACT_MADDS:
+        return seminorm_profile(F, space, schedule)
+    low = p_eff < 1
+    if low.any():
+        raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
+    out = np.empty(p_eff.size)
+    absF = np.abs(F)
+    w = space.weights[:, None]
+    pad = -(-_EXACT_MADDS // (n * m))
+    delta = surrogate_margin(n, float(np.abs(lam_eff).max()
+                                      * np.abs(np.log(den)).max()))
+    # a margin of 1 or more (or NaN) admits every ball
+    screen = delta < 1.0
+    step = (max(1, _SURROGATE_ELEMENTS // table.size) if screen
+            else max(1, _BLOCK_ELEMENTS // (table.size * m)))
+    for a in range(0, p_eff.size, step):
+        pe = p_eff[a:a + step, None, None]
+        lam = lam_eff[a:a + step, None, None]
+        top = (_appended_max(table, absF, w, pe, den ** -lam, delta, pad)
+               if screen else None)
+        if top is None:
+            top = _full_max(table.masks_f, absF ** pe * w, den, lam)[:, -1]
+        out[a:a + step] = top ** (1.0 / pe[:, 0, 0])
+    return np.column_stack([prof, out])
+
+
+def _appended_max(table, absF: np.ndarray, w: np.ndarray, pe: np.ndarray,
+                  factors: np.ndarray, delta: float,
+                  pad: int) -> np.ndarray | None:
+    """_full_max(table.masks_f, absF ** pe * w, ...)[:, -1] bit for bit from
+    the candidate balls of the last column, or None where a float32
+    intermediate of its screen could leave the normal range.  One screen
+    of the last column's terms serves the node block; the exact products,
+    with the terms of every column, go in sub-blocks of _APPEND_ELEMENTS at
+    pad rows per node."""
+    k, m = pe.shape[0], absF.shape[1]
+    pw32 = _f32_terms(np.ascontiguousarray(absF[:, -1:]) ** pe * w,
+                      float(factors.min()), float(factors.max()))
+    if pw32 is None:
+        _count(range_fallbacks=1)
+        return None
+    s = _f32_scaled(table.masks32, pw32,
+                    np.ascontiguousarray(factors[:, 0].T, dtype=np.float32))
+    cand = s >= _threshold(s.max(axis=0), delta)
+    top = np.empty(k)
+    step = max(1, _APPEND_ELEMENTS // (pad * m))
+    padded = 0
+    for a in range(0, k, step):
+        keep = cand[:, a:a + step].any(axis=1)
+        short = pad - np.count_nonzero(keep)
+        if short > 0:
+            keep[np.flatnonzero(~keep)[:short]] = True
+        rows = np.flatnonzero(keep)
+        scaled = np.matmul(table.masks[rows].astype(float)[None],
+                           absF ** pe[a:a + step] * w)[:, :, -1]
+        scaled *= factors[a:a + step, 0, rows]
+        top[a:a + step] = scaled.max(axis=1)
+        padded += scaled.size
+    _count(pruned_rows=k, candidate_balls=int(np.count_nonzero(cand)),
+           padded_balls=padded)
+    return top
 
 
 # the counters of the pruned path, while a pruning_work block is open
@@ -450,7 +558,7 @@ def _f32_terms(pw: np.ndarray, lo: float, hi: float,
     if n * pw.max(initial=0.0) * max(1.0, hi) > _F32_HUGE:
         return None
     terms = pw.transpose(1, 0, 2).reshape(n, k * m)
-    pw32 = terms.astype(np.float32)
+    pw32 = terms.astype(np.float32, order="C")
     floor = (float(pw32[terms > 0].min(initial=1.0)) * min(1.0, lo)
              * min(1.0, weight))
     return pw32 if floor >= _F32_TINY else None

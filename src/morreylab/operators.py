@@ -40,20 +40,36 @@ class OperatorError(ValueError):
 # maximal functions
 
 
+# elements of one block of centers' prefix sums in _max_ball_average
+_AVERAGE_ELEMENTS = 1 << 16
+
+
 def _max_ball_average(f, space: QuasimetricSpace, table: BallTable) -> np.ndarray:
-    """Per center, the max over its balls of integral_B |f| dmu / dilated measure."""
+    """Per center, the max over its balls of integral_B |f| dmu / dilated measure.
+
+    A block of centers gathers |f| w in each center's distance order and
+    takes one cumulative sum along it, which adds in the same order as a
+    per-center sum; each ball's integral is its center's prefix sum at its
+    member count.
+    """
     F = as_matrix(f, space)
+    n, m = F.shape
     av = np.abs(F) * space.weights[:, None]
     prof = prefix_profile(space)
-    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
-    out = np.zeros((space.n, F.shape[1]))
-    cf = np.zeros((space.n + 1, F.shape[1]))
-    for x in range(space.n):
-        a, b = bounds[x], bounds[x + 1]
-        if a == b:
+    bounds = np.searchsorted(table.centers, np.arange(n + 1))
+    out = np.zeros((n, m))
+    step = max(1, _AVERAGE_ELEMENTS // ((n + 1) * m))
+    for x0 in range(0, n, step):
+        xs = np.arange(x0, min(n, x0 + step))
+        xs = xs[bounds[xs] < bounds[xs + 1]]
+        if xs.size == 0:
             continue
-        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
-        out[x] = (cf[table.counts[a:b]] / table.dilated_measures[a:b, None]).max(axis=0)
+        cf = np.zeros((xs.size, n + 1, m))
+        np.cumsum(av[prof.order[xs]], axis=1, out=cf[:, 1:])
+        a, b = bounds[xs[0]], bounds[xs[-1] + 1]
+        slot = np.searchsorted(xs, table.centers[a:b])
+        avg = cf[slot, table.counts[a:b]] / table.dilated_measures[a:b, None]
+        out[xs] = np.maximum.reduceat(avg, bounds[xs] - a, axis=0)
     batched = isinstance(f, np.ndarray) and f.ndim == 2
     return out if batched else out[:, 0]
 

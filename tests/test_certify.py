@@ -372,10 +372,26 @@ def test_reduction_evaluates_each_side_once(monkeypatch, levels, sharpen):
         return real(F, space, schedule)
 
     monkeypatch.setattr(certify, "seminorm_profile", counting)
+    real_appended = certify.appended_profile
+    appended = []
+
+    def appending(prof, F, space, schedule):
+        appended.append(schedule.nodes.size)
+        return real_appended(prof, F, space, schedule)
+
+    monkeypatch.setattr(certify, "appended_profile", appending)
+
+    def grand_profile(*args):
+        raise AssertionError("verify_reduction evaluated a grand profile")
+
+    monkeypatch.setattr(certify, "grand_profile", grand_profile)
+    monkeypatch.setattr(norms, "grand_profile", grand_profile)
     rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
                               seed=3, sharpen=sharpen, refinement_levels=levels)
     assert rep.family["sharpened"] is sharpen
     assert len(calls) == 2
+    # the sharpened column is appended to each side's finest profile
+    assert appended == (calls if rep.family["sharpened"] else [])
 
 
 def test_reduction_base_level_is_independent_of_refinement_depth():
@@ -601,6 +617,67 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
     assert meta["pruning"] == every
     assert every["pruned_rows"] > 0
     assert "pruning_work" not in json.loads((tmp_path / "thm-5.4.json").read_text())
+
+
+def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
+    # thm-3.6 on circle-64 keeps its family profiles on the full path (2,048
+    # balls), so every pruning count comes from the sharpened column's pass
+    real = norms._count
+    every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
+                           "range_fallbacks"), 0)
+
+    def counting(**counts):
+        for key, value in counts.items():
+            every[key] += value
+        real(**counts)
+
+    monkeypatch.setattr(norms, "_count", counting)
+    real_appended = certify.appended_profile
+    nodes = []
+
+    def appending(prof, F, space, schedule):
+        nodes.append(schedule.nodes.size)
+        return real_appended(prof, F, space, schedule)
+
+    monkeypatch.setattr(certify, "appended_profile", appending)
+    rep = certify_boundedness("thm-3.6", get_space("circle-64"),
+                              family_spec="mixed", seed=7)
+    assert rep.family["sharpened"]
+    save_report(rep, tmp_path / "thm-3.6.json")
+    meta = json.loads((tmp_path / "thm-3.6.json.runmeta.json").read_text())
+    assert meta["pruning"] == every
+    # one row per finest node of each side
+    assert len(nodes) == 2
+    assert every["pruned_rows"] == sum(nodes)
+    assert every["range_fallbacks"] == 0
+    assert 0 < every["candidate_balls"] <= every["padded_balls"]
+
+
+@pytest.mark.parametrize("sharpen", [True, False])
+@pytest.mark.parametrize("space_name", ["grid-16", "circle-64"])
+def test_appended_column_keeps_the_whole_profile_bits(monkeypatch, space_name,
+                                                      sharpen):
+    # every report body takes the sharpened column's rows from the whole
+    # (m + 1)-column profile, and the appended pass gives the same bits
+    real = certify.appended_profile
+    appended = []
+
+    def whole(prof, F, space, schedule):
+        want = norms.seminorm_profile(F, space, schedule)
+        assert np.array_equal(real(prof, F, space, schedule), want)
+        appended.append(F.shape[1])
+        return want
+
+    monkeypatch.setattr(certify, "appended_profile", whole)
+    space = get_space(space_name)
+    sharpened = 0
+    for thm in ("thm-3.6", "thm-4.5", "thm-5.4"):
+        for seed in (3, 1204):
+            rep = certify_boundedness(thm, space, family_spec="mixed",
+                                      seed=seed, sharpen=sharpen)
+            sharpened += rep.family["sharpened"]
+    assert len(appended) == 2 * sharpened
+    assert sharpened >= (5 if sharpen else 0)
 
 
 def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):

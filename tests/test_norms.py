@@ -514,6 +514,38 @@ def test_row_subset_product_keeps_the_full_product_bits(n):
             assert np.array_equal(subset, full[rows]), (m, rows.size)
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_column_subset_product_keeps_the_wider_product_bits(n):
+    """verify_reduction appends a sharpened column to the family's profile
+    (appended_profile), which rests on this BLAS property: the first m
+    columns of an (m + 1)-column product equal the m-column product bit
+    for bit, over the whole table and over row subsets padded as the
+    pruned path pads them for m columns, wherever the m-column product does
+    at least _EXACT_MADDS multiply-adds.  Below that OpenBLAS's
+    small-matrix path breaks it for some m (m = 4 on circle-64), and
+    appended_profile evaluates the whole profile instead."""
+    space = calibrated_circle(n)
+    table = rep_balls(space)
+    rng = np.random.default_rng(n + 1)
+    checked = 0
+    for m in range(2, 65):
+        F = rng.uniform(-2.0, 2.0, size=(n, m + 1)) * 10.0 ** rng.integers(-3, 4, size=m + 1)
+        F[rng.random(F.shape) < 0.2] = 0.0
+        wide = np.abs(F) ** 1.7 * space.weights[:, None]
+        narrow = np.ascontiguousarray(wide[:, :m])
+        pad = -(-norms._EXACT_MADDS // (n * m))
+        if table.size < pad:
+            continue
+        checked += 1
+        assert np.array_equal(np.matmul(table.masks_f, narrow),
+                              np.matmul(table.masks_f, wide)[:, :m]), m
+        for rows in ([int(rng.integers(table.size))],
+                     np.sort(rng.choice(table.size, size=table.size // 50, replace=False))):
+            masks = table.masks[_padded(rows, table.size, pad)].astype(float)
+            assert np.array_equal(masks @ narrow, (masks @ wide)[:, :m]), (m, rows)
+    assert checked == (57 if n == 64 else 63)
+
+
 def _pruned_space(kind):
     """An asymmetric space, one with tied distances (63 distinct values) or
     a snowflake, each of 128 points and thousands of balls."""
@@ -559,9 +591,69 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             assert np.all(got[:, m // 2] == 0.0)
 
 
-def _near_tie_case():
+@pytest.mark.parametrize("kind", ["asymmetric", "tied", "snowflake"])
+def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
+    space = _pruned_space(kind)
+    rng = np.random.default_rng(67)
+    for v, variant in enumerate(_VARIANTS):
+        table, _ = norms.variant_table(space, variant)
+        setups = _profile_params(variant)
+        for k, m in enumerate((3, 9, 38, 39, 41)):
+            F = rng.uniform(-2.0, 2.0, size=(space.n, m)) * (1e-3, 1.0, 1e3)[k % 3]
+            F[rng.random(F.shape) < 0.2] = 0.0
+            if k == 1:
+                F[:, -1] = 0.0
+            params = setups[(k + v) % 3]
+            schedule = shift_schedule(params, grid_for(params).nodes[::5][:7])
+            # node blocks of three, their exact products in pairs
+            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 3 * table.size)
+            pad = -(-norms._EXACT_MADDS // (space.n * m))
+            monkeypatch.setattr(norms, "_APPEND_ELEMENTS", 2 * pad * m)
+            prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
+                                          schedule)
+            with norms.pruning_work() as work:
+                got = norms.appended_profile(prof, F, space, schedule)
+            assert work["pruned_rows"] == schedule.nodes.size
+            assert work["range_fallbacks"] == 0
+            assert work["padded_balls"] >= schedule.nodes.size * pad
+            assert (work["candidate_balls"] == 0) == (k == 1)
+            assert np.array_equal(got, norms.seminorm_profile(F, space, schedule)), \
+                (variant, m)
+            assert np.array_equal(got[:, :-1], prof)
+            if k == 1:
+                assert np.all(got[:, -1] == 0.0)
+
+
+def test_appended_profile_of_small_products_and_out_of_range_columns():
+    rng = np.random.default_rng(71)
+    params = _profile_params(MorreyVariant())[0]
+    schedule = shift_schedule(params, grid_for(params).nodes[::4])
+    # a small table, and one family column (a matrix-vector product), take
+    # the whole profile again
+    for space, m in ((get_space("grid-16"), 39), (_pruned_space("tied"), 2)):
+        F = rng.uniform(-2.0, 2.0, size=(space.n, m))
+        prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space, schedule)
+        with norms.pruning_work() as work:
+            got = norms.appended_profile(prof, F, space, schedule)
+        assert work["pruned_rows"] == 0
+        assert np.array_equal(got, norms.seminorm_profile(F, space, schedule))
+    # terms of the appended column below the float32 range take the full path
+    space = _pruned_space("tied")
+    F = rng.uniform(-2.0, 2.0, size=(space.n, 39))
+    F[:, -1] *= 1e-30
+    prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space, schedule)
+    with norms.pruning_work() as work:
+        got = norms.appended_profile(prof, F, space, schedule)
+    assert work["pruned_rows"] == 0 and work["range_fallbacks"] > 0
+    assert np.array_equal(got, norms.seminorm_profile(F, space, schedule))
+
+
+def _near_tie_case(screened=39):
     """A 39-column F with one nonzero column, and a one-node schedule, whose
-    surrogate puts a ball above the one holding the exact maximum.
+    surrogate puts a ball above the one holding the exact maximum.  The
+    surrogate screens the first ``screened`` columns side by side: all of
+    them, as the pruned path does, or the nonzero one alone, as
+    appended_profile screens its last column.
 
     Both balls lie beyond the pruned path's padding, the other columns are
     zero and the schedule has no earlier node block to seed the running
@@ -583,7 +675,8 @@ def _near_tie_case():
         pw = np.abs(F) ** schedule.p_eff[:, None, None] * space.weights[:, None]
         exact = (table.masks_f @ pw[0])[:, 0] * factors[0, 0]
         surrogate = norms._f32_scaled(
-            table.masks32, norms._f32_terms(pw, factors.min(), factors.max()),
+            table.masks32,
+            norms._f32_terms(pw[:, :, :screened], factors.min(), factors.max()),
             np.ascontiguousarray(factors[:, 0].T, dtype=np.float32))[:, 0]
         return F, exact, surrogate
 
@@ -629,6 +722,21 @@ def test_pruning_margin_keeps_the_exact_maximum_ball(monkeypatch):
     assert work["pruned_rows"] == 1
     assert lost[0, 0] < want[0, 0]
     assert np.array_equal(lost[:, 1:], want[:, 1:])
+
+
+def test_appended_margin_keeps_the_exact_maximum_ball(monkeypatch):
+    space, schedule, F = _near_tie_case(screened=1)
+    # the near-tie column last, after 38 zero family columns
+    G = np.ascontiguousarray(F[:, ::-1])
+    prof = norms.seminorm_profile(np.ascontiguousarray(G[:, :-1]), space, schedule)
+    want = norms.seminorm_profile(G, space, schedule)
+    with norms.pruning_work() as work:
+        got = norms.appended_profile(prof, G, space, schedule)
+    assert work["pruned_rows"] == 1
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
+    lost = norms.appended_profile(prof, G, space, schedule)
+    assert lost[0, -1] < want[0, -1]
 
 
 # ---------------------------------------------------------------------------

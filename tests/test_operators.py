@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from morreylab.catalog import calibrated_circle, get_space, line_grid, two_atom
+from morreylab.catalog import calibrated_circle, catalog, get_space, line_grid, two_atom
 from morreylab.operators import (
     CZKernel,
     OperatorError,
@@ -18,6 +18,8 @@ from morreylab.operators import (
     potential_matrix,
     validate_cz_kernel,
 )
+from morreylab.norms import as_matrix
+from morreylab.space import prefix_profile, rep_balls
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,24 @@ def oracle_maximal_dense(space, f, center, samples=3000, cap="diameter"):
             continue
         best = max(best, oracle_ball_avg(space, f, center, r))
     return best
+
+
+def oracle_max_ball_average(f, space, table):
+    """The per-center loop that operators._max_ball_average vectorises: one
+    cumulative sum in each center's distance order, read at the ball counts."""
+    F = as_matrix(f, space)
+    av = np.abs(F) * space.weights[:, None]
+    prof = prefix_profile(space)
+    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
+    out = np.zeros((space.n, F.shape[1]))
+    cf = np.zeros((space.n + 1, F.shape[1]))
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        if a == b:
+            continue
+        np.cumsum(av[prof.order[x]], axis=0, out=cf[1:])
+        out[x] = (cf[table.counts[a:b]] / table.dilated_measures[a:b, None]).max(axis=0)
+    return out
 
 
 def oracle_modified_dense(space, f, center, N0, samples=3000):
@@ -83,6 +103,23 @@ def test_maximal_matches_dense_oracle():
             dense = oracle_maximal_dense(s, f, x)
             assert dense <= M[x] + 1e-12
             assert M[x] - dense < 1e-9
+
+
+@pytest.mark.parametrize("name", [*catalog(), "circle-128"])
+def test_maximal_functions_match_the_per_center_loop_bitwise(name):
+    s = calibrated_circle(128) if name == "circle-128" else get_space(name)
+    rng = np.random.default_rng(len(name))
+    for m in (1, 39):
+        F = rng.uniform(-2.0, 2.0, size=(s.n, m))
+        F[rng.random(F.shape) < 0.2] = 0.0
+        for cap in ("diameter", "none"):
+            want = oracle_max_ball_average(F, s, rep_balls(s, radius_cap=cap))
+            assert np.array_equal(maximal(F, s, radius_cap=cap), want), (m, cap)
+        for N0 in (1.0, 3.0):
+            want = oracle_max_ball_average(
+                F, s, rep_balls(s, dilation=N0, radius_cap="none"))
+            assert np.array_equal(modified_maximal(F, s, N0), want), (m, N0)
+        assert np.array_equal(maximal(F[:, 0], s), maximal(F, s)[:, 0])
 
 
 def test_maximal_of_constant_is_constant():
