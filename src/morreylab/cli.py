@@ -20,8 +20,8 @@ import numpy as np
 from . import catalog
 from .certify import (CertifyError, certify_boundedness, known_theorems,
                       save_report, write_index)
-from .norms import (GridFunction, NormError, grand_profile, lebesgue_norm,
-                    variant_table)
+from .norms import (GridFunction, NormError, grand_lebesgue_norm,
+                    grand_profile, lebesgue_norm, morrey_norm, variant_table)
 from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
@@ -157,7 +157,6 @@ def _cmd_norm_eval(args) -> int:
         print(f"lebesgue(p={args.p:g}) [{fn.name}] = {value:.12g}")
         return 0
     if kind == "grand-lebesgue":
-        from .norms import grand_lebesgue_norm
         value = float(grand_lebesgue_norm(fn.values, space, args.p,
                                           theta=args.theta))
         print(f"grand-lebesgue(p={args.p:g}, theta={args.theta:g}) "
@@ -165,7 +164,6 @@ def _cmd_norm_eval(args) -> int:
         return 0
     variant = _variant_from_args(args)
     if kind == "morrey":
-        from .norms import morrey_norm
         value = float(morrey_norm(fn.values, space, args.p, args.lam,
                                   variant))
         center, radius = _plain_argmax(fn.values, space, args.p, args.lam,

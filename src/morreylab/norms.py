@@ -18,22 +18,22 @@ a node-by-node evaluation (inner_seminorm_matrix):
 - the full path stacks the ball integrals of a block of nodes into one
   matrix product, which keeps the per-node BLAS call (a matrix-vector
   product for one column, a matrix product for several);
-- the pruned path, for m >= 2 columns on a table large against its
-  padding, screens every (ball, node, column) triple with float32
-  products over blocks of balls and nodes, certified within a relative
-  margin delta (surrogate_margin), and evaluates exactly only the balls
-  that can hold a (node, column) maximum: per node one float64 product
-  over those ball rows, padded so that the BLAS keeps the full product's
-  bits for them.
+- the pruned path screens every (ball, node, column) triple of its
+  screened columns with float32 products over blocks of balls and nodes,
+  certified within a relative margin delta (surrogate_margin), and
+  evaluates exactly only the balls that can hold a (node, column)
+  maximum: per sub-block of nodes one stacked float64 product over the
+  union of their candidate rows, padded so that the BLAS keeps the full
+  product's bits for them.
 
-appended_profile adds one column to a known profile without evaluating
-the others again: a float32 screen of that column alone picks its
-candidate balls, and one padded float64 product with all the columns
-gives its rows.  The known columns keep the bits of the wider profile
-because the BLAS keeps column subsets (the first m columns of an
-(m + 1)-column product equal the m-column product) above its
-small-matrix path; below it the whole profile is evaluated again.  Both
-subset properties are pinned by tests/test_norms.py.
+A profile of m >= 2 columns on a table large against its padding takes
+the pruned path with all its columns screened.  appended_profile adds one
+column to a known profile without evaluating the others again: the same
+path with only that column screened.  The known columns keep the bits of
+the wider profile because the BLAS keeps column subsets (the first m
+columns of an (m + 1)-column product equal the m-column product) above
+its small-matrix path; below it the whole profile is evaluated again.
+Both subset properties are pinned by tests/test_norms.py.
 
 ProfileScreen trades those bits for speed where a bound suffices: the same
 float32 kernel and range checks give surrogate rows of one column within
@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .scales import (EpsilonGrid, GrandParams, MorreyVariant, ShiftSchedule,
-                     grid_for, shift_schedule)
+                     build_epsilon_grid, grid_for, shift_schedule)
 from .space import QuasimetricSpace, rep_balls
 
 __all__ = [
@@ -216,13 +216,11 @@ _BLOCK_ELEMENTS = 1 << 15
 # multiply-adds, so it takes at least pad = ceil(_EXACT_MADDS / (n m)) ball
 # rows; a profile of m >= 2 columns takes the path when its table holds at
 # least _PRUNE_RATIO times pad balls; a node block screens about
-# _PRUNE_PAIRS (node, column) pairs
+# _PRUNE_PAIRS (node, column) pairs, and one screened column up to a ball
+# block's _SURROGATE_ELEMENTS / B nodes, never fewer than all m would
 _EXACT_MADDS = 1 << 20
 _PRUNE_RATIO = 8
 _PRUNE_PAIRS = 256
-# elements of one sub-block's exact product in appended_profile, at pad
-# rows per node
-_APPEND_ELEMENTS = 1 << 16
 
 
 def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
@@ -232,29 +230,65 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit.
     On the full path each node's ball integrals are its own slice of one
     stacked product.  A profile of m >= 2 columns on a table of at least
-    _PRUNE_RATIO times its padding takes the pruned path (_pruned_max)
-    instead, which keeps the bits; pruning_work counts its work.
+    _PRUNE_RATIO times its padding takes the pruned path (_pruned_max) with
+    every column screened instead, which keeps the bits; pruning_work
+    counts its work.
     """
+    return _trailing_profile(F, space, schedule, F.shape[1])
+
+
+def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
+                     schedule: ShiftSchedule) -> np.ndarray:
+    """seminorm_profile(F, space, schedule) bit for bit, given ``prof``, the
+    profile of F[:, :-1] at the same schedule: the last column's rows
+    appended to ``prof``.
+
+    The first m - 1 columns of an m-column product equal the (m - 1)-column
+    product wherever the BLAS keeps column subsets, which
+    tests/test_norms.py pins for products of at least _EXACT_MADDS
+    multiply-adds.  Below that (a matrix-vector product for one column,
+    OpenBLAS's small-matrix path for a small table) the bits can differ,
+    so there the whole profile is evaluated again, which costs little.
+
+    On any other table the last column takes the pruned path (_pruned_max)
+    with only itself screened; its exact rows come from padded m-column
+    products, which keep their bits by the row-subset pin.  pruning_work
+    counts its node blocks.
+    """
+    table, _ = variant_table(space, schedule.variant)
+    n, m = F.shape
+    if m < 3 or table.size * n * (m - 1) < _EXACT_MADDS:
+        return seminorm_profile(F, space, schedule)
+    return np.column_stack([prof, _trailing_profile(F, space, schedule, 1)])
+
+
+def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
+                      schedule: ShiftSchedule, screened: int) -> np.ndarray:
+    """The last ``screened`` columns of seminorm_profile(F, space, schedule):
+    pruned (_pruned_max) under seminorm_profile's rule when all m columns
+    are screened, always when fewer are, unless the margin is 1 or more;
+    node blocks that fail the range checks take the full path."""
     p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
     low = p_eff < 1
     if low.any():
         raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
     table, den = variant_table(space, schedule.variant)
-    out = np.zeros((p_eff.size, F.shape[1]))
+    out = np.zeros((p_eff.size, screened))
     if table.size == 0:
         return out
     n, m = F.shape
     absF = np.abs(F)
     w = space.weights[:, None]
     pad = -(-_EXACT_MADDS // max(1, n * m))
-    prune = m >= 2 and table.size >= _PRUNE_RATIO * pad
+    prune = screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad)
     if prune:
         delta = surrogate_margin(n, float(np.abs(lam_eff).max()
                                           * np.abs(np.log(den)).max()))
         # a margin of 1 or more (or NaN) admits every ball
         prune = delta < 1.0
-    step = (max(1, _PRUNE_PAIRS // m) if prune
-            else max(1, _BLOCK_ELEMENTS // max(1, table.size * m)))
+    step = (max(1, _PRUNE_PAIRS // m, min(_PRUNE_PAIRS // screened,
+                                          _SURROGATE_ELEMENTS // table.size))
+            if prune else max(1, _BLOCK_ELEMENTS // max(1, table.size * m)))
     seeds = np.zeros(0, dtype=np.intp)
     for a in range(0, p_eff.size, step):
         pe = p_eff[a:a + step, None, None]
@@ -262,9 +296,10 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
         lam = lam_eff[a:a + step, None, None]
         top = None
         if prune:
-            top, seeds = _pruned_max(table, pw, den ** -lam, delta, pad, seeds)
+            top, seeds = _pruned_max(table, pw, den ** -lam, delta, pad, seeds,
+                                     screened)
         if top is None:
-            top = _full_max(table.masks_f, pw, den, lam)
+            top = _full_max(table.masks_f, pw, den, lam)[:, m - screened:]
         out[a:a + step] = top ** (1.0 / pe[:, 0])
     return out
 
@@ -288,39 +323,44 @@ def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
 
 
 def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
-                pad: int, seeds: np.ndarray) -> tuple:
-    """_full_max bit for bit from the candidate balls only, and the balls
-    that hold the maxima, which seed the next node block; (None, seeds)
-    where a float32 intermediate of the screen could leave the normal range.
+                pad: int, seeds: np.ndarray, screened: int) -> tuple:
+    """The last ``screened`` columns of _full_max bit for bit from their
+    candidate balls only, and the balls that hold their maxima, which seed
+    the next node block; (None, seeds) where a float32 intermediate of the
+    screen could leave the normal range.
 
     Per block of balls, one float32 product of the masks with the terms of
-    every (node, column) pair side by side, times the den factors rounded
-    to float32, gives a surrogate s of each scaled ball integral within the
-    relative margin delta (surrogate_margin).  So the ball holding the
-    exact maximum of a (node, column) pair has s (1 + delta) >= t (1 - delta)
+    every screened (node, column) pair side by side, times the den factors
+    rounded to float32, gives a surrogate s of each scaled ball integral
+    within the relative margin delta (surrogate_margin).  So the ball
+    holding the exact maximum of a pair has s (1 + delta) >= t (1 - delta)
     for every surrogate t of the pair, and in particular for the running
     maximum of its surrogates over the blocks so far, started from the
     surrogates of the ``seeds`` balls (the maxima of the previous node
     block, usually close to this block's).  A pair whose surrogates are
-    all zero has only zero integrals.  Per node, the union of these
-    candidates over the columns, padded with further balls in table order
-    to at least ``pad`` rows, goes through one float64 product of those
-    mask rows with pw[i] and the same scaling and max as _full_max.  The
-    padding keeps that product above the BLAS's small-matrix path, so it
+    all zero has only zero integrals.  Per sub-block of nodes, the union of
+    these candidates, padded with further balls in table order to at least
+    ``pad`` rows, goes through one stacked float64 product of those mask
+    rows with the terms of all m columns (one BLAS call per node), and the
+    screened columns take the scaling and max of _full_max.  The padding
+    keeps each node's product above the BLAS's small-matrix path, so it
     keeps the bits of the full product's rows (pinned by
-    tests/test_norms.py).  The rows are converted from the bool masks, so a
-    table that only this path reads never builds ``masks_f``.
+    tests/test_norms.py).  A sub-block holds at most _SURROGATE_ELEMENTS /
+    (pad m) nodes.  The rows are converted from the bool masks, so a table
+    that only this path reads never builds ``masks_f``.
     """
     k, n, m = pw.shape
-    pw32 = _f32_terms(pw, float(factors.min()), float(factors.max()))
+    pairs = k * screened
+    pw32 = _f32_terms(pw[:, :, m - screened:], float(factors.min()),
+                      float(factors.max()))
     if pw32 is None:
         _count(range_fallbacks=1)
         return None, seeds
     factors32 = np.ascontiguousarray(factors[:, 0].T, dtype=np.float32)
     masks32 = table.masks32
-    step = max(1, _SURROGATE_ELEMENTS // (k * m))
-    block = np.empty((min(step, table.size), k * m), dtype=np.float32)
-    top = np.zeros(k * m, dtype=np.float32)
+    step = max(1, _SURROGATE_ELEMENTS // pairs)
+    block = np.empty((min(step, table.size), pairs), dtype=np.float32)
+    top = np.zeros(pairs, dtype=np.float32)
     if seeds.size:
         top = _f32_scaled(masks32[seeds], pw32, factors32[seeds]).max(axis=0)
     cand = np.zeros((k, table.size), dtype=bool)
@@ -328,21 +368,26 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
         s = _f32_scaled(masks32[b:b + step], pw32, factors32[b:b + step], block)
         np.maximum(top, s.max(axis=0), out=top)
         balls, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
-                                k * m)
-        cand[pair // m, b + balls] = True
-    counts = np.count_nonzero(cand, axis=1)
-    out = np.empty((k, m))
-    best = np.empty((k, m), dtype=np.intp)
-    for i in range(k):
-        if counts[i] < pad:
-            cand[i, np.flatnonzero(~cand[i])[:pad - counts[i]]] = True
-        rows = np.flatnonzero(cand[i])
-        scaled = table.masks[rows].astype(float) @ pw[i]
-        scaled *= factors[i, 0, rows][:, None]
-        out[i] = scaled.max(axis=0)
-        best[i] = rows[scaled.argmax(axis=0)]
-    _count(pruned_rows=k, candidate_balls=int(counts.sum()),
-           padded_balls=int(np.count_nonzero(cand)))
+                                pairs)
+        cand[pair // screened, b + balls] = True
+    out = np.empty((k, screened))
+    best = np.empty((k, screened), dtype=np.intp)
+    sub = max(1, _SURROGATE_ELEMENTS // (pad * m))
+    padded = 0
+    for a in range(0, k, sub):
+        keep = cand[a:a + sub].any(axis=0)
+        short = pad - np.count_nonzero(keep)
+        if short > 0:
+            keep[np.flatnonzero(~keep)[:short]] = True
+        rows = np.flatnonzero(keep)
+        scaled = np.matmul(table.masks[rows].astype(float)[None],
+                           pw[a:a + sub])[:, :, m - screened:]
+        scaled *= factors[a:a + sub, 0, rows][:, :, None]
+        out[a:a + sub] = scaled.max(axis=1)
+        best[a:a + sub] = rows[scaled.argmax(axis=1)]
+        padded += scaled.shape[0] * rows.size
+    _count(pruned_rows=k, candidate_balls=int(np.count_nonzero(cand)),
+           padded_balls=padded)
     return out, np.unique(best)
 
 
@@ -358,94 +403,6 @@ def _threshold(top: np.ndarray, delta: float) -> np.ndarray:
     return thr
 
 
-def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
-                     schedule: ShiftSchedule) -> np.ndarray:
-    """seminorm_profile(F, space, schedule) bit for bit, given ``prof``, the
-    profile of F[:, :-1] at the same schedule: the last column's rows
-    appended to ``prof``.
-
-    The first m - 1 columns of an m-column product equal the (m - 1)-column
-    product wherever the BLAS keeps column subsets, which
-    tests/test_norms.py pins for products of at least _EXACT_MADDS
-    multiply-adds.  Below that (a matrix-vector product for one column,
-    OpenBLAS's small-matrix path for a small table) the bits can differ,
-    so there the whole profile is evaluated again, which costs little.
-
-    The last column: per block of nodes, a float32 screen of it over the
-    whole table picks its candidate balls (as in _pruned_max).  Their
-    union, padded in table order to pad = ceil(_EXACT_MADDS / (n m)) rows,
-    goes through one float64 product with all m columns of F, and the last
-    column takes the full path's scaling and max.  By the row-subset pin
-    the padded product keeps the full product's bits.  A margin of 1 or
-    more and a node block that fails the float32 range checks take
-    _full_max.  pruning_work counts the screened blocks.
-    """
-    p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
-    table, den = variant_table(space, schedule.variant)
-    n, m = F.shape
-    if m < 3 or table.size * n * (m - 1) < _EXACT_MADDS:
-        return seminorm_profile(F, space, schedule)
-    low = p_eff < 1
-    if low.any():
-        raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
-    out = np.empty(p_eff.size)
-    absF = np.abs(F)
-    w = space.weights[:, None]
-    pad = -(-_EXACT_MADDS // (n * m))
-    delta = surrogate_margin(n, float(np.abs(lam_eff).max()
-                                      * np.abs(np.log(den)).max()))
-    # a margin of 1 or more (or NaN) admits every ball
-    screen = delta < 1.0
-    step = (max(1, _SURROGATE_ELEMENTS // table.size) if screen
-            else max(1, _BLOCK_ELEMENTS // (table.size * m)))
-    for a in range(0, p_eff.size, step):
-        pe = p_eff[a:a + step, None, None]
-        lam = lam_eff[a:a + step, None, None]
-        top = (_appended_max(table, absF, w, pe, den ** -lam, delta, pad)
-               if screen else None)
-        if top is None:
-            top = _full_max(table.masks_f, absF ** pe * w, den, lam)[:, -1]
-        out[a:a + step] = top ** (1.0 / pe[:, 0, 0])
-    return np.column_stack([prof, out])
-
-
-def _appended_max(table, absF: np.ndarray, w: np.ndarray, pe: np.ndarray,
-                  factors: np.ndarray, delta: float,
-                  pad: int) -> np.ndarray | None:
-    """_full_max(table.masks_f, absF ** pe * w, ...)[:, -1] bit for bit from
-    the candidate balls of the last column, or None where a float32
-    intermediate of its screen could leave the normal range.  One screen
-    of the last column's terms serves the node block; the exact products,
-    with the terms of every column, go in sub-blocks of _APPEND_ELEMENTS at
-    pad rows per node."""
-    k, m = pe.shape[0], absF.shape[1]
-    pw32 = _f32_terms(np.ascontiguousarray(absF[:, -1:]) ** pe * w,
-                      float(factors.min()), float(factors.max()))
-    if pw32 is None:
-        _count(range_fallbacks=1)
-        return None
-    s = _f32_scaled(table.masks32, pw32,
-                    np.ascontiguousarray(factors[:, 0].T, dtype=np.float32))
-    cand = s >= _threshold(s.max(axis=0), delta)
-    top = np.empty(k)
-    step = max(1, _APPEND_ELEMENTS // (pad * m))
-    padded = 0
-    for a in range(0, k, step):
-        keep = cand[:, a:a + step].any(axis=1)
-        short = pad - np.count_nonzero(keep)
-        if short > 0:
-            keep[np.flatnonzero(~keep)[:short]] = True
-        rows = np.flatnonzero(keep)
-        scaled = np.matmul(table.masks[rows].astype(float)[None],
-                           absF ** pe[a:a + step] * w)[:, :, -1]
-        scaled *= factors[a:a + step, 0, rows]
-        top[a:a + step] = scaled.max(axis=1)
-        padded += scaled.size
-    _count(pruned_rows=k, candidate_balls=int(np.count_nonzero(cand)),
-           padded_balls=padded)
-    return top
-
-
 # the counters of the pruned path, while a pruning_work block is open
 _PRUNING: ContextVar[dict | None] = ContextVar("pruning", default=None)
 
@@ -453,8 +410,9 @@ _PRUNING: ContextVar[dict | None] = ContextVar("pruning", default=None)
 @contextmanager
 def pruning_work():
     """Count the pruned path's work in the profiles evaluated inside the
-    block: node rows, candidate balls, padded balls (the rows of the exact
-    products) and range fallbacks (node blocks that took the full path)."""
+    block: node rows, candidate balls, padded balls (the union rows times
+    the nodes of each stacked exact product) and range fallbacks (node
+    blocks that took the full path)."""
     work = {"pruned_rows": 0, "candidate_balls": 0, "padded_balls": 0,
             "range_fallbacks": 0}
     token = _PRUNING.set(work)
@@ -668,8 +626,6 @@ def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
     if include_endpoint:
         sel = np.unique(np.append(sel, s))
     if sel.size == 0:
-        sel = np.asarray([s]) if include_endpoint else sel
-    if sel.size == 0:
         raise NormError(f"no grid node below s={s:g}; refine the grid")
     vals = grand_profile(F, space, params, sel).max(axis=0)
     return _squeeze(vals, f)
@@ -689,8 +645,6 @@ def grand_lebesgue_norm(f, space: QuasimetricSpace, p: float, theta: float = 1.0
     """sup over eps in (0, p-1] of [eps^theta integral |f|^(p-eps)]^(1/(p-eps))."""
     if p <= 1:
         raise NormError(f"grand Lebesgue norm needs p > 1, got {p:g}")
-    from .scales import build_epsilon_grid
-
     F = as_matrix(f, space)
     nodes = build_epsilon_grid(p - 1.0, closed=True).nodes
     best = np.zeros(F.shape[1])

@@ -496,8 +496,9 @@ def _padded(rows, size, pad):
 def test_row_subset_product_keeps_the_full_product_bits(n):
     """The pruned path's exact rows rest on this BLAS property: a row subset
     of the ball masks, padded to the pruned path's minimum, times the terms
-    gives the same rows of the full product bit for bit.  Unpadded subsets
-    do not (a one-row subset goes to a matrix-vector product)."""
+    gives the same rows of the full product bit for bit, alone or stacked
+    with the terms of other nodes.  Unpadded subsets do not (a one-row
+    subset goes to a matrix-vector product)."""
     space = calibrated_circle(n)
     table = rep_balls(space)
     rng = np.random.default_rng(n)
@@ -512,6 +513,18 @@ def test_row_subset_product_keeps_the_full_product_bits(n):
             rows = _padded(rows, table.size, pad)
             subset = table.masks[rows].astype(float) @ pw
             assert np.array_equal(subset, full[rows]), (m, rows.size)
+        # a sub-block of three nodes shares one padded union of their rows in
+        # one stacked product, as the pruned path evaluates it
+        stack = np.abs(F) ** np.array([1.3, 1.7, 2.1])[:, None, None] \
+            * space.weights[:, None]
+        for size in (1, table.size // 150):
+            rows = _padded(np.unique(np.concatenate(
+                [rng.choice(table.size, size=size, replace=False) for _ in range(3)])),
+                table.size, pad)
+            subset = np.matmul(table.masks[rows].astype(float)[None], stack)
+            for i in range(3):
+                assert np.array_equal(subset[i], (table.masks_f @ stack[i])[rows]), \
+                    (m, i, rows.size)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -562,6 +575,7 @@ def _pruned_space(kind):
 def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
     space = _pruned_space(kind)
     rng = np.random.default_rng(59)
+    elements = norms._SURROGATE_ELEMENTS
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
         setups = _profile_params(variant)
@@ -577,12 +591,18 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             # with ratio 1 every table here takes the pruned path, since
             # each holds at least pad balls
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1)
-            assert table.size >= -(-norms._EXACT_MADDS // (space.n * m))
+            pad = -(-norms._EXACT_MADDS // (space.n * m))
+            assert table.size >= pad
+            # every other m evaluates a node block's exact rows in two
+            # sub-blocks (two nodes, then one), the others in one
+            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS",
+                                2 * pad * m if k % 2 else elements)
             with norms.pruning_work() as work:
                 got = norms.seminorm_profile(F, space, schedule)
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
             assert 0 < work["candidate_balls"] <= work["padded_balls"]
+            assert work["padded_balls"] >= schedule.nodes.size * pad
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
             with norms.pruning_work() as work:
                 want = norms.seminorm_profile(F, space, schedule)
@@ -595,6 +615,13 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
 def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
     space = _pruned_space(kind)
     rng = np.random.default_rng(67)
+    pruned_max = norms._pruned_max
+
+    def _recording(blocks):
+        def recorded(table, pw, *args):
+            blocks.append((pw.shape[0], args[-1]))
+            return pruned_max(table, pw, *args)
+        return recorded
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
         setups = _profile_params(variant)
@@ -605,14 +632,21 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
                 F[:, -1] = 0.0
             params = setups[(k + v) % 3]
             schedule = shift_schedule(params, grid_for(params).nodes[::5][:7])
-            # node blocks of three, their exact products in pairs
-            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 3 * table.size)
+            # node blocks of three, their exact products in pairs: one
+            # screened column takes min(_PRUNE_PAIRS, elements // B) nodes,
+            # and never fewer than _PRUNE_PAIRS // m
             pad = -(-norms._EXACT_MADDS // (space.n * m))
-            monkeypatch.setattr(norms, "_APPEND_ELEMENTS", 2 * pad * m)
+            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 2 * pad * m)
+            monkeypatch.setattr(norms, "_PRUNE_PAIRS",
+                                3 if 2 * pad * m >= 3 * table.size else 3 * m)
             prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
                                           schedule)
+            blocks = []
+            monkeypatch.setattr(norms, "_pruned_max", _recording(blocks))
             with norms.pruning_work() as work:
                 got = norms.appended_profile(prof, F, space, schedule)
+            monkeypatch.setattr(norms, "_pruned_max", pruned_max)
+            assert blocks == [(3, 1), (3, 1), (1, 1)]
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
             assert work["padded_balls"] >= schedule.nodes.size * pad
@@ -737,6 +771,41 @@ def test_appended_margin_keeps_the_exact_maximum_ball(monkeypatch):
     monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
     lost = norms.appended_profile(prof, G, space, schedule)
     assert lost[0, -1] < want[0, -1]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+       n=st.integers(2, 24), m=st.integers(3, 8), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), sub=st.sampled_from((1, 3)))
+def test_pruned_kernel_matches_the_node_by_node_oracle(kind, n, m, seed, variant,
+                                                       which, scale, sub):
+    """With no padding and every table pruned, the family profile and the
+    appended column rest on the screen's candidates alone; each row agrees
+    with inner_seminorm_matrix within the float64 sums' reordering.  Exact
+    sub-blocks of ``sub`` nodes, and ball blocks of a ball or a few, keep
+    the candidates of each node and the running maxima in play."""
+    space = _random_space(kind, n, seed)
+    params = _profile_params(_VARIANTS[variant])[which]
+    schedule = shift_schedule(params, grid_for(params).nodes[::2])
+    rng = np.random.default_rng(seed + 2)
+    F = rng.uniform(-2.0, 2.0, size=(n, m)) * scale
+    F[rng.random(F.shape) < 0.2] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_EXACT_MADDS", 1)
+        patch.setattr(norms, "_PRUNE_RATIO", 1)
+        patch.setattr(norms, "_SURROGATE_ELEMENTS", sub * m)
+        with norms.pruning_work() as work:
+            prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
+                                          schedule)
+            got = norms.appended_profile(prof, F, space, schedule)
+    assert work["pruned_rows"] == 2 * schedule.nodes.size
+    assert work["range_fallbacks"] == 0
+    assert work["candidate_balls"] <= work["padded_balls"]
+    tol = 2.0 * norms._gamma(n, 2.0 ** -53)
+    for i, (pe, le) in enumerate(zip(schedule.p_eff, schedule.lam_eff)):
+        want = inner_seminorm_matrix(F, space, pe, le, schedule.variant)
+        assert np.all(np.abs(got[i] - want) <= tol * want), (i, got[i] / want - 1.0)
 
 
 # ---------------------------------------------------------------------------
