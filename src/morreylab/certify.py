@@ -35,7 +35,7 @@ from .norms import (ProfileScreen, as_matrix,  # noqa: F401
                     seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
-from .scales import (MorreyVariant, aux_eval, delta_exponent, grid_for,
+from .scales import (MorreyVariant, delta_exponent, grid_for,
                      hedberg_exponents, make_grand_params,
                      make_potential_setup, shift_schedule,
                      sobolev_exponent, theoretical_constant)
@@ -630,8 +630,7 @@ def _check_ratio_condition(lo, w):
 def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
                      apply_op, params_in, params_out, sigma: float, *,
                      pairing=None, per_eps_constant=None, consts=None,
-                     explicit_constant=False, sharpen=True,
-                     refinement_levels=1, inequality="reduction",
+                     sharpen=True, refinement_levels=1, inequality="reduction",
                      hypotheses=None, extra_params=None, extra_checks=None,
                      out_values=None, notes=()) -> CertReport:
     """Certify a grand-to-grand operator bound through per-shift measurements.
@@ -801,12 +800,6 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
             "calibrated": consts is not None,
         }
 
-    explicit_ok = True
-    if explicit_constant:
-        explicit_ok = bool(assembled_thm is not None
-                           and math.isfinite(assembled_thm)
-                           and ratio_meas <= assembled_thm * (1.0 + 1e-9))
-
     measured_seq = [float(r) for r, _ in measured]
     assembled_seq = [float(assemble(lv)[0]) for lv in levels]
     meas_deltas = [abs(b - a) for a, b in zip(measured_seq, measured_seq[1:])]
@@ -815,7 +808,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
 
     extra_checks = dict(extra_checks or {})
     structural = bool(consistent and stable and uniformity < 10.0
-                      and explicit_ok and _builder_ok(extra_checks))
+                      and _builder_ok(extra_checks))
 
     profile = tuple(
         {"eps": float(e), "eta": float(h), "wratio": float(wv),
@@ -838,7 +831,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         "refinement_deltas": meas_deltas,
         "refinement_assembled_deltas": asm_deltas,
         "refinement_stable": bool(stable),
-        "explicit_ok": bool(explicit_ok),
+        # no reduction enforces its per-shift constant; the key stays a verdict
+        "explicit_ok": True,
         "implied_free": implied_free,
     }
     checks.update(extra_checks)
@@ -1067,9 +1061,9 @@ def verify_weak_type(space: QuasimetricSpace, f) -> CertReport:
 # hypothesis gates
 
 
-def _doubling_hypotheses(space, window=None):
+def _doubling_hypotheses(space):
     C_d = doubling_constant(space)
-    fit = ahlfors_fit(space, window=window)
+    fit = ahlfors_fit(space)
     if fit.upper_fails_at_zero or not fit.fitted:
         raise CertifyError(
             f"space {space.name!r} fails the volume envelope hypothesis "
@@ -1156,22 +1150,57 @@ def _family(space, family_spec, seed):
     return generate_family(space, family_spec or "mixed", seed)
 
 
-@_register("thm-3.6")
-def _cert_grand_maximal(space, *, family_spec, seed, params, consts, sharpen,
-                        refinement_levels):
-    """Grand bound for the maximal operator, identity pairing, same shift."""
-    p = float(params.get("p", 2.0))
+def _grand_reduction(space, apply_op, pin, pout, sigma, per_eps, *,
+                     family_spec, seed, pairing=None, builder_checks=None,
+                     **engine):
+    """The reduction lemma behind the six grand certificates.
+
+    Draws the family and applies the operator to it once; the builder
+    checks, builder_checks(pin, pout, pairing, per_eps, family, out_values),
+    and verify_reduction (with the ``engine`` keywords) share that
+    application.  The profiles the builder checks evaluate count in the
+    report's pruning work with the engine's own.
+    """
+    fam = _family(space, family_spec, seed)
+    out_values = _apply(apply_op, fam.values)
+    with pruning_work() as checks_work:
+        checks = (builder_checks(pin, pout, pairing, per_eps, fam, out_values)
+                  if builder_checks else {})
+    report = verify_reduction(space, fam, apply_op, pin, pout, sigma,
+                              pairing=pairing, per_eps_constant=per_eps,
+                              out_values=out_values, extra_checks=checks,
+                              **engine)
+    for key, value in checks_work.items():
+        report.pruning_work[key] += value
+    return report
+
+
+def _identity_pairing(params, p_default):
+    """p, lam and sigma of an identity-pairing grand certificate, and the
+    builder of its input (phi) and output (psi) grand parameters, which the
+    certificate calls after checking its hypotheses."""
+    p = float(params.get("p", p_default))
     lam = float(params.get("lam", 0.3))
     phi_spec = params.get("phi", "pow:1")
     psi_spec = params.get("psi", phi_spec)
     A_spec = params.get("A", "lin:1")
     sigma = float(params.get("sigma", 0.05))
     grid_count = int(params.get("grid_count", 64))
+
+    def grand_params():
+        variant = MorreyVariant()
+        return tuple(make_grand_params(p, lam, spec, A_spec, variant, grid_count)
+                     for spec in (phi_spec, psi_spec))
+
+    return p, lam, sigma, grand_params
+
+
+@_register("thm-3.6")
+def _cert_grand_maximal(space, *, params, consts, **run):
+    """Grand bound for the maximal operator, identity pairing, same shift."""
+    p, lam, sigma, grand_params = _identity_pairing(params, 2.0)
     hyp = _doubling_hypotheses(space)
-    variant = MorreyVariant()
-    pin = make_grand_params(p, lam, phi_spec, A_spec, variant, grid_count)
-    pout = make_grand_params(p, lam, psi_spec, A_spec, variant, grid_count)
-    fam = _family(space, family_spec, seed)
+    pin, pout = grand_params()
     C_d = hyp["doubling_C_d"]
 
     def per_eps(e, h):
@@ -1179,13 +1208,11 @@ def _cert_grand_maximal(space, *, family_spec, seed, params, consts, sharpen,
                                     eps=h, A_eps=float(pout.A(e)),
                                     consts=consts)
 
-    return verify_reduction(
-        space, fam, lambda V: maximal(V, space), pin, pout, sigma,
-        per_eps_constant=per_eps, consts=consts, sharpen=sharpen,
-        refinement_levels=refinement_levels, inequality="thm-3.6",
-        hypotheses=hyp,
-        extra_params={"operator": "maximal"},
-        notes=("identity pairing; the covering factor c0 stays free",))
+    return _grand_reduction(
+        space, lambda V: maximal(V, space), pin, pout, sigma, per_eps,
+        consts=consts, inequality="thm-3.6",
+        hypotheses=hyp, extra_params={"operator": "maximal"},
+        notes=("identity pairing; the covering factor c0 stays free",), **run)
 
 
 @_register("prop-3.9")
@@ -1215,16 +1242,9 @@ def _cert_plain_cz(space, *, family_spec, seed, params, consts, sharpen,
 
 
 @_register("thm-3.10")
-def _cert_grand_cz(space, *, family_spec, seed, params, consts, sharpen,
-                   refinement_levels):
+def _cert_grand_cz(space, *, params, consts, **run):
     """Grand bound for the singular kernel operator, identity pairing."""
-    p = float(params.get("p", 1.7))
-    lam = float(params.get("lam", 0.3))
-    phi_spec = params.get("phi", "pow:1")
-    psi_spec = params.get("psi", phi_spec)
-    A_spec = params.get("A", "lin:1")
-    sigma = float(params.get("sigma", 0.05))
-    grid_count = int(params.get("grid_count", 64))
+    p, lam, sigma, grand_params = _identity_pairing(params, 1.7)
     separation = float(params.get("separation", 2.0))
     if p > 2.0 and sigma >= p - 2.0:
         raise CertifyError(
@@ -1233,24 +1253,20 @@ def _cert_grand_cz(space, *, family_spec, seed, params, consts, sharpen,
     hyp = _doubling_hypotheses(space)
     kernel = hilbert_kernel(space)
     hyp.update(_kernel_hypotheses(space, kernel, separation))
-    variant = MorreyVariant()
-    pin = make_grand_params(p, lam, phi_spec, A_spec, variant, grid_count)
-    pout = make_grand_params(p, lam, psi_spec, A_spec, variant, grid_count)
-    fam = _family(space, family_spec, seed)
+    pin, pout = grand_params()
 
     def per_eps(e, h):
         return theoretical_constant("cz", p=p, lam=lam, eps=h,
                                     A_eps=float(pout.A(e)), consts=consts)
 
-    return verify_reduction(
-        space, fam, lambda V: cz_apply(V, space, kernel), pin, pout, sigma,
-        per_eps_constant=per_eps, consts=consts, sharpen=sharpen,
-        refinement_levels=refinement_levels, inequality="thm-3.10",
+    return _grand_reduction(
+        space, lambda V: cz_apply(V, space, kernel), pin, pout, sigma, per_eps,
+        consts=consts, inequality="thm-3.10",
         hypotheses=hyp,
         extra_params={"operator": "cz", "kernel": kernel.name,
                       "separation": separation},
         notes=("identity pairing; branch p <= 2 needs sigma < p - 1, "
-               "branch p > 2 needs sigma < p - 2",))
+               "branch p > 2 needs sigma < p - 2",), **run)
 
 
 @_register("prop-4.2")
@@ -1279,12 +1295,12 @@ def _cert_plain_riesz(space, *, family_spec, seed, params, consts, sharpen,
         notes=("radius-power denominators on both sides",))
 
 
-def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
-                         refinement_levels, mode, kernel_kind, variant_in,
-                         variant_out, per_eps_kind, inequality, hyp,
-                         closed_grid=False, gamma=1.0, extra_checks=None,
-                         extra_notes=()):
-    """Shared body of the three grand potential certificates."""
+def _potential_reduction(space, *, params, consts, mode, kernel_kind,
+                         variant_in, variant_out, per_eps_kind, inequality, hyp,
+                         closed_grid=False, gamma=1.0, extra_notes=(), **run):
+    """Passage setup of the four grand potential certificates: the paired
+    exponents and grand parameters, then _grand_reduction along the setup's
+    pairing."""
     p = float(params.get("p", 2.0))
     lam = float(params.get("lam", 0.5))
     alpha = float(params.get("alpha", 0.125))
@@ -1307,15 +1323,6 @@ def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
                             variant_in, grid_count, closed_grid=closed_grid)
     pout = make_grand_params(q, lam, f"pow:{theta2:g}", setup.A_target,
                              variant_out, grid_count, closed_grid=closed_grid)
-    if setup.pairing == "bar":
-        def pairing(e):
-            return float(aux_eval(setup, "phi-bar", float(e)))
-    else:
-        inner = setup.A_target.params["inner"]
-
-        def pairing(e):
-            return float(inner(float(e)))
-    fam = _family(space, family_spec, seed)
     b = float(sharp_growth_constant(space))
     N0 = dilation_constants(space)[0]
 
@@ -1325,61 +1332,41 @@ def _potential_reduction(space, *, family_spec, seed, params, consts, sharpen,
                                     A_eps=float(pout.A(e)), b=b, N0=N0,
                                     consts=consts)
 
-    def apply_op(V):
-        return potential(V, space, kernel_kind, alpha, gamma)
-
-    # one application to the family serves the builder checks and the engine
-    fam_out = _apply(apply_op, fam.values)
-    with pruning_work() as checks_work:
-        checks = dict(extra_checks(pin, pout, pairing, per_eps, fam, fam_out)
-                      if callable(extra_checks) else (extra_checks or {}))
-    report = verify_reduction(
-        space, fam, apply_op, pin, pout, sigma, out_values=fam_out,
-        pairing=pairing, per_eps_constant=per_eps, consts=consts,
-        sharpen=sharpen, refinement_levels=refinement_levels,
+    return _grand_reduction(
+        space, lambda V: potential(V, space, kernel_kind, alpha, gamma),
+        pin, pout, sigma, per_eps, pairing=setup.pair, consts=consts,
         inequality=inequality, hypotheses=hyp,
         extra_params={"operator": kernel_kind, "alpha": alpha,
                       "gamma": gamma, "q": q, "theta1": theta1,
                       "theta2": theta2, "delta": delta,
                       "B_est": setup.B_est, "B_bound": setup.B_bound},
-        extra_checks=checks,
         notes=("paired shifts keep the shifted Sobolev relation exact",
-               *extra_notes))
-    # the builder checks' profiles count with the engine's own
-    for key, value in checks_work.items():
-        report.pruning_work[key] += value
-    return report
+               *extra_notes), **run)
 
 
 @_register("thm-4.4")
-def _cert_grand_riesz(space, *, family_spec, seed, params, consts, sharpen,
-                      refinement_levels):
+def _cert_grand_riesz(space, *, params, **run):
     """Grand radius-denominator bound for the distance-kernel potential."""
     gamma = float(params.get("gamma", 1.0))
     hyp = _doubling_hypotheses(space)
     variant = MorreyVariant(kind="radius", gamma=gamma)
     return _potential_reduction(
-        space, family_spec=family_spec, seed=seed, params=params,
-        consts=consts, sharpen=sharpen, refinement_levels=refinement_levels,
-        mode="thm-4.4", kernel_kind="gamma-kernel", variant_in=variant,
-        variant_out=variant, per_eps_kind="riesz", inequality="thm-4.4",
-        hyp=hyp, gamma=gamma)
+        space, params=params, mode="thm-4.4", kernel_kind="gamma-kernel",
+        variant_in=variant, variant_out=variant, per_eps_kind="riesz",
+        inequality="thm-4.4", hyp=hyp, gamma=gamma, **run)
 
 
 @_register("thm-4.5")
-def _cert_grand_riesz_reverse(space, *, family_spec, seed, params, consts,
-                              sharpen, refinement_levels):
+def _cert_grand_riesz_reverse(space, *, params, **run):
     """Grand potential bound with the passage prescribed on the input shift."""
     hyp = _doubling_hypotheses(space)
     variant = MorreyVariant(kind="radius", gamma=1.0)
     return _potential_reduction(
-        space, family_spec=family_spec, seed=seed, params=params,
-        consts=consts, sharpen=sharpen, refinement_levels=refinement_levels,
-        mode="thm-4.5", kernel_kind="gamma-kernel", variant_in=variant,
-        variant_out=variant, per_eps_kind="riesz", inequality="thm-4.5",
-        hyp=hyp, gamma=1.0,
+        space, params=params, mode="thm-4.5", kernel_kind="gamma-kernel",
+        variant_in=variant, variant_out=variant, per_eps_kind="riesz",
+        inequality="thm-4.5", hyp=hyp, gamma=1.0,
         extra_notes=("input shift given, output shift transported through "
-                     "the inverse passage",))
+                     "the inverse passage",), **run)
 
 
 @_register("prop-4.6")
@@ -1408,17 +1395,14 @@ def _cert_plain_measure_riesz(space, *, family_spec, seed, params, consts,
 
 
 @_register("thm-4.7")
-def _cert_grand_measure_riesz(space, *, family_spec, seed, params, consts,
-                              sharpen, refinement_levels):
+def _cert_grand_measure_riesz(space, *, params, **run):
     """Grand Morrey bound for the ball-measure-kernel potential."""
     hyp = _doubling_hypotheses(space)
     variant = MorreyVariant()
     return _potential_reduction(
-        space, family_spec=family_spec, seed=seed, params=params,
-        consts=consts, sharpen=sharpen, refinement_levels=refinement_levels,
-        mode="thm-4.4", kernel_kind="measure-kernel", variant_in=variant,
-        variant_out=variant, per_eps_kind="riesz_measure",
-        inequality="thm-4.7", hyp=hyp, gamma=1.0)
+        space, params=params, mode="thm-4.4", kernel_kind="measure-kernel",
+        variant_in=variant, variant_out=variant, per_eps_kind="riesz_measure",
+        inequality="thm-4.7", hyp=hyp, gamma=1.0, **run)
 
 
 @_register("lemma-5.1")
@@ -1484,8 +1468,7 @@ def _cert_modified_morrey_maximal(space, *, family_spec, seed, params, consts,
 
 
 @_register("thm-5.4")
-def _cert_grand_line_potential(space, *, family_spec, seed, params, consts,
-                               sharpen, refinement_levels):
+def _cert_grand_line_potential(space, *, params, **run):
     """Grand modified-Morrey bound for the line-kernel potential.
 
     The per-shift constant is fully explicit, but it certifies the
@@ -1526,14 +1509,12 @@ def _cert_grand_line_potential(space, *, family_spec, seed, params, consts,
                 "per_shift_explicit_ok": bool(np.all(frac <= 1.0 + 1e-9))}
 
     return _potential_reduction(
-        space, family_spec=family_spec, seed=seed, params=params,
-        consts=consts, sharpen=sharpen, refinement_levels=refinement_levels,
-        mode="thm-4.4", kernel_kind="k-alpha", variant_in=var_in,
-        variant_out=var_out, per_eps_kind="k_alpha", inequality="thm-5.4",
-        hyp={**hyp, "b": b}, closed_grid=True, gamma=1.0,
-        extra_checks=uncapped_checks,
+        space, params=params, mode="thm-4.4", kernel_kind="k-alpha",
+        variant_in=var_in, variant_out=var_out, per_eps_kind="k_alpha",
+        inequality="thm-5.4", hyp={**hyp, "b": b}, closed_grid=True,
+        gamma=1.0, builder_checks=uncapped_checks,
         extra_notes=("explicit per-shift constants checked on the uncapped "
-                     "plain norms",))
+                     "plain norms",), **run)
 
 
 __all__ = [

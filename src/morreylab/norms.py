@@ -115,8 +115,10 @@ class GridFunction:
     @staticmethod
     def load(path, space: QuasimetricSpace) -> GridFunction:
         data = json.loads(Path(path).read_text())
-        if data.get("format") != "grid-function":
+        if not isinstance(data, dict) or data.get("format") != "grid-function":
             raise NormError(f"{path}: not a grid-function file")
+        if "values" not in data:
+            raise NormError(f"{path}: grid-function file has no 'values' entry")
         if data.get("space_id") not in (None, space.space_id()):
             raise NormError(
                 f"{path}: function was sampled on space {data['space_id']}, "

@@ -282,7 +282,8 @@ def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
             "triples": int(t.size),
         })
     else:
-        report.update({"omega_t": [], "omega": [], "omega_doubling": 1.0,
+        report.update({"omega_small_slope": math.nan, "omega_t": [],
+                       "omega": [], "omega_doubling": 1.0,
                        "dini_integral": 0.0, "dini_pieces": [],
                        "dini_divergence_suspected": False, "triples": 0})
     report["l2_norm"] = l2_operator_norm(space, kernel)

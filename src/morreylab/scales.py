@@ -253,6 +253,8 @@ class EpsilonGrid:
 def build_epsilon_grid(cap: float, count: int = 64, closed: bool = False) -> EpsilonGrid:
     if cap <= 0:
         raise ScaleError(f"epsilon range cap must be positive, got {cap:g}")
+    if count < 2:
+        raise ScaleError(f"an epsilon grid needs a count of at least 2, got {count}")
     lo = cap * 1e-6
     hi = cap * (1.0 - 1e-9)
     geo = np.exp(np.linspace(math.log(lo), math.log(hi), count))
@@ -355,10 +357,9 @@ def make_grand_params(p: float, lam: float, phi_spec="pow:1", A_spec="zero",
                        s_max=s_max, grid_count=grid_count, closed_grid=closed_grid)
 
 
-def grid_for(params: GrandParams, closed: bool | None = None) -> EpsilonGrid:
-    if closed is None:
-        closed = params.closed_grid
-    return build_epsilon_grid(params.s_max, count=params.grid_count, closed=closed)
+def grid_for(params: GrandParams) -> EpsilonGrid:
+    return build_epsilon_grid(params.s_max, count=params.grid_count,
+                              closed=params.closed_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,10 +444,12 @@ class PotentialSetup:
 
     ``pairing`` names the exponent passage used between the two grand norms:
     "bar" pairs a target shift eps with the source shift phi_bar(eps), "tilde"
-    pairs a source shift x with the target shift phi_tilde(x).  A_source and
-    A_target are tied through that map, so the per-shift Sobolev relation
-    1/(q - eps) = 1/(p - eta) - alpha/((1 - lam + A_target(eps)) gamma) is
-    exact along the pairing.
+    pairs a source shift x with the target shift phi_tilde(x).  ``pair`` maps
+    a target shift eps to its source shift eta either way: phi_bar itself, or
+    the memoised inverse of phi_tilde that the moved target shift composes.
+    A_source and A_target are tied through that map, so the per-shift Sobolev
+    relation 1/(q - eps) = 1/(p - eta) - alpha/((1 - lam + A_target(eps))
+    gamma) is exact along the pairing.
     """
 
     p: float
@@ -458,6 +461,7 @@ class PotentialSetup:
     theta2: float
     delta: float
     pairing: str
+    pair: object
     A_source: ScaleFunction
     A_target: ScaleFunction
     B_est: float
@@ -630,46 +634,30 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
     B_est, B_bound, admissible, reasons = check_admissibility(
         p, lam, alpha, gamma, theta1, theta2, delta, A_given, mode)
 
-    if mode == "thm-4.4":
-        A_target = A_given
-        bar = lambda x: _phi_bar_raw(x, p, q, lam, alpha, gamma, A_target)
-        grid = _validation_grid(delta, 120)
-        if np.any(np.diff(bar(grid)) <= 0):
-            raise ScaleError("phi_bar is not increasing on (0, delta]; "
-                             "shift grows too fast for the exponent passage")
-        bar_top = float(bar(delta))
-        # memoised: each distinct shift is bisected once per setup
-        inner = functools.cache(
-            lambda y: _invert_increasing(bar, y, delta, bar_top))
-
-        A_source = ScaleFunction(
-            kind="compose-inverse", role="A", cap=bar_top,
-            params={"inner": inner,
-                    "outer": A_target,
-                    "label": "target shift transported through phi_bar"})
-    elif mode == "thm-4.5":
-        A_source = A_given
-        tilde = lambda x: _phi_tilde_raw(x, p, q, lam, alpha, gamma, A_source)
-        grid = _validation_grid(delta, 120)
-        if np.any(np.diff(tilde(grid)) <= 0):
-            raise ScaleError("phi_tilde is not increasing on (0, delta]")
-        tilde_top = float(tilde(delta))
-        inner = functools.cache(
-            lambda y: _invert_increasing(tilde, y, delta, tilde_top))
-
-        A_target = ScaleFunction(
-            kind="compose-inverse", role="A", cap=tilde_top,
-            params={"inner": inner,
-                    "outer": A_source,
-                    "label": "source shift transported through phi_tilde"})
+    bar = mode == "thm-4.4"
+    if bar:
+        raw, name, hint = _phi_bar_raw, "phi_bar", (
+            "; shift grows too fast for the exponent passage")
     else:
-        raise ScaleError(f"unknown setup mode {mode!r}")
-
+        raw, name, hint = _phi_tilde_raw, "phi_tilde", ""
+    passage = lambda x: raw(x, p, q, lam, alpha, gamma, A_given)
+    grid = _validation_grid(delta, 120)
+    if np.any(np.diff(passage(grid)) <= 0):
+        raise ScaleError(f"{name} is not increasing on (0, delta]{hint}")
+    top = float(passage(delta))
+    # memoised: each distinct shift is bisected once per setup
+    inverse = functools.cache(
+        lambda y: _invert_increasing(passage, y, delta, top))
+    label = f"{'target' if bar else 'source'} shift transported through {name}"
+    moved = ScaleFunction(kind="compose-inverse", role="A", cap=top,
+                          params={"inner": inverse, "outer": A_given,
+                                  "label": label})
     return PotentialSetup(
         p=p, q=q, lam=lam, alpha=alpha, gamma=gamma,
         theta1=theta1, theta2=theta2, delta=delta,
-        pairing="bar" if mode == "thm-4.4" else "tilde",
-        A_source=A_source, A_target=A_target,
+        pairing="bar" if bar else "tilde", pair=passage if bar else inverse,
+        A_source=moved if bar else A_given,
+        A_target=A_given if bar else moved,
         B_est=B_est, B_bound=B_bound, admissible=admissible, reasons=reasons)
 
 

@@ -338,8 +338,11 @@ def save_space(space: QuasimetricSpace, path) -> None:
 
 def load_space(path) -> QuasimetricSpace:
     data = json.loads(Path(path).read_text())
-    if data.get("format") != "quasimetric-space":
+    if not isinstance(data, dict) or data.get("format") != "quasimetric-space":
         raise SpaceError(f"{path}: not a space file")
+    for key in ("points", "metric", "weights"):
+        if key not in data:
+            raise SpaceError(f"{path}: space file has no {key!r} entry")
     return build_space(data["points"], data["metric"], data["weights"], name=data.get("name", ""))
 
 
@@ -822,13 +825,11 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
     return BallChainReport(failures == 0, checked, failures, witness)
 
 
-def geometry_constants(space: QuasimetricSpace, alpha: float | None = None,
-                       beta: float | None = None,
-                       window: tuple[float, float] | None = None) -> GeometryConstants:
+def geometry_constants(space: QuasimetricSpace) -> GeometryConstants:
     """All geometric constants of a space in one record."""
     C_t, C_s = quasimetric_constants(space)
     C_d = doubling_constant(space)
-    fit = ahlfors_fit(space, alpha=alpha, beta=beta, window=window)
+    fit = ahlfors_fit(space)
     N_0, a_bar = dilation_constants(space)
     return GeometryConstants(
         C_t=C_t,

@@ -19,7 +19,7 @@ from morreylab.certify import (CertifyError, certify_boundedness,
                                verify_weak_type, write_index)
 from morreylab.norms import dominance_report
 from morreylab.scales import (MorreyVariant, aux_eval, make_grand_params,
-                              riesz_corollary_setup)
+                              make_potential_setup, riesz_corollary_setup)
 from morreylab.space import quasimetric_constants
 from morreylab.operators import modified_maximal
 
@@ -215,6 +215,16 @@ def test_grand_potential_pairing_matches_passage_map():
     for row in rep.profile:
         want = float(aux_eval(setup, "phi-bar", row["eps"]))
         assert row["eta"] == pytest.approx(want, rel=1e-10)
+        assert setup.pair(row["eps"]) == want
+    # thm-4.5 pairs each output shift with the inverse passage of phi_tilde
+    tilde = make_potential_setup(2.0, 0.5, 0.125, 1.0, "lin:0.05", theta1=1.0,
+                                 theta2=2.5, delta=0.1, mode="thm-4.5")
+    rep = certify_boundedness("thm-4.5", s, family_spec="ball-indicators",
+                              sharpen=False, refinement_levels=1)
+    for row in rep.profile:
+        assert row["eta"] == tilde.pair(row["eps"])
+        back = aux_eval(tilde, "phi-tilde", row["eta"])
+        assert abs(back - row["eps"]) <= 1e-12
 
 
 def test_line_potential_certificate_explicit_per_shift():

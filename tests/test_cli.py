@@ -176,6 +176,48 @@ def test_certify_run_refine_zero_refused_by_reduction_only(staged, capsys):
     assert main(argv + ["--theorem", "lemma-5.2"]) == 0
 
 
+@pytest.mark.parametrize("space_name", ["grid-4", "grid-16", "circle-16",
+                                        "snowflake-16", "asym-4", "two-atom"])
+@pytest.mark.parametrize("theorem", certify.known_theorems())
+def test_certify_run_ends_every_theorem_with_an_exit_code(staged, capsys,
+                                                         theorem, space_name):
+    code = main(["certify", "run", space_name, "--theorem", theorem,
+                 "--seed", "3"])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert (code == 1) == ("error:" in err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "run", "grid-16", "--theorem", "thm-3.6", "--seed", "7",
+     "--grid-count", "1"],
+    ["norm", "eval", "FN", "grid-4", "--norm", "grand-morrey",
+     "--grid-count", "0"]])
+def test_grid_count_below_two_is_refused(staged, capsys, argv):
+    argv = [staged["fn"] if arg == "FN" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 2" in err
+
+
+@pytest.mark.parametrize("body,kind,names", [
+    ({"format": "quasimetric-space", "points": [0, 1]}, "space", "'metric'"),
+    ([0, 1], "space", "not a space file"),
+    ({"format": "grid-function", "name": "f"}, "function", "'values'"),
+    ([0, 1], "function", "not a grid-function file")])
+def test_malformed_files_give_an_error_line(staged, capsys, body, kind, names):
+    # in process, an exception other than the CLI's handled ones fails here
+    bad = staged["tmp"] / "bad.json"
+    bad.write_text(json.dumps(body))
+    if kind == "space":
+        argv = ["space", "analyze", str(bad)]
+    else:
+        argv = ["norm", "eval", str(bad), staged["space"], "--norm", "lebesgue"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:") and names in err
+
+
 def test_certify_run_bundle_file_flags_win(staged, capsys):
     bundle = staged["tmp"] / "bundle.json"
     bundle.write_text(json.dumps({"p": 2.0, "lam": 0.45}))

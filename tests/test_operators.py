@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,14 @@ def test_grid_kernel_passes_cz_diagnostics():
     assert not rep["dini_divergence_suspected"]
     assert rep["triples"] > 0
     assert k.report is rep
+
+
+def test_kernel_report_without_separated_triples_has_every_key():
+    rep = validate_cz_kernel(two_atom(), hilbert_kernel(two_atom()))
+    assert rep["triples"] == 0
+    assert math.isnan(rep["omega_small_slope"])
+    grid = validate_cz_kernel(line_grid(16), hilbert_kernel(line_grid(16)))
+    assert rep.keys() == grid.keys()
 
 
 def test_circle_cot_kernel_passes_but_naive_arc_kernel_fails():

@@ -99,6 +99,14 @@ def test_grid_nodes_inside_open_range():
     assert gc.nodes.max() == 0.5
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_grid_refuses_a_count_below_two(count):
+    with pytest.raises(ScaleError, match=f"at least 2, got {count}"):
+        build_epsilon_grid(0.5, count=count)
+    with pytest.raises(ScaleError, match=f"at least 2, got {count}"):
+        grid_for(make_grand_params(2.0, 0.3, grid_count=count))
+
+
 def test_grid_refinement_is_nested():
     g = build_epsilon_grid(1.0, count=16)
     r = g.refine()
