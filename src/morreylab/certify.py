@@ -82,11 +82,12 @@ def _capped(pair, cap):
     return cols[:, pick], [names[int(i)] for i in pick]
 
 
-def _ball_indicator_columns(space):
+def _ball_indicator_columns(space, cap=None):
     table = rep_balls(space, dedupe=True)
-    cols = table.masks.T.astype(float)
+    pick = np.arange(table.size) if cap is None else _stride_pick(table.size, cap)
+    cols = table.masks[pick].T.astype(float)
     names = [f"ball-c{int(c)}-r{float(r):.6g}"
-             for c, r in zip(table.centers, table.radii)]
+             for c, r in zip(table.centers[pick], table.radii[pick])]
     return cols, names
 
 
@@ -168,7 +169,7 @@ def generate_family(space: QuasimetricSpace, spec: str, seed: int | None = None,
         cols, names = _random_step_columns(space, seed)
     else:
         parts = [
-            _capped(_ball_indicator_columns(space), 16),
+            _ball_indicator_columns(space, cap=16),
             _capped(_point_mass_columns(space, cap=4), 4),
             _capped(_power_profile_columns(space), 6),
             _capped(_oscillating_columns(space), 4),

@@ -18,13 +18,15 @@ a node-by-node evaluation (inner_seminorm_matrix):
 - the full path stacks the ball integrals of a block of nodes into one
   matrix product, which keeps the per-node BLAS call (a matrix-vector
   product for one column, a matrix product for several);
-- the pruned path screens every (ball, node, column) triple of its
-  screened columns with float32 products over blocks of balls and nodes,
-  certified within a relative margin delta (surrogate_margin), and
-  evaluates exactly only the balls that can hold a (node, column)
-  maximum: per sub-block of nodes one stacked float64 product over the
-  union of their candidate rows, padded so that the BLAS keeps the full
-  product's bits for them.
+- the pruned path screens the ball integrals of its screened columns
+  with float32 products certified within a relative margin delta
+  (surrogate_margin): every _COARSE_STRIDE-th node, and the last, over
+  every ball, and the nodes between only over the balls that Lyapunov's
+  inequality (log of a ball integral is convex in the exponent) cannot
+  rule out.  It evaluates exactly only the balls that can hold a (node,
+  column) maximum: per sub-block of nodes one stacked float64 product
+  over the union of their candidate rows, padded so that the BLAS keeps
+  the full product's bits for them.
 
 A profile of m >= 2 columns on a table large against its padding takes
 the pruned path with all its columns screened.  appended_profile adds one
@@ -217,12 +219,12 @@ _BLOCK_ELEMENTS = 1 << 15
 # the pruned path: each exact row-subset product does at least _EXACT_MADDS
 # multiply-adds, so it takes at least pad = ceil(_EXACT_MADDS / (n m)) ball
 # rows; a profile of m >= 2 columns takes the path when its table holds at
-# least _PRUNE_RATIO times pad balls; a node block screens about
-# _PRUNE_PAIRS (node, column) pairs, and one screened column up to a ball
-# block's _SURROGATE_ELEMENTS / B nodes, never fewer than all m would
+# least _PRUNE_RATIO times pad balls; every _COARSE_STRIDE-th row of a
+# schedule, and its last, is screened over every ball, the rows between
+# only over the balls that Lyapunov's inequality keeps (_interval_balls)
 _EXACT_MADDS = 1 << 20
 _PRUNE_RATIO = 8
-_PRUNE_PAIRS = 256
+_COARSE_STRIDE = 16
 
 
 def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
@@ -255,7 +257,7 @@ def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
     On any other table the last column takes the pruned path (_pruned_max)
     with only itself screened; its exact rows come from padded m-column
     products, which keep their bits by the row-subset pin.  pruning_work
-    counts its node blocks.
+    counts its blocks.
     """
     table, _ = variant_table(space, schedule.variant)
     n, m = F.shape
@@ -268,14 +270,19 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
                       schedule: ShiftSchedule, screened: int) -> np.ndarray:
     """The last ``screened`` columns of seminorm_profile(F, space, schedule):
     pruned (_pruned_max) under seminorm_profile's rule when all m columns
-    are screened, always when fewer are, unless the margin is 1 or more;
-    node blocks that fail the range checks take the full path."""
+    are screened, always when fewer are, unless the margin is 1 or more.
+
+    A pruned block runs from one coarse row to the next: it evaluates its
+    rows and screens the next coarse row with them, whose surrogates the
+    next block reuses.  Blocks that fail the range checks take the full
+    path."""
     p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
     low = p_eff < 1
     if low.any():
         raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
     table, den = variant_table(space, schedule.variant)
-    out = np.zeros((p_eff.size, screened))
+    k = p_eff.size
+    out = np.zeros((k, screened))
     if table.size == 0:
         return out
     n, m = F.shape
@@ -284,25 +291,30 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     pad = -(-_EXACT_MADDS // max(1, n * m))
     prune = screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad)
     if prune:
-        delta = surrogate_margin(n, float(np.abs(lam_eff).max()
-                                          * np.abs(np.log(den)).max()))
+        log_den = float(np.abs(np.log(den)).max())
+        delta = surrogate_margin(n, float(np.abs(lam_eff).max() * log_den))
         # a margin of 1 or more (or NaN) admits every ball
         prune = delta < 1.0
-    step = (max(1, _PRUNE_PAIRS // m, min(_PRUNE_PAIRS // screened,
-                                          _SURROGATE_ELEMENTS // table.size))
-            if prune else max(1, _BLOCK_ELEMENTS // max(1, table.size * m)))
-    seeds = np.zeros(0, dtype=np.intp)
-    for a in range(0, p_eff.size, step):
-        pe = p_eff[a:a + step, None, None]
+    if prune:
+        coarse = np.unique(np.append(np.arange(0, k, _COARSE_STRIDE), k - 1))
+        blocks = [(a, b, b + 1 if b > a + 1 else b)
+                  for a, b in zip(coarse, np.append(coarse[1:], k))]
+    else:
+        step = max(1, _BLOCK_ELEMENTS // max(1, table.size * m))
+        blocks = [(a, min(a + step, k), min(a + step, k)) for a in range(0, k, step)]
+    held = None
+    # rows a..b-1 of the profile; the terms of rows a..c-1
+    for a, b, c in blocks:
+        pe = p_eff[a:c, None, None]
         pw = absF ** pe * w
-        lam = lam_eff[a:a + step, None, None]
+        lam = lam_eff[a:c, None, None]
         top = None
         if prune:
-            top, seeds = _pruned_max(table, pw, den ** -lam, delta, pad, seeds,
-                                     screened)
+            top, held = _pruned_max(table, pw, den ** -lam, pe[:, 0, 0], lam[:, 0, 0],
+                                    delta, log_den, pad, screened, held)
         if top is None:
-            top = _full_max(table.masks_f, pw, den, lam)[:, m - screened:]
-        out[a:a + step] = top ** (1.0 / pe[:, 0])
+            top = _full_max(table.masks_f, pw[:b - a], den, lam[:b - a])[:, m - screened:]
+        out[a:b] = top ** (1.0 / pe[:b - a, 0])
     return out
 
 
@@ -324,83 +336,184 @@ def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
     return top
 
 
-def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, delta: float,
-                pad: int, seeds: np.ndarray, screened: int) -> tuple:
+def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
+                lam: np.ndarray, delta: float, log_den: float, pad: int,
+                screened: int, held: np.ndarray | None) -> tuple:
     """The last ``screened`` columns of _full_max bit for bit from their
-    candidate balls only, and the balls that hold their maxima, which seed
-    the next node block; (None, seeds) where a float32 intermediate of the
-    screen could leave the normal range.
+    candidate balls only, for the rows of pw but its last when it has more
+    than one: that one is the next coarse row, which closes the interval.
+    Returns them with its surrogates for the next block, or (None, None)
+    where a float32 intermediate of the screen could leave the normal range.
 
-    Per block of balls, one float32 product of the masks with the terms of
-    every screened (node, column) pair side by side, times the den factors
-    rounded to float32, gives a surrogate s of each scaled ball integral
-    within the relative margin delta (surrogate_margin).  So the ball
-    holding the exact maximum of a pair has s (1 + delta) >= t (1 - delta)
-    for every surrogate t of the pair, and in particular for the running
-    maximum of its surrogates over the blocks so far, started from the
-    surrogates of the ``seeds`` balls (the maxima of the previous node
-    block, usually close to this block's).  A pair whose surrogates are
-    all zero has only zero integrals.  Per sub-block of nodes, the union of
-    these candidates, padded with further balls in table order to at least
-    ``pad`` rows, goes through one stacked float64 product of those mask
-    rows with the terms of all m columns (one BLAS call per node), and the
-    screened columns take the scaling and max of _full_max.  The padding
-    keeps each node's product above the BLAS's small-matrix path, so it
-    keeps the bits of the full product's rows (pinned by
-    tests/test_norms.py).  A sub-block holds at most _SURROGATE_ELEMENTS /
-    (pad m) nodes.  The rows are converted from the bool masks, so a table
-    that only this path reads never builds ``masks_f``.
+    One float32 product of the masks with the terms of a row's screened
+    columns, times the den factors rounded to float32, gives a surrogate s
+    of each scaled ball integral within the relative margin delta
+    (surrogate_margin).  So the ball holding the exact maximum of a (row,
+    column) pair has s (1 + delta) >= t (1 - delta) for every surrogate t of
+    the pair: it is a candidate against the largest surrogate of any ball
+    set that holds it.  The first row, and the closing one, are screened
+    over every ball (the first's surrogates are ``held`` when the previous
+    block screened them).  The rows between are screened over the balls
+    that _interval_balls keeps, one float32 product per ball block, with a
+    running maximum started from the coarse candidates of both ends.  A
+    pair whose surrogates are all zero has only zero integrals.
+
+    Per sub-block of rows, the union of these candidates, padded with
+    further balls in table order to at least ``pad`` rows, goes through one
+    stacked float64 product of those mask rows with the terms of all m
+    columns (one BLAS call per row), and the screened columns take the
+    scaling and max of _full_max.  The padding keeps each row's product
+    above the BLAS's small-matrix path, so it keeps the bits of the full
+    product's rows (pinned by tests/test_norms.py).  A sub-block holds at
+    most _SURROGATE_ELEMENTS / (pad m) rows.  The rows are converted from
+    the bool masks, so a table that only this path reads never builds
+    ``masks_f``.
     """
     k, n, m = pw.shape
-    pairs = k * screened
+    rows = max(1, k - 1)
     pw32 = _f32_terms(pw[:, :, m - screened:], float(factors.min()),
                       float(factors.max()))
     if pw32 is None:
         _count(range_fallbacks=1)
-        return None, seeds
-    factors32 = np.ascontiguousarray(factors[:, 0].T, dtype=np.float32)
+        return None, None
+    factors32 = factors[:, 0].astype(np.float32)
     masks32 = table.masks32
-    step = max(1, _SURROGATE_ELEMENTS // pairs)
-    block = np.empty((min(step, table.size), pairs), dtype=np.float32)
-    top = np.zeros(pairs, dtype=np.float32)
-    if seeds.size:
-        top = _f32_scaled(masks32[seeds], pw32, factors32[seeds]).max(axis=0)
-    cand = np.zeros((k, table.size), dtype=bool)
-    for b in range(0, table.size, step):
-        s = _f32_scaled(masks32[b:b + step], pw32, factors32[b:b + step], block)
-        np.maximum(top, s.max(axis=0), out=top)
-        balls, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
-                                pairs)
-        cand[pair // screened, b + balls] = True
-    out = np.empty((k, screened))
-    best = np.empty((k, screened), dtype=np.intp)
+
+    def screen(j):
+        # the surrogates of row j over every ball, (screened, balls): column
+        # maxima and tests then reduce along rows, which numpy does fast
+        s = np.matmul(pw32[:, j * screened:(j + 1) * screened].T, masks32.T)
+        s *= factors32[j]
+        return s
+    first, coarse = (screen(0), 1) if held is None else (held, 0)
+    cand = np.zeros((rows, table.size), dtype=bool)
+    cand[0] = _coarse_candidates(first, delta)
+    last, kept = None, 0
+    if k > 1:
+        last = screen(k - 1)
+        coarse += 1
+        terms = np.ascontiguousarray(pw32[:, screened:rows * screened])
+        f32 = factors32[1:rows]
+        near = np.flatnonzero(cand[0] | _coarse_candidates(last, delta))
+        top = _f32_scaled(masks32[near], terms, f32[:, near].T).max(
+            axis=0, initial=np.float32(0.0))
+        balls = _interval_balls(first, last, top, t, lam, delta, log_den, n)
+        kept = balls.size
+        step = max(1, _SURROGATE_ELEMENTS // top.size)
+        block = np.empty((min(step, kept), top.size), dtype=np.float32)
+        for b in range(0, kept, step):
+            ids = balls[b:b + step]
+            s = _f32_scaled(masks32[ids], terms, f32[:, ids].T, block)
+            np.maximum(top, s.max(axis=0), out=top)
+            hit, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
+                                  top.size)
+            cand[1 + pair // screened, ids[hit]] = True
+    pw, factors = pw[:rows], factors[:rows]
+    out = np.empty((rows, screened))
     sub = max(1, _SURROGATE_ELEMENTS // (pad * m))
     padded = 0
-    for a in range(0, k, sub):
+    for a in range(0, rows, sub):
         keep = cand[a:a + sub].any(axis=0)
         short = pad - np.count_nonzero(keep)
         if short > 0:
             keep[np.flatnonzero(~keep)[:short]] = True
-        rows = np.flatnonzero(keep)
-        scaled = np.matmul(table.masks[rows].astype(float)[None],
+        union = np.flatnonzero(keep)
+        scaled = np.matmul(table.masks[union].astype(float)[None],
                            pw[a:a + sub])[:, :, m - screened:]
-        scaled *= factors[a:a + sub, 0, rows][:, :, None]
+        scaled *= factors[a:a + sub, 0, union][:, :, None]
         out[a:a + sub] = scaled.max(axis=1)
-        best[a:a + sub] = rows[scaled.argmax(axis=1)]
-        padded += scaled.shape[0] * rows.size
-    _count(pruned_rows=k, candidate_balls=int(np.count_nonzero(cand)),
-           padded_balls=padded)
-    return out, np.unique(best)
+        padded += scaled.shape[0] * union.size
+    _count(pruned_rows=rows, candidate_balls=int(np.count_nonzero(cand)),
+           padded_balls=padded, coarse_rows=coarse, interval_balls=kept)
+    return out, last
+
+
+def _coarse_candidates(s: np.ndarray, delta: float) -> np.ndarray:
+    """The balls that are candidates for some column's maximum, from the
+    surrogates s (columns x balls) over every ball."""
+    return (s >= _threshold(s.max(axis=1), delta)[:, None]).any(axis=0)
+
+
+def _interval_balls(first: np.ndarray, last: np.ndarray, top: np.ndarray,
+                    t: np.ndarray, lam: np.ndarray, delta: float, log_den: float,
+                    n: int) -> np.ndarray:
+    """The balls that can hold a maximum at a fine row i of an interval,
+    from the surrogates S_a = ``first`` and S_b = ``last`` of its coarse rows
+    a and b over every ball (columns x balls), and ``top``, the largest
+    surrogates at the fine rows over some balls (rows x columns, flat).
+
+    With t = p_eff, theta = (t_b - t_i) / (t_b - t_a) and psi = (t_i - t_a) /
+    (t_b - t_a), log of integral_B |f|^t w is convex in t (Hoelder), so a
+    ball's scaled integral is at most
+        X_i <= X_a^theta X_b^psi exp(gap_i),
+        gap_i = |theta lam_a + psi lam_b - lam_i| max |log den|
+    (lam_eff need not be affine in t: it is not for transported shifts).
+    With X_a <= (1 + delta) S_a, likewise for b, and the exact path's X_i
+    within 1 + eps64 of the real one,
+        X_i <= (1 + eps64) (1 + delta) S_a^theta S_b^psi exp(gap_i).
+    The maximum at (i, c) is at least L_i,c = (1 - delta) top_i,c.  Let
+    rho_c = min_i L_i,c / ((1 + eps64) (1 + delta) exp(gap_i) M_a,c^theta
+    M_b,c^psi), M the column maxima of S_a and S_b.  A ball with S_a < rho_c
+    M_a,c and S_b < rho_c M_b,c has X_i < L_i,c at every fine row, so only
+    the balls with S_a >= rho_c M_a,c or S_b >= rho_c M_b,c for some column
+    are kept; the thresholds are rounded down to float32.
+
+    log rho_c is computed in float64 from logs; eta, from _lyapunov_slack,
+    is subtracted from it and covers eps64 (the float64 sum of at most n
+    terms, the powers, the den factor: gamma_n(u) and a few u) and the
+    rounding of every log, product and sum (a few u times the magnitude of
+    each log, theta and psi each within 3 u relative, lam_a, lam_b, lam_i
+    each at most max |lam| and max |log den| within u) and of the exp of
+    the threshold (Higham, section 2.2).  A column with a zero coarse
+    maximum is zero at every t and keeps no ball.  An interval whose fine
+    t do not lie between t_a and t_b (unordered or tied rows) keeps every
+    ball.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = t[-1] - t[0]
+        theta = (t[-1] - t[1:-1, None]) / span
+        psi = (t[1:-1, None] - t[0]) / span
+        if not np.all((theta >= 0.0) & (psi >= 0.0)):
+            return np.arange(first.shape[1])
+        log_a = np.log(first.max(axis=1).astype(float))
+        log_b = np.log(last.max(axis=1).astype(float))
+        log_low = np.log1p(-delta) + np.log(top.astype(float).reshape(theta.size, -1))
+        gap, eta = _lyapunov_slack(theta, psi, lam, log_den, n, log_low, log_a, log_b)
+        rho = ((log_low - theta * log_a - psi * log_b - gap).min(axis=0)
+               - np.log1p(delta) - eta)
+        zero = ~np.isfinite(log_a + log_b)
+        keep = np.zeros(first.shape[1], dtype=bool)
+        for s, log_m in ((first, log_a), (last, log_b)):
+            thr = _f32_down(np.exp(rho + log_m))
+            thr[zero] = np.inf
+            keep |= (s >= thr[:, None]).any(axis=0)
+    return np.flatnonzero(keep)
+
+
+def _lyapunov_slack(theta, psi, lam, log_den, n, log_low, log_a, log_b) -> tuple:
+    """gap_i (fine rows x 1) and eta (per column) of _interval_balls:
+    _SURROGATE_ULPS float64 ulps times n + 2 and the magnitudes of the logs
+    and exponents that enter log rho_c."""
+    gap = np.abs(theta * lam[0] + psi * lam[-1] - lam[1:-1, None]) * log_den
+    eta = _SURROGATE_ULPS * np.finfo(float).eps / 2 * (
+        n + 2.0 + np.abs(lam).max() * log_den + gap.max()
+        + np.abs(log_low).max(axis=0) + 2.0 * (np.abs(log_a) + np.abs(log_b)))
+    return gap, eta
+
+
+def _f32_down(bound: np.ndarray) -> np.ndarray:
+    """Nonnegative float64 values rounded down to float32."""
+    thr = bound.astype(np.float32)
+    up = thr > bound
+    thr[up] = np.nextafter(thr[up], np.float32(0.0))
+    return thr
 
 
 def _threshold(top: np.ndarray, delta: float) -> np.ndarray:
     """The float32 surrogate a ball needs to be a candidate against the
     largest surrogates ``top``: top (1 - delta) / (1 + delta), rounded down
     to float32, and infinite where top is zero (only zero integrals)."""
-    bound = top.astype(float) * ((1.0 - delta) / (1.0 + delta))
-    thr = bound.astype(np.float32)
-    up = thr > bound
-    thr[up] = np.nextafter(thr[up], np.float32(0.0))
+    thr = _f32_down(top.astype(float) * ((1.0 - delta) / (1.0 + delta)))
     thr[top == 0.0] = np.inf
     return thr
 
@@ -413,10 +526,12 @@ _PRUNING: ContextVar[dict | None] = ContextVar("pruning", default=None)
 def pruning_work():
     """Count the pruned path's work in the profiles evaluated inside the
     block: node rows, candidate balls, padded balls (the union rows times
-    the nodes of each stacked exact product) and range fallbacks (node
-    blocks that took the full path)."""
+    the nodes of each stacked exact product), range fallbacks (blocks that
+    took the full path), coarse rows (rows screened over every ball) and
+    interval balls (the balls _interval_balls kept, summed over
+    intervals)."""
     work = {"pruned_rows": 0, "candidate_balls": 0, "padded_balls": 0,
-            "range_fallbacks": 0}
+            "range_fallbacks": 0, "coarse_rows": 0, "interval_balls": 0}
     token = _PRUNING.set(work)
     try:
         yield work
@@ -531,7 +646,7 @@ def _f32_scaled(masks32: np.ndarray, pw32: np.ndarray, factors: np.ndarray,
     columns), written to the leading rows of ``out`` when given."""
     b, k = factors.shape
     scaled = np.matmul(masks32, pw32, out=None if out is None else out[:b])
-    view = scaled.reshape(b, k, -1)
+    view = scaled.reshape(b, k, pw32.shape[1] // k)
     np.multiply(view, factors[:, :, None], out=view)
     return scaled
 

@@ -634,7 +634,10 @@ def ahlfors_fit(space: QuasimetricSpace, alpha: float | None = None,
 
     fitted = alpha is None and beta is None
     if fitted:
-        slope = float(np.polyfit(np.log(r), np.log(mu), 1)[0])
+        # equal radii (two-atom) leave no slope, only the floor
+        log_r = np.log(r)
+        slope = (float(np.polyfit(log_r, np.log(mu), 1)[0]) if np.ptp(log_r) > 0
+                 else 0.0)
         alpha = beta = max(slope, 1e-9)
     elif alpha is None:
         alpha = beta

@@ -64,6 +64,16 @@ def test_generate_family_member_cap():
     assert fam.size <= 10
 
 
+def test_mixed_family_builds_only_the_picked_ball_columns():
+    # the mixed family keeps 16 ball indicators by a stride pick of the
+    # table; building only those gives the columns and names of the whole
+    # set's pick
+    for name in ("grid-4", "circle-64", "two-atom"):
+        s = get_space(name)
+        cols, names = certify._ball_indicator_columns(s, cap=16)
+        want_cols, want_names = certify._capped(certify._ball_indicator_columns(s), 16)
+        assert np.array_equal(cols, want_cols) and names == want_names
+
 def test_empirical_ratio_picks_largest():
     ratio, name = empirical_ratio([2.0, 9.0, 1.0], [1.0, 3.0, 0.0],
                                   ["a", "b", "c"])
@@ -612,7 +622,7 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
     # outside the engine's own profiles
     real = norms._count
     every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
-                           "range_fallbacks"), 0)
+                           "range_fallbacks", "coarse_rows", "interval_balls"), 0)
 
     def counting(**counts):
         for key, value in counts.items():
@@ -634,7 +644,7 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     # balls), so every pruning count comes from the sharpened column's pass
     real = norms._count
     every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
-                           "range_fallbacks"), 0)
+                           "range_fallbacks", "coarse_rows", "interval_balls"), 0)
 
     def counting(**counts):
         for key, value in counts.items():
@@ -661,6 +671,11 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     assert every["pruned_rows"] == sum(nodes)
     assert every["range_fallbacks"] == 0
     assert 0 < every["candidate_balls"] <= every["padded_balls"]
+    # every _COARSE_STRIDE-th row and the last are screened over every ball,
+    # the rows between over the balls their interval keeps
+    stride = norms._COARSE_STRIDE
+    assert every["coarse_rows"] == sum(len(range(0, k - 1, stride)) + 1 for k in nodes)
+    assert 0 < every["interval_balls"]
 
 
 @pytest.mark.parametrize("sharpen", [True, False])

@@ -584,16 +584,17 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             F[rng.random(F.shape) < 0.2] = 0.0
             F[:, m // 2] = 0.0
             params = setups[(k + v) % 3]
-            # six nodes in two node blocks, so the second block's running
-            # maximum starts from the first block's maxima
+            # six nodes with coarse rows 0, 3 and 5: fine rows 1, 2 and 4
+            # are screened over the balls their interval keeps, and the
+            # second interval starts from the first one's closing screen
             schedule = shift_schedule(params, grid_for(params).nodes[::5][:6])
-            monkeypatch.setattr(norms, "_PRUNE_PAIRS", 3 * m)
+            monkeypatch.setattr(norms, "_COARSE_STRIDE", 3)
             # with ratio 1 every table here takes the pruned path, since
             # each holds at least pad balls
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1)
             pad = -(-norms._EXACT_MADDS // (space.n * m))
             assert table.size >= pad
-            # every other m evaluates a node block's exact rows in two
+            # every other m evaluates the first block's exact rows in two
             # sub-blocks (two nodes, then one), the others in one
             monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS",
                                 2 * pad * m if k % 2 else elements)
@@ -601,6 +602,8 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
                 got = norms.seminorm_profile(F, space, schedule)
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
+            assert work["coarse_rows"] == 3
+            assert 0 < work["interval_balls"] <= 2 * table.size
             assert 0 < work["candidate_balls"] <= work["padded_balls"]
             assert work["padded_balls"] >= schedule.nodes.size * pad
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
@@ -619,7 +622,7 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
 
     def _recording(blocks):
         def recorded(table, pw, *args):
-            blocks.append((pw.shape[0], args[-1]))
+            blocks.append((pw.shape[0], args[-2]))
             return pruned_max(table, pw, *args)
         return recorded
     for v, variant in enumerate(_VARIANTS):
@@ -632,13 +635,12 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
                 F[:, -1] = 0.0
             params = setups[(k + v) % 3]
             schedule = shift_schedule(params, grid_for(params).nodes[::5][:7])
-            # node blocks of three, their exact products in pairs: one
-            # screened column takes min(_PRUNE_PAIRS, elements // B) nodes,
-            # and never fewer than _PRUNE_PAIRS // m
+            # coarse rows 0, 3 and 6: two blocks of three rows, whose terms
+            # hold their closing coarse row too, with two fine rows each and
+            # their exact products in pairs, and the last row alone
             pad = -(-norms._EXACT_MADDS // (space.n * m))
+            monkeypatch.setattr(norms, "_COARSE_STRIDE", 3)
             monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 2 * pad * m)
-            monkeypatch.setattr(norms, "_PRUNE_PAIRS",
-                                3 if 2 * pad * m >= 3 * table.size else 3 * m)
             prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
                                           schedule)
             blocks = []
@@ -646,9 +648,11 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
             with norms.pruning_work() as work:
                 got = norms.appended_profile(prof, F, space, schedule)
             monkeypatch.setattr(norms, "_pruned_max", pruned_max)
-            assert blocks == [(3, 1), (3, 1), (1, 1)]
+            assert blocks == [(4, 1), (4, 1), (1, 1)]
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
+            assert work["coarse_rows"] == 3
+            assert (work["interval_balls"] == 0) == (k == 1)
             assert work["padded_balls"] >= schedule.nodes.size * pad
             assert (work["candidate_balls"] == 0) == (k == 1)
             assert np.array_equal(got, norms.seminorm_profile(F, space, schedule)), \
@@ -777,21 +781,39 @@ def test_appended_margin_keeps_the_exact_maximum_ball(monkeypatch):
 @given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
        n=st.integers(2, 24), m=st.integers(3, 8), seed=st.integers(0, 2**16),
        variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
-       scale=st.sampled_from((1e-3, 1.0, 1e3)), sub=st.sampled_from((1, 3)))
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), sub=st.sampled_from((1, 3)),
+       stride=st.integers(2, 5),
+       order=st.sampled_from(("grid", "reversed", "shuffled", "tied")))
 def test_pruned_kernel_matches_the_node_by_node_oracle(kind, n, m, seed, variant,
-                                                       which, scale, sub):
+                                                       which, scale, sub, stride,
+                                                       order):
     """With no padding and every table pruned, the family profile and the
     appended column rest on the screen's candidates alone; each row agrees
     with inner_seminorm_matrix within the float64 sums' reordering.  Exact
     sub-blocks of ``sub`` nodes, and ball blocks of a ball or a few, keep
-    the candidates of each node and the running maxima in play."""
+    the candidates of each node and the running maxima in play.  Every
+    ``stride``-th row is coarse and the schedule holds at least three
+    intervals, whose fine rows are screened only over the balls Lyapunov's
+    bound keeps.  In grid order t = p - eps falls from row to row, reversed
+    it rises, and shuffled or with a repeated node an interval whose fine t
+    do not lie between its ends keeps every ball."""
     space = _random_space(kind, n, seed)
     params = _profile_params(_VARIANTS[variant])[which]
-    schedule = shift_schedule(params, grid_for(params).nodes[::2])
     rng = np.random.default_rng(seed + 2)
+    nodes = grid_for(params).nodes[::2][:rng.integers(3 * stride + 1, 33)]
+    if order == "reversed":
+        nodes = nodes[::-1]
+    elif order == "shuffled":
+        nodes = rng.permutation(nodes)
+    elif order == "tied":
+        nodes = np.insert(nodes, stride, nodes[0])
+    schedule = shift_schedule(params, nodes)
+    coarse = len(range(0, nodes.size - 1, stride)) + 1
+    assert coarse >= 4
     F = rng.uniform(-2.0, 2.0, size=(n, m)) * scale
     F[rng.random(F.shape) < 0.2] = 0.0
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_COARSE_STRIDE", stride)
         patch.setattr(norms, "_EXACT_MADDS", 1)
         patch.setattr(norms, "_PRUNE_RATIO", 1)
         patch.setattr(norms, "_SURROGATE_ELEMENTS", sub * m)
@@ -799,13 +821,62 @@ def test_pruned_kernel_matches_the_node_by_node_oracle(kind, n, m, seed, variant
             prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
                                           schedule)
             got = norms.appended_profile(prof, F, space, schedule)
-    assert work["pruned_rows"] == 2 * schedule.nodes.size
+    assert work["pruned_rows"] == 2 * nodes.size
+    assert work["coarse_rows"] == 2 * coarse
     assert work["range_fallbacks"] == 0
     assert work["candidate_balls"] <= work["padded_balls"]
     tol = 2.0 * norms._gamma(n, 2.0 ** -53)
     for i, (pe, le) in enumerate(zip(schedule.p_eff, schedule.lam_eff)):
         want = inner_seminorm_matrix(F, space, pe, le, schedule.variant)
         assert np.all(np.abs(got[i] - want) <= tol * want), (i, got[i] / want - 1.0)
+
+
+def test_lyapunov_slack_keeps_the_exact_maximum_ball(monkeypatch):
+    """A column with one nonzero point has a single term in every ball, so
+    Hoelder's inequality holds with equality: at a fine row i each ball's
+    scaled integral is exactly X_a^theta X_b^psi den^(theta lam_a + psi
+    lam_b - lam_i).  On the transported shift's second interval that
+    exponent is positive, and with every ball measure above 1 the exact
+    maximum lies above the bound without the lam term, at every fine row.
+    Only the lam term (and eta) of _lyapunov_slack keeps its ball, the
+    singleton of the point, which lies beyond the padding."""
+    n, m = 128, 39
+    rng = np.random.default_rng(5)
+    mat = rng.uniform(0.5, 3.0, size=(n, n))
+    np.fill_diagonal(mat, 0.0)
+    space = build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                        rng.uniform(50.0, 200.0, size=n).tolist())
+    params = _profile_params(MorreyVariant())[1]
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    t, lam = schedule.p_eff, schedule.lam_eff
+    fine = np.arange(17, 32)
+    theta = (t[32] - t[fine]) / (t[32] - t[16])
+    assert np.all(theta * lam[16] + (1.0 - theta) * lam[32] - lam[fine] > 1e-4)
+    F = np.zeros((n, m))
+    F[n - 1, 0] = 1.5
+    # each row's exact product on its own, so that no row borrows the
+    # candidates of another row in its sub-block
+    pad = -(-norms._EXACT_MADDS // (n * m))
+    monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", pad * m)
+    with norms.pruning_work() as work:
+        got = norms.seminorm_profile(F, space, schedule)
+    assert work["pruned_rows"] == schedule.nodes.size
+    assert work["coarse_rows"] < schedule.nodes.size
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+        want = norms.seminorm_profile(F, space, schedule)
+    assert np.array_equal(got, want)
+    # eta alone is not what keeps it
+    slack = norms._lyapunov_slack
+    monkeypatch.setattr(norms, "_lyapunov_slack", lambda *args: (slack(*args)[0], 0.0))
+    assert np.array_equal(norms.seminorm_profile(F, space, schedule), want)
+    # without the lam term the interval keeps no ball, and its fine rows
+    # evaluate only the padding
+    monkeypatch.setattr(norms, "_lyapunov_slack",
+                        lambda theta, *args: (np.zeros_like(theta), 0.0))
+    lost = norms.seminorm_profile(F, space, schedule)
+    assert np.all(lost[fine, 0] < want[fine, 0])
+    assert np.array_equal(np.delete(lost, fine, axis=0), np.delete(want, fine, axis=0))
 
 
 # ---------------------------------------------------------------------------

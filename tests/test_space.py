@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -739,6 +740,16 @@ def test_ahlfors_fit_zero_window_reports_infinite_upper():
     assert math.isinf(fit.c_up)
     assert fit.upper_fails_at_zero
 
+
+def test_ahlfors_fit_of_equal_radii_takes_the_floor_without_a_warning():
+    # two-atom's representative radii in the window are all equal, so the
+    # log-log cloud has no slope: the fitted exponent is the 1e-9 floor, and
+    # numpy's least squares (which would warn) is not asked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        fit = ahlfors_fit(two_atom())
+    assert fit.alpha_lower == fit.beta_upper == 1e-9
+    assert fit.fitted
 
 def test_ahlfors_fit_rejects_empty_window():
     s = line_grid(4)
