@@ -269,20 +269,22 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
 
     The best ratio follows sharpen_witness: the first call sets it, and so
     does every later one that gains more than _SHARPEN_GAIN.  Each trial
-    takes both sides' surrogate rows (norms.ProfileScreen).  Division is
-    monotone, so a trial with max(out) (1 + delta) / (max(in) (1 - delta))
-    <= best (1 + _SHARPEN_GAIN) cannot be accepted, and returns that upper
-    bound.  Otherwise each side's grand norm is the largest of its exact
-    rows (grand_rows) among the candidates, which hold the exact maximum,
-    so the ratio is bit for bit that of _ratio_evaluator.  ``work`` counts
-    the trials, the surrogate rejections, the exact rows and the screen
-    fallbacks (surrogate rows a screen declined, one per side).
+    takes both sides' row bounds (norms.ProfileScreen: float32 surrogates
+    of the coarse rows and of the fine rows Lyapunov's bound cannot rule
+    out).  Division is monotone, so a trial with max(upper out) /
+    max(lower in) <= best (1 + _SHARPEN_GAIN) cannot be accepted, and
+    returns that upper bound.  Otherwise each side's grand norm is the
+    largest of its exact rows (grand_rows) among the candidates, which
+    hold the exact maximum, so the ratio is bit for bit that of
+    _ratio_evaluator.  ``work`` counts the trials, the surrogate
+    rejections, the exact rows, the screen fallbacks (bounds a screen
+    declined, one per side) and the float32 rows both screens evaluated.
     """
     screen_out, screen_in = ProfileScreen(space, s_out), ProfileScreen(space, s_in)
     best = None
 
-    def exact(screen, V, rows):
-        part = screen.candidates(rows)
+    def exact(screen, V, bounds):
+        part = screen.candidates(bounds)
         work["exact_rows"] += part.size
         return float(grand_rows(V, space, screen.schedule, part).max())
 
@@ -291,16 +293,16 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
         work["trials"] += 1
         col = vec[:, None]
         col_out = np.asarray(apply_op(col), dtype=float)
-        rows_out, rows_in = screen_out.rows(col_out), screen_in.rows(col)
-        work["screen_fallbacks"] += (rows_out is None) + (rows_in is None)
-        if best is not None and rows_out is not None and rows_in is not None:
-            upper = float(rows_out.max()) * (1.0 + screen_out.delta)
-            lower = float(rows_in.max()) * (1.0 - screen_in.delta)
+        bounds_out, bounds_in = screen_out.rows(col_out), screen_in.rows(col)
+        work["screen_fallbacks"] += (bounds_out is None) + (bounds_in is None)
+        work["screened_rows"] = screen_out.screened_rows + screen_in.screened_rows
+        if best is not None and bounds_out is not None and bounds_in is not None:
+            upper, lower = float(bounds_out[0].max()), float(bounds_in[1].max())
             if lower > 0.0 and upper / lower <= best * (1.0 + _SHARPEN_GAIN):
                 work["surrogate_rejections"] += 1
                 return upper / lower
-        pout = exact(screen_out, col_out, rows_out)
-        pin = exact(screen_in, col, rows_in)
+        pout = exact(screen_out, col_out, bounds_out)
+        pin = exact(screen_in, col, bounds_in)
         ratio = 0.0 if pin <= 0.0 else pout / pin
         if best is None or ratio > best * (1.0 + _SHARPEN_GAIN):
             best = ratio
@@ -718,7 +720,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
         return (schedule.weight[i, None] * prof[i]).max(axis=0)
 
     work = {"trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
-            "screen_fallbacks": 0}
+            "screen_fallbacks": 0, "screened_rows": 0}
     with pruning_work() as pruning:
         prof_in = seminorm_profile(F, space, s_in)
         prof_out = seminorm_profile(out_vals, space, s_out)

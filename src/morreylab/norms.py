@@ -37,10 +37,13 @@ columns of an (m + 1)-column product equal the m-column product) above
 its small-matrix path; below it the whole profile is evaluated again.
 Both subset properties are pinned by tests/test_norms.py.
 
-ProfileScreen trades those bits for speed where a bound suffices: the same
-float32 kernel and range checks give surrogate rows of one column within
-delta of the exact rows, so a caller evaluates exactly only the rows that
-can decide.
+ProfileScreen trades those bits for speed where a bound suffices: it
+brackets every row of the profile of one column, so a caller evaluates
+exactly only the rows that can decide.  The same float32 kernel and range
+checks give surrogates within delta of the exact rows at the coarse rows;
+Lyapunov's inequality bounds the rows between from the coarse maxima
+alone, and only the rows whose bound reaches the coarse rows' lower
+bounds are screened again.
 """
 
 from __future__ import annotations
@@ -296,7 +299,7 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
         # a margin of 1 or more (or NaN) admits every ball
         prune = delta < 1.0
     if prune:
-        coarse = np.unique(np.append(np.arange(0, k, _COARSE_STRIDE), k - 1))
+        coarse = _coarse_rows(k)
         blocks = [(a, b, b + 1 if b > a + 1 else b)
                   for a, b in zip(coarse, np.append(coarse[1:], k))]
     else:
@@ -307,15 +310,21 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     for a, b, c in blocks:
         pe = p_eff[a:c, None, None]
         pw = absF ** pe * w
-        lam = lam_eff[a:c, None, None]
         top = None
         if prune:
-            top, held = _pruned_max(table, pw, den ** -lam, pe[:, 0, 0], lam[:, 0, 0],
-                                    delta, log_den, pad, screened, held)
+            top, held = _pruned_max(table, pw, den, pe[:, 0, 0], lam_eff[a:c], delta,
+                                    log_den, pad, screened, held)
         if top is None:
-            top = _full_max(table.masks_f, pw[:b - a], den, lam[:b - a])[:, m - screened:]
+            top = _full_max(table.masks_f, pw[:b - a], den,
+                            lam_eff[a:b, None, None])[:, m - screened:]
         out[a:b] = top ** (1.0 / pe[:b - a, 0])
     return out
+
+
+def _coarse_rows(k: int) -> np.ndarray:
+    """The rows of a k-row schedule screened over every ball: every
+    _COARSE_STRIDE-th row and the last."""
+    return np.unique(np.append(np.arange(0, k, _COARSE_STRIDE), k - 1))
 
 
 def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
@@ -336,7 +345,7 @@ def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
     return top
 
 
-def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
+def _pruned_max(table, pw: np.ndarray, den: np.ndarray, t: np.ndarray,
                 lam: np.ndarray, delta: float, log_den: float, pad: int,
                 screened: int, held: np.ndarray | None) -> tuple:
     """The last ``screened`` columns of _full_max bit for bit from their
@@ -346,12 +355,12 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
     where a float32 intermediate of the screen could leave the normal range.
 
     One float32 product of the masks with the terms of a row's screened
-    columns, times the den factors rounded to float32, gives a surrogate s
-    of each scaled ball integral within the relative margin delta
-    (surrogate_margin).  So the ball holding the exact maximum of a (row,
-    column) pair has s (1 + delta) >= t (1 - delta) for every surrogate t of
-    the pair: it is a candidate against the largest surrogate of any ball
-    set that holds it.  The first row, and the closing one, are screened
+    columns, times the den factors den ** -lam rounded to float32, gives a
+    surrogate s of each scaled ball integral within the relative margin
+    delta (surrogate_margin).  So the ball holding the exact maximum of a
+    (row, column) pair has s (1 + delta) >= t (1 - delta) for every
+    surrogate t of the pair: it is a candidate against the largest
+    surrogate of any ball set that holds it.  The first row, and the closing one, are screened
     over every ball (the first's surrogates are ``held`` when the previous
     block screened them).  The rows between are screened over the balls
     that _interval_balls keeps, one float32 product per ball block, with a
@@ -367,24 +376,32 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
     product's rows (pinned by tests/test_norms.py).  A sub-block holds at
     most _SURROGATE_ELEMENTS / (pad m) rows.  The rows are converted from
     the bool masks, so a table that only this path reads never builds
-    ``masks_f``.
+    ``masks_f``.  The den factors are computed only where they are read:
+    for the coarse rows at every ball, for the rows between at the balls
+    they screen and evaluate; each is the power of the full path bit for
+    bit.
     """
     k, n, m = pw.shape
     rows = max(1, k - 1)
-    pw32 = _f32_terms(pw[:, :, m - screened:], float(factors.min()),
-                      float(factors.max()))
+    # den ** -lam is monotone in den, so its extremes lie at the extreme dens
+    ends = np.array([den.min(), den.max()]) ** -lam[:, None]
+    pw32 = _f32_terms(pw[:, :, m - screened:], float(ends.min()), float(ends.max()))
     if pw32 is None:
         _count(range_fallbacks=1)
         return None, None
-    factors32 = factors[:, 0].astype(np.float32)
     masks32 = table.masks32
 
     def screen(j):
         # the surrogates of row j over every ball, (screened, balls): column
         # maxima and tests then reduce along rows, which numpy does fast
         s = np.matmul(pw32[:, j * screened:(j + 1) * screened].T, masks32.T)
-        s *= factors32[j]
+        s *= (den ** -lam[j:j + 1]).astype(np.float32)
         return s
+
+    def fine32(ids):
+        # the float32 den factors of the rows between at the balls ids,
+        # (balls, rows)
+        return (den[ids] ** -lam[1:rows, None]).astype(np.float32).T
     first, coarse = (screen(0), 1) if held is None else (held, 0)
     cand = np.zeros((rows, table.size), dtype=bool)
     cand[0] = _coarse_candidates(first, delta)
@@ -393,9 +410,8 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
         last = screen(k - 1)
         coarse += 1
         terms = np.ascontiguousarray(pw32[:, screened:rows * screened])
-        f32 = factors32[1:rows]
         near = np.flatnonzero(cand[0] | _coarse_candidates(last, delta))
-        top = _f32_scaled(masks32[near], terms, f32[:, near].T).max(
+        top = _f32_scaled(masks32[near], terms, fine32(near)).max(
             axis=0, initial=np.float32(0.0))
         balls = _interval_balls(first, last, top, t, lam, delta, log_den, n)
         kept = balls.size
@@ -403,12 +419,12 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
         block = np.empty((min(step, kept), top.size), dtype=np.float32)
         for b in range(0, kept, step):
             ids = balls[b:b + step]
-            s = _f32_scaled(masks32[ids], terms, f32[:, ids].T, block)
+            s = _f32_scaled(masks32[ids], terms, fine32(ids), block)
             np.maximum(top, s.max(axis=0), out=top)
             hit, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
                                   top.size)
             cand[1 + pair // screened, ids[hit]] = True
-    pw, factors = pw[:rows], factors[:rows]
+    pw, lam = pw[:rows], lam[:rows]
     out = np.empty((rows, screened))
     sub = max(1, _SURROGATE_ELEMENTS // (pad * m))
     padded = 0
@@ -420,7 +436,7 @@ def _pruned_max(table, pw: np.ndarray, factors: np.ndarray, t: np.ndarray,
         union = np.flatnonzero(keep)
         scaled = np.matmul(table.masks[union].astype(float)[None],
                            pw[a:a + sub])[:, :, m - screened:]
-        scaled *= factors[a:a + sub, 0, union][:, :, None]
+        scaled *= (den[union] ** -lam[a:a + sub, None])[:, :, None]
         out[a:a + sub] = scaled.max(axis=1)
         padded += scaled.shape[0] * union.size
     _count(pruned_rows=rows, candidate_balls=int(np.count_nonzero(cand)),
@@ -491,9 +507,10 @@ def _interval_balls(first: np.ndarray, last: np.ndarray, top: np.ndarray,
 
 
 def _lyapunov_slack(theta, psi, lam, log_den, n, log_low, log_a, log_b) -> tuple:
-    """gap_i (fine rows x 1) and eta (per column) of _interval_balls:
-    _SURROGATE_ULPS float64 ulps times n + 2 and the magnitudes of the logs
-    and exponents that enter log rho_c."""
+    """gap_i (fine rows x 1) and eta (per column) of _interval_balls, and of
+    ProfileScreen's fine-row bounds: _SURROGATE_ULPS float64 ulps times
+    n + 2 and the magnitudes of the logs and exponents that enter log rho_c
+    or the log of the bound."""
     gap = np.abs(theta * lam[0] + psi * lam[-1] - lam[1:-1, None]) * log_den
     eta = _SURROGATE_ULPS * np.finfo(float).eps / 2 * (
         n + 2.0 + np.abs(lam).max() * log_den + gap.max()
@@ -562,8 +579,6 @@ def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
 # elements of one ball block's (balls, nodes x columns) float32 surrogate
 # product
 _SURROGATE_ELEMENTS = 1 << 17
-# nodes per float64 block of den factors, rounded to float32 block by block
-_FACTOR_NODES = 16
 # ulps the surrogate margin allows for the float64 terms |f|^p w, the den
 # factor, the 1/p root and the weight on both paths, with slack for rounding
 # the bounds built from it
@@ -652,72 +667,143 @@ def _f32_scaled(masks32: np.ndarray, pw32: np.ndarray, factors: np.ndarray,
 
 
 class ProfileScreen:
-    """A certified surrogate of the weighted profile of one column at one
+    """A certified bracket of the weighted profile of one column at one
     schedule, and the rows that must be evaluated exactly.
 
-    The screen holds the den factors exp(-lam_eff log den) of every (ball,
-    node) pair in float32, computed in float64 one block of _FACTOR_NODES
-    nodes at a time and rounded once.  ``rows`` then takes the float32 terms
-    |f|^p_eff w of all nodes, and per block of balls one float32 product
-    with the ball masks (``masks32``), the product with the factors and a
-    running max, so each call reads the masks once.  The root and the weight
-    stay in float64.  Its bits differ from the per-node rows of grand_rows,
-    but each exact row lies within [s (1 - delta), s (1 + delta)] of its
-    surrogate row s, delta from surrogate_margin.  ``candidates`` are the
+    The screen evaluates float32 surrogates of the coarse rows of the
+    schedule (_coarse_rows) only: it holds their den factors exp(-lam_eff
+    log den) for every ball in float32, computed in float64 and rounded
+    once.  ``rows`` takes the float32 terms |f|^p_eff w of all nodes and,
+    for the coarse rows, per block of balls one float32 product with the
+    ball masks (``masks32``), the product with the factors and a running
+    max.  The root and the weight stay in float64.  The bits of a surrogate
+    row s differ from those of grand_rows, but its exact row lies within
+    [s (1 - delta), s (1 + delta)], delta from surrogate_margin.
+
+    A fine row i between coarse rows a and b is bounded by Lyapunov's
+    inequality, as in _interval_balls, from the column maxima S_a and S_b
+    of the coarse surrogates before the root and the weight:
+        X_i <= ((1 + delta) S_a)^theta ((1 + delta) S_b)^psi exp(gap_i + eta),
+    with theta, psi, gap_i and eta from the schedule alone (_lyapunov_slack,
+    with the largest |log| of a normal float32 for the logs of S_a and
+    S_b).  Its upper bound is its weight times that bound to the power
+    1/t_i; its lower bound is 0.  Every fine row whose upper bound reaches
+    the largest lower bound is screened again like a coarse row, its den
+    factors computed block by block; the exact maximum row is among them,
+    since its upper bound reaches its exact value.  An interval whose fine
+    t do not lie strictly between its ends (unordered or tied rows) has no
+    bound, and all its fine rows are screened.  ``candidates`` are the
     rows whose upper bound reaches the largest lower bound; the exact
-    maximum row is always among them.
+    maximum row is always among them.  ``screened_rows`` counts the
+    surrogate rows evaluated, over all calls.
     """
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
         self.table, den = variant_table(space, schedule.variant)
         self.space, self.schedule = space, schedule
-        log_den = np.log(den)
-        lam = schedule.lam_eff
-        self.den_exponent = float(np.abs(lam).max() * np.abs(log_den).max(initial=0.0))
+        self._log_den = log_den = np.log(den)
+        t, lam, k = schedule.p_eff, schedule.lam_eff, schedule.nodes.size
+        log_den_max = float(np.abs(log_den).max(initial=0.0))
+        self.den_exponent = float(np.abs(lam).max() * log_den_max)
         self.delta = surrogate_margin(space.n, self.den_exponent)
-        factors = np.empty((self.table.size, lam.size), dtype=np.float32)
-        hi = 0.0
-        for a in range(0, lam.size, _FACTOR_NODES):
-            block = np.exp(np.multiply.outer(log_den, -lam[a:a + _FACTOR_NODES]))
-            hi = max(hi, float(block.max(initial=0.0)))
-            if hi > _F32_HUGE:
-                break
-            factors[:, a:a + _FACTOR_NODES] = block
+        # exp(-lam log den) is monotone in log den, so every row's extreme
+        # den factors lie at the extreme dens
+        ends = (np.exp(np.multiply.outer(-lam, [log_den.min(), log_den.max()]))
+                if den.size else np.zeros(0))
+        lo, hi = float(ends.min(initial=np.inf)), float(ends.max(initial=0.0))
         # _f32_terms declines every column, so every row is exact, when a den
         # factor leaves the float32 normal range
-        self._factors = factors
-        self._factor_range = (float(factors.min(initial=np.inf))
-                              if hi <= _F32_HUGE else 0.0, hi)
-        # one ball block's product, reused by every call
-        self.step = max(1, _SURROGATE_ELEMENTS // lam.size)
-        self._scaled = np.empty((min(self.step, self.table.size), lam.size),
-                                dtype=np.float32)
+        self._factor_range = (float(np.float32(lo)) if hi <= _F32_HUGE else 0.0, hi)
+        self._coarse = coarse = _coarse_rows(k)
+        self._factors = self._den_factors(slice(None), coarse) if hi <= _F32_HUGE else None
+        # per fine row: its interval's end in coarse, theta, psi and the log
+        # of (1 + delta) e^(gap + eta); nan where its interval has no bound
+        self._fine = fine = np.setdiff1d(np.arange(k), coarse)
+        self._end = end = np.searchsorted(coarse, fine)
+        t_a, t_b = t[coarse[end - 1]], t[coarse[end]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._theta = (t_b - t[fine]) / (t_b - t_a)
+            self._psi = (t[fine] - t_a) / (t_b - t_a)
+        self._slack = np.full(fine.size, np.nan)
+        log_f32 = np.log(_F32_HUGE)
+        for j in np.unique(end):
+            i = end == j
+            theta, psi = self._theta[i, None], self._psi[i, None]
+            if np.all((theta > 0.0) & (psi > 0.0)):
+                gap, eta = _lyapunov_slack(theta, psi, lam[coarse[j - 1]:coarse[j] + 1],
+                                           log_den_max, space.n, np.zeros(1),
+                                           log_f32, log_f32)
+                self._slack[i] = np.log1p(self.delta) + gap[:, 0] + eta
+        self.screened_rows = 0
+        # one ball block's product, reused by every call: the blocks of an
+        # every-row screen, so that a screen of fewer rows takes no more
+        # memory (or BLAS buffer) than one of all rows
+        self.step = max(1, _SURROGATE_ELEMENTS // k)
+        self._buffer = np.empty(min(self.step, self.table.size) * k, dtype=np.float32)
 
-    def rows(self, F: np.ndarray) -> np.ndarray | None:
-        """Surrogate weighted rows of the one-column F, or None where delta
-        does not hold: a float32 intermediate that could leave the normal
-        range, or a non-finite row."""
-        sched, masks = self.schedule, self.table.masks32
+    def _den_factors(self, balls, rows) -> np.ndarray:
+        """The float32 den factors of the balls ``balls`` at the schedule
+        rows ``rows``, (balls, rows)."""
+        lam = self.schedule.lam_eff[rows]
+        return np.exp(np.multiply.outer(self._log_den[balls], -lam)).astype(np.float32)
+
+    def _tops(self, pw32: np.ndarray, rows: np.ndarray,
+              factors: np.ndarray | None = None) -> np.ndarray:
+        """The float32 maxima over every ball of the scaled ball sums at the
+        schedule rows ``rows``, with the den factors ``factors`` (balls,
+        rows) or, without them, factors computed per block of balls."""
+        masks, step = self.table.masks32, self.step
+        terms = pw32[:, rows]
+        block = self._buffer[:min(step, masks.shape[0]) * rows.size].reshape(-1, rows.size)
+        top = np.zeros(rows.size, dtype=np.float32)
+        for a in range(0, masks.shape[0], step):
+            f = (self._den_factors(slice(a, a + step), rows) if factors is None
+                 else factors[a:a + step])
+            np.maximum(top, _f32_scaled(masks[a:a + step], terms, f, block).max(axis=0),
+                       out=top)
+        self.screened_rows += rows.size
+        return top
+
+    def rows(self, F: np.ndarray) -> tuple | None:
+        """Upper and lower bounds of the weighted rows of the one-column F,
+        or None where delta does not hold: a float32 intermediate that could
+        leave the normal range, or a non-finite surrogate row."""
+        sched, delta = self.schedule, self.delta
         pw = np.abs(F[:, 0]) ** sched.p_eff[:, None] * self.space.weights
         pw32 = _f32_terms(pw[:, :, None], *self._factor_range,
                           float(sched.weight.min()))
         if pw32 is None:
             return None
-        top = np.zeros(sched.nodes.size, dtype=np.float32)
-        for a in range(0, masks.shape[0], self.step):
-            scaled = _f32_scaled(masks[a:a + self.step], pw32,
-                                 self._factors[a:a + self.step], self._scaled)
-            np.maximum(top, scaled.max(axis=0), out=top)
-        rows = sched.weight * top.astype(float) ** (1.0 / sched.p_eff)
-        return rows if np.all(np.isfinite(rows)) else None
+        upper, lower = np.empty(sched.nodes.size), np.zeros(sched.nodes.size)
 
-    def candidates(self, rows: np.ndarray | None) -> np.ndarray:
-        """Indices of the rows that can hold the exact maximum: all of them
-        without a surrogate."""
-        if rows is None:
+        def bracket(rows, top):
+            s = sched.weight[rows] * top.astype(float) ** (1.0 / sched.p_eff[rows])
+            upper[rows], lower[rows] = s * (1.0 + delta), s * (1.0 - delta)
+            return bool(np.all(np.isfinite(s)))
+
+        top = self._tops(pw32, self._coarse, self._factors)
+        if not bracket(self._coarse, top):
+            return None
+        fine = self._fine
+        # a zero coarse maximum bounds its ordered fine rows by exp(-inf) = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_top = np.log(top.astype(float))
+            bound = np.exp(self._theta * log_top[self._end - 1]
+                           + self._psi * log_top[self._end] + self._slack)
+        upper[fine] = np.where(np.isnan(self._slack), np.inf,
+                               sched.weight[fine] * bound ** (1.0 / sched.p_eff[fine]))
+        refine = fine[upper[fine] >= lower.max()]
+        if refine.size and not bracket(refine, self._tops(pw32, refine)):
+            return None
+        return upper, lower
+
+    def candidates(self, bounds: tuple | None) -> np.ndarray:
+        """Indices of the rows that can hold the exact maximum, from the
+        bounds of ``rows``: all of them without bounds."""
+        if bounds is None:
             return np.arange(self.schedule.nodes.size)
-        return np.flatnonzero(rows * (1.0 + self.delta)
-                              >= rows.max() * (1.0 - self.delta))
+        upper, lower = bounds
+        return np.flatnonzero(upper >= lower.max())
 
 
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,

@@ -567,7 +567,13 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
     trial that the surrogates do not reject evaluates its argmax row and
     only the rows within the surrogate margin of it."""
     real_rows, real_sharpen = certify.grand_rows, certify.sharpen_witness
+    real_tops = norms.ProfileScreen._tops
     trials = []
+    screened = [0]
+
+    def tops(self, pw32, rows, *args):
+        screened[0] += rows.size
+        return real_tops(self, pw32, rows, *args)
 
     def recording(F, space, schedule, rows):
         out = real_rows(F, space, schedule, rows)
@@ -583,6 +589,7 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
 
     monkeypatch.setattr(certify, "grand_rows", recording)
     monkeypatch.setattr(certify, "sharpen_witness", sharpen)
+    monkeypatch.setattr(norms.ProfileScreen, "_tops", tops)
     rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
                               seed=3)
     sides = [side for trial in trials for side in trial]
@@ -595,7 +602,8 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
         "trials": len(trials),
         "surrogate_rejections": sum(not trial for trial in trials),
         "exact_rows": exact_rows,
-        "screen_fallbacks": 0}
+        "screen_fallbacks": 0,
+        "screened_rows": screened[0]}
     assert 0 < rep.sharpening_work["surrogate_rejections"] < len(trials)
 
 
@@ -606,14 +614,15 @@ def test_reduction_runmeta_records_sharpening_work(tmp_path):
     meta = json.loads((tmp_path / "thm-3.6-grid-16.json.runmeta.json").read_text())
     assert meta["sharpening"] == rep.sharpening_work
     assert set(meta["sharpening"]) == {"trials", "surrogate_rejections",
-                                       "exact_rows", "screen_fallbacks"}
+                                       "exact_rows", "screen_fallbacks",
+                                       "screened_rows"}
     body = json.loads(path.read_text())
     assert "sharpening_work" not in body and "runtime_s" not in body
     unsharpened = certify_boundedness("thm-3.6", get_space("grid-16"),
                                       family_spec="mixed", seed=3, sharpen=False)
     assert unsharpened.sharpening_work == {
         "trials": 0, "surrogate_rejections": 0, "exact_rows": 0,
-        "screen_fallbacks": 0}
+        "screen_fallbacks": 0, "screened_rows": 0}
 
 
 def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_path):

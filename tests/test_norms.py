@@ -375,23 +375,37 @@ def _random_space(kind, n, seed):
 @given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
        n=st.integers(2, 128), seed=st.integers(0, 2**16),
        variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
-       scale=st.sampled_from((1e-3, 1.0, 1e3)))
-@example(kind="asymmetric", n=128, seed=1, variant=0, which=0, scale=1.0)
-@example(kind="tied", n=128, seed=2, variant=1, which=1, scale=1e-3)
-@example(kind="snowflake", n=128, seed=3, variant=2, which=2, scale=1e3)
-def test_surrogate_rows_bracket_the_exact_rows(kind, n, seed, variant, which, scale):
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), stride=st.integers(2, 5))
+@example(kind="asymmetric", n=128, seed=1, variant=0, which=0, scale=1.0, stride=2)
+@example(kind="tied", n=128, seed=2, variant=1, which=1, scale=1e-3, stride=3)
+@example(kind="snowflake", n=128, seed=3, variant=2, which=2, scale=1e3, stride=5)
+def test_surrogate_rows_bracket_the_exact_rows(kind, n, seed, variant, which, scale,
+                                               stride):
+    """Every exact row lies between its bounds: a screened row within delta
+    of its surrogate, a fine row below its Lyapunov bound.  Every
+    ``stride``-th row is coarse, so fine rows exist; the second and third
+    params are transported shifts, whose lam_eff is not affine in t."""
     space = _random_space(kind, n, seed)
     params = _profile_params(_VARIANTS[variant])[which]
     schedule = shift_schedule(params, grid_for(params).nodes)
     rng = np.random.default_rng(seed + 1)
     F = rng.uniform(-2.0, 2.0, size=(n, 1)) * scale
     F[rng.random(n) < 0.2] = 0.0
-    screen = norms.ProfileScreen(space, schedule)
-    approx = screen.rows(F)
-    assert approx is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_COARSE_STRIDE", stride)
+        screen = norms.ProfileScreen(space, schedule)
+    assert screen._fine.size > 0
+    bounds = screen.rows(F)
+    assert bounds is not None
+    upper, lower = bounds
     exact = norms.grand_rows(F, space, schedule, np.arange(schedule.nodes.size))[:, 0]
-    assert np.all(exact >= approx * (1.0 - screen.delta))
-    assert np.all(exact <= approx * (1.0 + screen.delta))
+    assert np.all(lower <= exact)
+    assert np.all(exact <= upper)
+    assert np.argmax(exact) in screen.candidates(bounds)
+    if np.any(F):
+        # the screened rows are the ones with a positive lower bound
+        assert screen.screened_rows == np.count_nonzero(lower)
+        assert np.all(lower[screen._coarse] > 0.0)
 
 
 def _flipped_argmax_case():
@@ -400,7 +414,8 @@ def _flipped_argmax_case():
 
     The second node's weight lies strictly between the exact and the
     surrogate ratio of the two unweighted rows, so the two paths order the
-    weighted rows differently.
+    weighted rows differently.  Both rows are coarse, so their upper bounds
+    are their surrogates times 1 + delta.
     """
     space = _random_space("asymmetric", 48, 5)
     params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
@@ -410,11 +425,11 @@ def _flipped_argmax_case():
     for _ in range(200):
         F = rng.uniform(0.0, 2.0, size=(space.n, 1))
         exact = norms.grand_rows(F, space, unit, [0, 1])[:, 0]
-        approx = norms.ProfileScreen(space, unit).rows(F)
+        approx = norms.ProfileScreen(space, unit).rows(F)[0]
         w = 0.5 * (exact[0] / exact[1] + approx[0] / approx[1])
         schedule = replace(unit, weight=np.array([1.0, w]))
         exact = norms.grand_rows(F, space, schedule, [0, 1])[:, 0]
-        approx = norms.ProfileScreen(space, schedule).rows(F)
+        approx = norms.ProfileScreen(space, schedule).rows(F)[0]
         if np.sign(exact[0] - exact[1]) * np.sign(approx[0] - approx[1]) < 0:
             return space, schedule, F
     raise AssertionError("no column orders the two paths differently")
@@ -424,14 +439,103 @@ def test_surrogate_margin_keeps_the_exact_argmax_row(monkeypatch):
     space, schedule, F = _flipped_argmax_case()
     exact = norms.grand_rows(F, space, schedule, [0, 1])[:, 0]
     screen = norms.ProfileScreen(space, schedule)
-    approx = screen.rows(F)
-    part = screen.candidates(approx)
+    part = screen.candidates(screen.rows(F))
     assert norms.grand_rows(F, space, schedule, part).max() == exact.max()
     # without the margin only the surrogate argmax row is evaluated exactly,
     # and the grand norm comes out wrong
     monkeypatch.setattr(norms, "surrogate_margin", lambda n, den_exponent: 0.0)
-    part = norms.ProfileScreen(space, schedule).candidates(approx)
+    screen = norms.ProfileScreen(space, schedule)
+    part = screen.candidates(screen.rows(F))
     assert norms.grand_rows(F, space, schedule, part).max() < exact.max()
+
+
+def test_zero_column_bounds_every_row_by_zero(monkeypatch):
+    """A zero column has zero coarse maxima: the log of the Lyapunov bound is
+    -inf, so every fine row's upper bound is exp(-inf) = 0, never a nan, and
+    every row stays a candidate for its zero exact value."""
+    monkeypatch.setattr(norms, "_COARSE_STRIDE", 3)
+    space = _random_space("tied", 24, 4)
+    for params in _profile_params(MorreyVariant()):
+        schedule = shift_schedule(params, grid_for(params).nodes)
+        screen = norms.ProfileScreen(space, schedule)
+        upper, lower = screen.rows(np.zeros((space.n, 1)))
+        assert np.array_equal(upper, np.zeros(schedule.nodes.size))
+        assert np.array_equal(lower, upper)
+        assert np.array_equal(screen.candidates((upper, lower)),
+                              np.arange(schedule.nodes.size))
+
+
+def _single_point_space(n=24, seed=5):
+    """An asymmetric space whose every ball measure is above 1."""
+    rng = np.random.default_rng(seed)
+    mat = rng.uniform(0.5, 3.0, size=(n, n))
+    np.fill_diagonal(mat, 0.0)
+    return build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                       rng.uniform(50.0, 200.0, size=n).tolist())
+
+
+def test_screen_slack_keeps_the_exact_maximum_row(monkeypatch):
+    """A column with one nonzero point has a single term in every ball, so
+    Hoelder's inequality holds with equality, as in
+    test_lyapunov_slack_keeps_the_exact_maximum_ball: on the transported
+    shift's second interval each fine row's maximum lies above the bound
+    without the lam term.  The weights put the exact maximum at one fine
+    row, by a relative 1e-5 over every other row.  The screen keeps it as a
+    candidate; with gap and eta at 0 its upper bound falls below the coarse
+    rows' lower bounds, and the grand norm comes out wrong."""
+    space = _single_point_space()
+    params = _profile_params(MorreyVariant())[1]
+    full = shift_schedule(params, grid_for(params).nodes)
+    rows = np.arange(16, 33)
+    unit = replace(full, nodes=full.nodes[rows], p_eff=full.p_eff[rows],
+                   lam_eff=full.lam_eff[rows], weight=np.ones(rows.size))
+    F = np.zeros((space.n, 1))
+    F[space.n - 1] = 1.5
+    weight = 1.0 / norms.grand_rows(F, space, unit, np.arange(rows.size))[:, 0]
+    weight[8] *= 1.0 + 1e-5
+    schedule = replace(unit, weight=weight)
+    exact = norms.grand_rows(F, space, schedule, np.arange(rows.size))[:, 0]
+    assert np.argmax(exact) == 8
+    screen = norms.ProfileScreen(space, schedule)
+    assert np.array_equal(screen._coarse, [0, 16])
+    part = screen.candidates(screen.rows(F))
+    assert 8 in part
+    assert norms.grand_rows(F, space, schedule, part).max() == exact.max()
+    monkeypatch.setattr(norms, "_lyapunov_slack",
+                        lambda theta, *args: (np.zeros_like(theta), 0.0))
+    screen = norms.ProfileScreen(space, schedule)
+    part = screen.candidates(screen.rows(F))
+    assert 8 not in part
+    assert norms.grand_rows(F, space, schedule, part).max() < exact.max()
+
+
+@pytest.mark.parametrize("order", ["tied", "shuffled"])
+def test_unordered_interval_screens_all_its_fine_rows(monkeypatch, order):
+    """An interval whose fine t do not lie strictly between its ends has no
+    Lyapunov bound: every fine row of it is screened, while an ordered
+    interval of the same schedule screens none of its fine rows."""
+    monkeypatch.setattr(norms, "_COARSE_STRIDE", 4)
+    space = _random_space("asymmetric", 32, 11)
+    params = _profile_params(MorreyVariant())[0]
+    nodes = grid_for(params).nodes[:13]
+    if order == "tied":
+        # row 2 repeats row 0, an end of its interval
+        nodes = np.insert(nodes, 2, nodes[0])
+    else:
+        # rows 2 and 6 swap intervals
+        nodes[[2, 6]] = nodes[[6, 2]]
+    schedule = shift_schedule(params, nodes)
+    rng = np.random.default_rng(3)
+    F = rng.uniform(0.5, 1.5, size=(space.n, 1))
+    screen = norms.ProfileScreen(space, schedule)
+    upper, lower = screen.rows(F)
+    assert np.all(lower[1:4] > 0.0)
+    if order == "shuffled":
+        assert np.all(lower[5:8] > 0.0)
+    assert np.all(lower[9:12] == 0.0)
+    assert screen.screened_rows == np.count_nonzero(lower)
+    exact = norms.grand_rows(F, space, schedule, np.arange(nodes.size))[:, 0]
+    assert np.all((lower <= exact) & (exact <= upper))
 
 
 def test_surrogate_steps_aside_for_subnormal_terms():
