@@ -565,8 +565,7 @@ def verify_dominance(space: QuasimetricSpace, f, params, sigma: float,
 
     nodes = grid_for(params).nodes
     mid = nodes[(nodes >= sigma) & (nodes <= params.s_max)]
-    deltas = np.asarray([delta_exponent(params.p, params.lam, params.A,
-                                        float(e), sigma) for e in mid])
+    deltas = delta_exponent(params.p, params.lam, params.A, mid, sigma)
     delta_ok = bool(deltas.size == 0
                     or (deltas.min() >= -1e-12 and deltas.max() <= 1.0 + 1e-12))
 
@@ -652,7 +651,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     and it bounds the measured grand-norm ratio of every family member
     because the input grand norm is evaluated on the union of its master
     grid with the paired nodes.  That bound is asserted.  A per-shift
-    theoretical constant, when registered, is assembled the same way.
+    theoretical constant, per_eps_constant(eps, eta, A_out(eps)) when
+    registered, is assembled the same way.  The pairing maps node arrays.
 
     The stability gate re-measures on refinement_levels >= 1 refined grids.
     Refinement keeps every node, so each side is evaluated once, on the
@@ -664,9 +664,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     has applied already.
     """
     t0 = time.perf_counter()
-    if pairing is None:
-        def pairing(e):
-            return e
+    pairing = pairing or (lambda e: e)
     if not 0.0 < sigma < params_out.s_max:
         raise CertifyError(
             f"sigma must lie in (0, s_max_out) = (0, {params_out.s_max:g}), "
@@ -684,7 +682,7 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     paired = []
     for g in grids_out:
         lo = np.unique(np.append(g.nodes[g.nodes <= sigma], sigma))
-        eta = np.asarray([float(pairing(float(e))) for e in lo])
+        eta = np.asarray(pairing(lo), dtype=float)
         if not np.all(np.isfinite(eta)) or np.any(eta <= 0):
             raise CertifyError("pairing produced a shift outside (0, s_max_in)")
         if np.any(eta >= params_in.s_max * (1.0 + 1e-9)):
@@ -781,8 +779,8 @@ def verify_reduction(space: QuasimetricSpace, family: FunctionFamily,
     calibrated = None
     c_thm = None
     if per_eps_constant is not None:
-        cvals = [per_eps_constant(float(e), float(h))
-                 for e, h in zip(base["lo"], base["eta"])]
+        cvals = list(map(per_eps_constant, base["lo"].tolist(), base["eta"].tolist(),
+                         params_out.A(base["lo"]).tolist()))
         c_thm = np.asarray([cv.numeric for cv in cvals])
         arm_thm = base["w"] * c_thm
         assembled_thm = float(max(arm_thm.max(), tail * arm_thm[-1]))
@@ -1206,9 +1204,9 @@ def _cert_grand_maximal(space, *, params, consts, **run):
     pin, pout = grand_params()
     C_d = hyp["doubling_C_d"]
 
-    def per_eps(e, h):
+    def per_eps(e, h, A_e):
         return theoretical_constant("maximal", p=p, lam=lam, C_d=C_d,
-                                    eps=h, A_eps=float(pout.A(e)),
+                                    eps=h, A_eps=A_e,
                                     consts=consts)
 
     return _grand_reduction(
@@ -1258,9 +1256,9 @@ def _cert_grand_cz(space, *, params, consts, **run):
     hyp.update(_kernel_hypotheses(space, kernel, separation))
     pin, pout = grand_params()
 
-    def per_eps(e, h):
+    def per_eps(e, h, A_e):
         return theoretical_constant("cz", p=p, lam=lam, eps=h,
-                                    A_eps=float(pout.A(e)), consts=consts)
+                                    A_eps=A_e, consts=consts)
 
     return _grand_reduction(
         space, lambda V: cz_apply(V, space, kernel), pin, pout, sigma, per_eps,
@@ -1329,10 +1327,10 @@ def _potential_reduction(space, *, params, consts, mode, kernel_kind,
     b = float(sharp_growth_constant(space))
     N0 = dilation_constants(space)[0]
 
-    def per_eps(e, h):
+    def per_eps(e, h, A_e):
         return theoretical_constant(per_eps_kind, p=p, lam=lam, q=q - e,
                                     alpha=alpha, gamma=gamma, eps=h,
-                                    A_eps=float(pout.A(e)), b=b, N0=N0,
+                                    A_eps=A_e, b=b, N0=N0,
                                     consts=consts)
 
     return _grand_reduction(
@@ -1497,13 +1495,13 @@ def _cert_grand_line_potential(space, *, params, **run):
         nodes = grid_for(pout).nodes
         sigma = float(params.get("sigma", 0.05))
         lo = np.unique(np.append(nodes[nodes <= sigma], sigma))
-        eta = np.asarray([float(pairing(e)) for e in lo])
+        eta = np.asarray(pairing(lo), dtype=float)
         in_unc = seminorm_profile(fam.values, space, replace(
             shift_schedule(pin, eta), variant=var_in_unc))
         out_unc = seminorm_profile(out_vals, space, replace(
             shift_schedule(pout, lo), variant=var_out_unc))
-        c_thm = np.asarray([per_eps(float(e), float(h)).numeric
-                            for e, h in zip(lo, eta)])
+        c_thm = np.asarray([per_eps(e, h, a).numeric for e, h, a in zip(
+            lo.tolist(), eta.tolist(), pout.A(lo).tolist())])
         c_meas = _shift_ratios(out_unc, in_unc)
         use = c_meas > -np.inf
         frac = c_meas[use] / c_thm[use]

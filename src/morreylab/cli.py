@@ -31,10 +31,10 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
                     save_space)
 
 # exhaustive ball enumeration is not quadratic in n: a ball table holds about
-# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as
-# masks_f and 2n^3 bytes as masks32 (together about 450 GB at n = 4096), so
-# this cap does not bound memory; ROADMAP item 4 plans a memory model.
-# Larger spaces are refused.
+# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as masks_f
+# and 2n^3 bytes as masks32 (about 450 GB together at n = 4096).  Larger spaces
+# are refused, but the cap does not bound memory; the ROADMAP item "O(n² + B)
+# working memory in every subcommand, then an honest size model" plans that.
 MAX_POINTS = 4096
 
 
@@ -245,6 +245,9 @@ def _certify_params(args) -> dict:
         data = json.loads(path.read_text())
         if not isinstance(data, dict):
             raise CertifyError("parameter bundle must be a JSON object")
+        unknown = ", ".join(sorted(set(data) - set(_PARAM_KEYS)))
+        if unknown:
+            raise CertifyError(f"parameter bundle {args.bundle!r} has unknown keys: {unknown}")
         merged.update(data)
     # flags win over bundle entries
     for key in _PARAM_KEYS:

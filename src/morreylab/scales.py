@@ -16,7 +16,6 @@ on the other side.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -98,9 +97,7 @@ class ScaleFunction:
             vs = np.concatenate([[0.0], np.asarray(p["vals"], dtype=float)])
             return np.interp(x, xs, vs)
         if k == "compose-inverse":
-            inner = p["inner"]
-            outer = p["outer"]
-            return np.asarray([outer(inner(float(v))) for v in x])
+            return p["outer"](p["inner"](x))
         raise ScaleError(f"unknown scale kind {k!r}")
 
     def describe(self) -> str:
@@ -161,6 +158,16 @@ def _validation_grid(cap: float, count: int = 200) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), count))
 
 
+def _deep_slope(grid: np.ndarray, vals: np.ndarray):
+    """Log-log slope of the positive vals over the lower half of grid, or
+    None with fewer than two positive values there."""
+    deep = grid <= grid[len(grid) // 2]
+    pos = vals[deep] > 0
+    if pos.sum() < 2:
+        return None
+    return float(np.polyfit(np.log(grid[deep][pos]), np.log(vals[deep][pos]), 1)[0])
+
+
 def _validate_role(fn: ScaleFunction) -> None:
     grid = _validation_grid(fn.cap)
     vals = fn(grid)
@@ -175,21 +182,14 @@ def _validate_role(fn: ScaleFunction) -> None:
             raise ScaleError(f"shift scale {fn.describe()} must be non-negative")
         if np.any(np.diff(vals) < -1e-12 * max(1.0, float(vals.max()))):
             raise ScaleError(f"shift scale {fn.describe()} must be non-decreasing")
-        if float(vals.max()) == 0.0:
-            return
-        deep = grid <= grid[len(grid) // 2]
-        pos = vals[deep] > 0
-        if pos.sum() < 2:
-            return
-        slope = float(np.polyfit(np.log(grid[deep][pos]), np.log(vals[deep][pos]), 1)[0])
-        if slope <= 1e-3:
+        slope = _deep_slope(grid, vals)
+        if slope is not None and slope <= 1e-3:
             raise ScaleError(f"shift scale {fn.describe()} does not vanish near 0")
         return
     if fn.role == "phi":
         if np.any(vals <= 0):
             raise ScaleError(f"grandifier {fn.describe()} must be positive on (0, {fn.cap:g})")
-        deep = grid <= grid[len(grid) // 2]
-        slope = float(np.polyfit(np.log(grid[deep]), np.log(vals[deep]), 1)[0])
+        slope = _deep_slope(grid, vals)
         if slope <= -1e-3:
             raise ScaleError(f"grandifier {fn.describe()} is unbounded near 0")
         if slope <= 1e-3:
@@ -209,12 +209,17 @@ def make_scale_function(spec, role: str, cap: float) -> ScaleFunction:
     if isinstance(spec, ScaleFunction):
         fn = replace(spec, role=role, cap=cap)
     else:
+        given = spec
         if isinstance(spec, str):
             spec = _parse_shorthand(spec)
         elif isinstance(spec, (int, float)):
             spec = {"kind": "constant", "c": float(spec)}
         spec = dict(spec)
         kind = spec.pop("kind")
+        if kind == "table" and (len(spec["eps"]) != len(spec["vals"]) or not
+                                np.all(np.diff(spec["eps"], prepend=0.0) > 0)):
+            raise ScaleError(f"table scale {given!r} needs positive, strictly "
+                             "increasing eps with one value each")
         fn = ScaleFunction(kind=kind, role=role, cap=cap, params=spec)
     _validate_role(fn)
     return fn
@@ -380,22 +385,19 @@ class ShiftSchedule:
 def shift_schedule(params: GrandParams, nodes) -> ShiftSchedule:
     """The shift schedule of ``params`` at ``nodes``, built once per node set.
 
-    Every entry comes from one scalar call of A and of phi at its node, in
-    scalar arithmetic, so it matches a node-by-node evaluation bit for bit.
+    A and phi are evaluated once on the node array and the root
+    phi(eps)^(1/(p - eps)) in Python's float pow, node by node, so every entry
+    has the bits of a node-by-node evaluation.
     """
     nodes = np.array(nodes, dtype=float)
     key = nodes.tobytes()
     sched = params._schedules.get(key)
     if sched is None:
-        p_eff, lam_eff, weight = [], [], []
-        for eps in nodes:
-            pe = params.p - float(eps)
-            p_eff.append(pe)
-            lam_eff.append(params.lam - float(params.A(float(eps))))
-            weight.append(float(params.phi(float(eps))) ** (1.0 / pe))
-        sched = ShiftSchedule(nodes=nodes, p_eff=np.asarray(p_eff, dtype=float),
-                              lam_eff=np.asarray(lam_eff, dtype=float),
-                              weight=np.asarray(weight, dtype=float),
+        p_eff = params.p - nodes
+        weight = np.array([f ** (1.0 / pe) for f, pe in zip(
+            params.phi(nodes).tolist(), p_eff.tolist())], dtype=float)
+        sched = ShiftSchedule(nodes=nodes, p_eff=p_eff, weight=weight,
+                              lam_eff=params.lam - params.A(nodes),
                               variant=params.variant)
         params._schedules[key] = sched
     return sched
@@ -445,8 +447,8 @@ class PotentialSetup:
     ``pairing`` names the exponent passage used between the two grand norms:
     "bar" pairs a target shift eps with the source shift phi_bar(eps), "tilde"
     pairs a source shift x with the target shift phi_tilde(x).  ``pair`` maps
-    a target shift eps to its source shift eta either way: phi_bar itself, or
-    the memoised inverse of phi_tilde that the moved target shift composes.
+    target shifts eps (an array) to source shifts eta either way: phi_bar, or
+    the batched, memoised inverse of phi_tilde that the moved shift composes.
     A_source and A_target are tied through that map, so the per-shift Sobolev
     relation 1/(q - eps) = 1/(p - eta) - alpha/((1 - lam + A_target(eps))
     gamma) is exact along the pairing.
@@ -488,8 +490,8 @@ def _phi_tilde_raw(x, p, q, lam, alpha, gamma, A_source):
 def aux_eval(setup: PotentialSetup, which: str, x):
     """Evaluate one of the exponent passage maps at x (scalar or array).
 
-    which: "phi-bar" (target shift -> source shift), "phi-tilde" (source
-    shift -> target shift), "A-source", "A-target".
+    which: "phi-bar" (target shift -> source shift) or "phi-tilde" (source
+    shift -> target shift).
     """
     x = np.asarray(x, dtype=float)
     if which == "phi-bar":
@@ -498,35 +500,34 @@ def aux_eval(setup: PotentialSetup, which: str, x):
     elif which == "phi-tilde":
         out = _phi_tilde_raw(x, setup.p, setup.q, setup.lam, setup.alpha,
                              setup.gamma, setup.A_source)
-    elif which == "A-source":
-        out = setup.A_source(x)
-    elif which == "A-target":
-        out = setup.A_target(x)
     else:
         raise ScaleError(f"unknown passage map {which!r}")
     return float(out) if out.ndim == 0 else out
 
 
-def _invert_increasing(fn, y: float, delta: float, top: float) -> float:
-    """Solve fn(x) = y for x in (0, delta] by bisection, fn increasing.
+def _invert_increasing(fn, y, delta: float, top: float):
+    """Solve fn(x) = y by bisection in (0, delta] for an array of targets y.
 
-    ``top`` is fn(delta).  Values of y at or beyond it clamp to delta; values
-    at or below zero clamp to zero.
+    fn is increasing, takes arrays and has fn(delta) = ``top``; targets at or
+    beyond top clamp to delta, at or below zero to zero.  Each target takes
+    the scalar steps (midpoint, ``fn(mid) < y``, at most 100, stop once hi -
+    lo <= 1e-12 hi) and then freezes, so it gets the bits of a lone call.
+    The result has the shape of y; a scalar y gives a numpy float.
     """
-    if y <= 0:
-        return 0.0
-    if y >= top:
-        return delta
-    lo, hi = delta * 1e-18, delta
+    y = np.asarray(y, dtype=float)
+    t = y.ravel()
+    lo, hi = np.full(t.shape, delta * 1e-18), np.full(t.shape, float(delta))
+    live = np.flatnonzero(~(t <= 0) & ~(t >= top))
     for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
+        if live.size == 0:
             break
-    return (lo + hi) / 2.0
+        mid = (lo[live] + hi[live]) / 2.0
+        below = fn(mid) < t[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        live = live[hi[live] - lo[live] > 1e-12 * hi[live]]
+    x = np.where(t <= 0, 0.0, np.where(t >= top, delta, (lo + hi) / 2.0))
+    return x.reshape(y.shape)[()]
 
 
 def invert_phi_bar(setup: PotentialSetup, y: float) -> float:
@@ -579,14 +580,9 @@ def check_admissibility(p: float, lam: float, alpha: float, gamma: float,
     # grid stay comparable to first differences
     if vals[-1] > 0 and np.any(~np.isfinite(np.diff(vals, 2))):
         reasons.append(f"{mode} (i): shift not numerically C1")
-    if vals[-1] > 0:
-        deep = grid <= grid[len(grid) // 2]
-        pos = vals[deep] > 0
-        if pos.sum() >= 2:
-            slope = float(np.polyfit(np.log(grid[deep][pos]),
-                                     np.log(vals[deep][pos]), 1)[0])
-            if slope <= 1e-3:
-                reasons.append(f"{mode} (ii): shift does not vanish at 0")
+    slope = _deep_slope(grid, vals) if vals[-1] > 0 else None
+    if slope is not None and slope <= 1e-3:
+        reasons.append(f"{mode} (ii): shift does not vanish at 0")
 
     B_est, converged = _estimate_shift_slope(A_given, delta)
     if mode == "thm-4.4":
@@ -645,9 +641,12 @@ def make_potential_setup(p: float, lam: float, alpha: float, gamma: float,
     if np.any(np.diff(passage(grid)) <= 0):
         raise ScaleError(f"{name} is not increasing on (0, delta]{hint}")
     top = float(passage(delta))
-    # memoised: each distinct shift is bisected once per setup
-    inverse = functools.cache(
-        lambda y: _invert_increasing(passage, y, delta, top))
+    memo = {}  # each distinct shift is bisected once, a call's new ones in one batch
+    def inverse(y):
+        flat = np.asarray(y, dtype=float).ravel().tolist()
+        new = [v for v in dict.fromkeys(flat) if v not in memo]
+        memo.update(zip(new, _invert_increasing(passage, new, delta, top).tolist()))
+        return np.reshape([memo[v] for v in flat], np.shape(y))
     label = f"{'target' if bar else 'source'} shift transported through {name}"
     moved = ScaleFunction(kind="compose-inverse", role="A", cap=top,
                           params={"inner": inverse, "outer": A_given,

@@ -230,6 +230,24 @@ def test_certify_run_bundle_file_flags_win(staged, capsys):
     assert body["params"]["p"] == 2.0
 
 
+def test_certify_run_bundle_refuses_unknown_keys(staged, capsys):
+    bundle = staged["tmp"] / "bundle.json"
+    bundle.write_text(json.dumps({"lamda": 0.4, "p": 2.0, "sigm": 0.1}))
+    code = main(["certify", "run", "--theorem", "lemma-5.2", staged["space"],
+                 "--family", "ball-indicators", "--bundle", str(bundle)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown keys: lamda, sigm" in err
+    assert not (staged["out"] / "lemma-5.2-grid-4.json").exists()
+
+
+def test_certify_run_refuses_an_unsorted_table_shift(staged, capsys):
+    code = main(["certify", "run", "--theorem", "thm-3.6", staged["space"],
+                 "--family", "ball-indicators", "--A", "table:0.5=0.2,0.1=0.1"])
+    assert code == 1
+    assert "table:0.5=0.2,0.1=0.1" in capsys.readouterr().err
+
+
 def test_certify_run_randomized_family_needs_seed(staged, capsys):
     code = main(["certify", "run", "--theorem", "lemma-5.2", staged["space"],
                  "--family", "random-step"])

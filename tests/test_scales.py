@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import scales
 from morreylab.scales import (
     ConstantValue,
     EpsilonGrid,
@@ -56,6 +57,19 @@ def test_table_scale_clamps_and_anchors():
     assert abs(f(0.25) - 0.05) < 1e-15
     assert abs(f(0.75) - 0.2) < 1e-15
     assert abs(f(1.9) - 0.3) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [
+    "table:0.5=0.2,0.1=0.1", "table:0.1=0.1,0.1=0.3", "table:0=0,0.5=0.1",
+    {"kind": "table", "eps": [0.5, 0.1], "vals": [0.2, 0.1]},
+    {"kind": "table", "eps": [0.1, 0.1], "vals": [0.1, 0.3]},
+    {"kind": "table", "eps": [-0.1, 0.5], "vals": [0.0, 0.1]},
+    {"kind": "table", "eps": [0.1, 0.5], "vals": [0.1]}])
+def test_table_needs_positive_strictly_increasing_nodes(spec):
+    # np.interp reads unsorted nodes wrongly: 0.1 at eps = 0.3, never 0.2
+    with pytest.raises(ScaleError, match="table scale .* strictly increasing") as err:
+        make_scale_function(spec, "A", 1.0)
+    assert repr(spec) in str(err.value)
 
 
 def test_phi_role_rejects_constant_and_blowup():
@@ -360,3 +374,135 @@ def test_constant_guards():
         theoretical_constant("nope", p=2.0)
     with pytest.raises(ScaleError):
         theoretical_constant("maximal", p=2.0, lam=0.5, C_d=2.0, eps=1.5)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against one-node evaluation, bit for bit
+#
+# Scale functions, the passage inverse and the shift schedules evaluate
+# whole node arrays; each entry must carry the bits of a one-node call.
+# The certificates' default parameters give the node sets in use.
+
+
+def _potential_setup(mode, A_spec="lin:0.05"):
+    theta2 = 2.5 if mode == "thm-4.5" else 2.0
+    return make_potential_setup(2.0, 0.5, 0.125, 1.0, A_spec, theta1=1.0,
+                                theta2=theta2, delta=0.1, mode=mode)
+
+
+def _potential_params(mode, A_spec="lin:0.05"):
+    """Input and output grand parameters of a potential certificate, on open
+    and closed grids, from a fresh setup, so no passage memo is shared."""
+    s = _potential_setup(mode, A_spec)
+    theta2 = "pow:2.5" if mode == "thm-4.5" else "pow:2"
+    return {f"{mode}-{side}-{closed}": make_grand_params(
+                pe, s.lam, phi, A, closed_grid=closed)
+            for side, pe, phi, A in (("in", s.p, "pow:1", s.A_source),
+                                     ("out", s.q, theta2, s.A_target))
+            for closed in (False, True)}
+
+
+def _default_params():
+    """Grand parameters of the registered certificates at their defaults."""
+    return {"identity-2": make_grand_params(2.0, 0.3, "pow:1", "lin:1"),
+            "identity-1.7": make_grand_params(1.7, 0.3, "pow:1", "lin:1"),
+            **_potential_params("thm-4.4"), **_potential_params("thm-4.5")}
+
+
+def _node_sets(params):
+    """The role-validation grid, the base and refined grids, and the sigma
+    node set of the reduction engine."""
+    base = grid_for(params)
+    fine = base.refine().nodes
+    return {"validation": scales._validation_grid(params.phi.cap),
+            "base": base.nodes, "refined": fine,
+            "low": np.unique(np.append(fine[fine <= 0.05], 0.05))}
+
+
+def _one_node(fn, nodes):
+    return np.asarray([fn(float(x)) for x in nodes], dtype=float)
+
+
+def _scalar_bisection(fn, y, delta, top):
+    """The scalar bisection the array form must reproduce."""
+    if y <= 0:
+        return 0.0
+    if y >= top:
+        return delta
+    lo, hi = delta * 1e-18, delta
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if fn(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return (lo + hi) / 2.0
+
+
+@pytest.mark.parametrize("spec, role", [
+    ("pow:1", "phi"), ("pow:2.5", "phi"), ("pow:0.5:0.3", "A"),
+    ("lin:1", "A"), ("lin:0.05", "A"), ("alog:1:2", "phi"),
+    ("const:3", "weight"), ("zero", "A"), ("table:0.05=0.01,0.2=0.04", "A")])
+def test_bitwise_scale_kinds_on_the_node_sets_in_use(spec, role):
+    for name, params in _default_params().items():
+        fn = make_scale_function(spec, role, params.phi.cap)
+        for which, nodes in _node_sets(params).items():
+            assert fn(nodes).tobytes() == _one_node(fn, nodes).tobytes(), (
+                spec, name, which)
+
+
+@pytest.mark.parametrize("mode, A_spec", [
+    ("thm-4.4", "lin:0.05"), ("thm-4.4", "pow:1.5:0.05"),
+    ("thm-4.5", "lin:0.05"), ("thm-4.5", "pow:0.5")])
+def test_bitwise_transported_shift_on_the_node_sets_in_use(mode, A_spec):
+    side = "in" if mode == "thm-4.4" else "out"
+    for closed in (False, True):
+        batched, single = (_potential_params(mode, A_spec)[f"{mode}-{side}-{closed}"]
+                           for _ in range(2))
+        assert batched.A.kind == "compose-inverse"
+        for which, nodes in _node_sets(batched).items():
+            # the one-node calls go through a fresh setup's memo
+            assert batched.A(nodes).tobytes() == \
+                _one_node(single.A, nodes).tobytes(), (closed, which)
+
+
+@pytest.mark.parametrize("mode, A_spec", [
+    ("thm-4.4", "lin:0.05"), ("thm-4.4", "pow:1.5:0.05"),
+    ("thm-4.5", "lin:0.05"), ("thm-4.5", "pow:0.5")])
+def test_bitwise_bisection_matches_the_scalar_loop(mode, A_spec):
+    s = _potential_setup(mode, A_spec)
+    name = "phi-bar" if mode == "thm-4.4" else "phi-tilde"
+
+    def passage(x):
+        return aux_eval(s, name, x)
+
+    top = passage(s.delta)
+    # the moved shift inverts on the input side for phi_bar, else the output
+    side = "in" if mode == "thm-4.4" else "out"
+    params = _potential_params(mode, A_spec)[f"{mode}-{side}-False"]
+    targets = np.concatenate([
+        *_node_sets(params).values(), passage(grid_for(params).nodes[:40]),
+        [0.0, -0.0, -1e-3, top, np.nextafter(top, 0.0), 2.0 * top]])
+    got = scales._invert_increasing(passage, targets, s.delta, top)
+    want = np.asarray([_scalar_bisection(passage, float(y), s.delta, top)
+                       for y in targets])
+    assert got.tobytes() == want.tobytes()
+    assert scales._invert_increasing(passage, targets[7], s.delta, top).shape == ()
+
+
+def test_bitwise_shift_schedule_matches_the_node_loop():
+    for name, params in _default_params().items():
+        oracle = _default_params()[name]
+        for which, nodes in _node_sets(params).items():
+            sched = scales.shift_schedule(params, nodes)
+            p_eff, lam_eff, weight = [], [], []
+            for eps in nodes:
+                pe = oracle.p - float(eps)
+                p_eff.append(pe)
+                lam_eff.append(oracle.lam - float(oracle.A(float(eps))))
+                weight.append(float(oracle.phi(float(eps))) ** (1.0 / pe))
+            for got, want in ((sched.p_eff, p_eff), (sched.lam_eff, lam_eff),
+                              (sched.weight, weight)):
+                assert got.tobytes() == np.asarray(want).tobytes(), (name, which)
