@@ -224,9 +224,20 @@ _BLOCK_ELEMENTS = 1 << 15
 # rows; a profile of m >= 2 columns takes the path when its table holds at
 # least _PRUNE_RATIO times pad balls; every _COARSE_STRIDE-th row of a
 # schedule, and its last, is screened over every ball, the rows between
-# only over the balls that Lyapunov's inequality keeps (_interval_balls)
+# only over the balls that Lyapunov's inequality keeps (_interval_balls).
+# The gate is the crossover of the two paths: seminorm_profile at 379 nodes
+# (p = 2, lam = 0.3, pow:1, lin:1) on random columns, best of 5, OpenBLAS
+# 0.3.31 Haswell with 2 threads; B/pad -> pruned time / full time, every
+# pruned profile equal to the full one:
+#   circle-64  1.00 -> 2.61, 2.00 -> 1.06, 3.00 -> 0.91, 4.00 -> 0.65,
+#              4.86 -> 0.52, 8.00 -> 0.17
+#   circle-65  1.03 -> 1.86, 2.06 -> 1.24, 3.09 -> 0.86, 4.12 -> 0.60,
+#              5.02 -> 0.56
+#   grid-64    1.09 -> 1.74, 2.19 -> 0.92, 2.66 -> 0.86, 4.37 -> 0.59
+# The paths break even near B/pad = 2.5; from 4 on the pruned path takes at
+# most two thirds of the full path's time.
 _EXACT_MADDS = 1 << 20
-_PRUNE_RATIO = 8
+_PRUNE_RATIO = 4
 _COARSE_STRIDE = 16
 
 
@@ -237,9 +248,11 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit.
     On the full path each node's ball integrals are its own slice of one
     stacked product.  A profile of m >= 2 columns on a table of at least
-    _PRUNE_RATIO times its padding takes the pruned path (_pruned_max) with
-    every column screened instead, which keeps the bits; pruning_work
-    counts its work.
+    _PRUNE_RATIO = 4 times its padding pad = ceil(_EXACT_MADDS / (n m))
+    takes the pruned path (_pruned_max) with every column screened instead,
+    which keeps the bits; pruning_work counts its work.  On circle-64 (2,048
+    balls) that holds from 32 columns on, so the families of its reduction
+    certificates (38 and 39 columns) prune; one column never does.
     """
     return _trailing_profile(F, space, schedule, F.shape[1])
 

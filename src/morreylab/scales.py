@@ -126,30 +126,35 @@ def _parse_shorthand(text: str) -> dict:
     """CLI shorthand: pow:theta[:c], lin:c, alog:c[:k], const:c, zero, table:x=v,..."""
     parts = text.split(":")
     head = parts[0]
-    if head == "pow":
-        spec = {"kind": "power", "theta": float(parts[1])}
-        if len(parts) > 2:
-            spec["c"] = float(parts[2])
-        return spec
-    if head == "lin":
-        return {"kind": "linear", "c": float(parts[1])}
-    if head == "alog":
-        spec = {"kind": "affine-log", "c": float(parts[1])}
-        if len(parts) > 2:
-            spec["k"] = float(parts[2])
-        return spec
-    if head == "const":
-        return {"kind": "constant", "c": float(parts[1])}
-    if head == "zero":
-        return {"kind": "zero"}
-    if head == "table":
-        eps, vals = [], []
-        for pair in parts[1].split(","):
-            e, v = pair.split("=")
-            eps.append(float(e))
-            vals.append(float(v))
-        return {"kind": "table", "eps": eps, "vals": vals}
-    raise ScaleError(f"cannot parse scale shorthand {text!r}")
+    try:
+        if head == "pow":
+            spec = {"kind": "power", "theta": float(parts[1])}
+            if len(parts) > 2:
+                spec["c"] = float(parts[2])
+            return spec
+        if head == "lin":
+            return {"kind": "linear", "c": float(parts[1])}
+        if head == "alog":
+            spec = {"kind": "affine-log", "c": float(parts[1])}
+            if len(parts) > 2:
+                spec["k"] = float(parts[2])
+            return spec
+        if head == "const":
+            return {"kind": "constant", "c": float(parts[1])}
+        if head == "zero":
+            return {"kind": "zero"}
+        if head == "table":
+            eps, vals = [], []
+            for pair in parts[1].split(","):
+                e, v = pair.split("=")
+                eps.append(float(e))
+                vals.append(float(v))
+            return {"kind": "table", "eps": eps, "vals": vals}
+    except (IndexError, ValueError):
+        # a missing field, a pair without "=" or a number that does not parse
+        pass
+    raise ScaleError(f"cannot parse scale shorthand {text!r}: expected pow:theta[:c], "
+                     "lin:c, alog:c[:k], const:c, zero or table:x=v,...")
 
 
 def _validation_grid(cap: float, count: int = 200) -> np.ndarray:

@@ -652,15 +652,21 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
 
 
 def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
-    # thm-3.6 on circle-64 keeps its family profiles on the full path (2,048
-    # balls), so every pruning count comes from the sharpened column's pass
+    # thm-3.6 on circle-64 prunes its family profiles (2,048 balls against
+    # _PRUNE_RATIO times pad = 432 at 38 columns) and the sharpened column's
+    # pass; the sidecar counts both, and each part follows its schedules
     real = norms._count
-    every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
-                           "range_fallbacks", "coarse_rows", "interval_balls"), 0)
+    keys = ("pruned_rows", "candidate_balls", "padded_balls", "range_fallbacks",
+            "coarse_rows", "interval_balls")
+    every = dict.fromkeys(keys, 0)
+    appended = dict.fromkeys(keys, 0)
+    inside = []
 
     def counting(**counts):
         for key, value in counts.items():
             every[key] += value
+            if inside:
+                appended[key] += value
         real(**counts)
 
     monkeypatch.setattr(norms, "_count", counting)
@@ -669,7 +675,11 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
 
     def appending(prof, F, space, schedule):
         nodes.append(schedule.nodes.size)
-        return real_appended(prof, F, space, schedule)
+        inside.append(True)
+        try:
+            return real_appended(prof, F, space, schedule)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(certify, "appended_profile", appending)
     rep = certify_boundedness("thm-3.6", get_space("circle-64"),
@@ -678,16 +688,20 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     save_report(rep, tmp_path / "thm-3.6.json")
     meta = json.loads((tmp_path / "thm-3.6.json.runmeta.json").read_text())
     assert meta["pruning"] == every
-    # one row per finest node of each side
+    # one row per finest node of each side, in the appended pass and in the
+    # family's own profiles alike; every _COARSE_STRIDE-th row and the last
+    # are screened over every ball, the rows between over the balls their
+    # interval keeps
     assert len(nodes) == 2
-    assert every["pruned_rows"] == sum(nodes)
-    assert every["range_fallbacks"] == 0
-    assert 0 < every["candidate_balls"] <= every["padded_balls"]
-    # every _COARSE_STRIDE-th row and the last are screened over every ball,
-    # the rows between over the balls their interval keeps
     stride = norms._COARSE_STRIDE
-    assert every["coarse_rows"] == sum(len(range(0, k - 1, stride)) + 1 for k in nodes)
-    assert 0 < every["interval_balls"]
+    coarse = sum(len(range(0, k - 1, stride)) + 1 for k in nodes)
+    family = {key: every[key] - appended[key] for key in keys}
+    for part in (appended, family):
+        assert part["pruned_rows"] == sum(nodes)
+        assert part["range_fallbacks"] == 0
+        assert 0 < part["candidate_balls"] <= part["padded_balls"]
+        assert part["coarse_rows"] == coarse
+        assert 0 < part["interval_balls"]
 
 
 @pytest.mark.parametrize("sharpen", [True, False])

@@ -248,6 +248,19 @@ def test_certify_run_refuses_an_unsorted_table_shift(staged, capsys):
     assert "table:0.5=0.2,0.1=0.1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["lin", "table:0.1", "pow:"])
+def test_certify_run_names_a_malformed_shorthand(capsys, tmp_path, spec):
+    # a missing field, a pair without "=" and an empty number; in process, an
+    # exception other than the CLI's handled ones fails here
+    code = main(["certify", "run", "grid-16", "--theorem", "thm-3.6", "--seed", "7",
+                 "--A", spec, "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot parse scale shorthand") and repr(spec) in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_certify_run_randomized_family_needs_seed(staged, capsys):
     code = main(["certify", "run", "--theorem", "lemma-5.2", staged["space"],
                  "--family", "random-step"])

@@ -718,6 +718,39 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             assert np.all(got[:, m // 2] == 0.0)
 
 
+@pytest.mark.parametrize("name,pruned", [
+    ("circle-64", {32, 38, 39, 64}),   # 2,048 balls
+    ("circle-65", {32, 38, 39, 64}),   # 2,080 balls
+    ("grid-64", {64}),                 # 1,119 balls
+], ids=["circle-64", "circle-65", "grid-64"])
+def test_shipped_prune_gate_keeps_the_full_path_bits(monkeypatch, name, pruned):
+    # the shipped _PRUNE_RATIO, on the catalog tables and column counts that
+    # certificates evaluate (a mixed family has 38 columns, 39 with its
+    # sharpened member): the pruned path is taken exactly where the table
+    # holds _PRUNE_RATIO times pad balls, and gives the full path's bits
+    space = get_space(name)
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:1")
+    schedule = shift_schedule(params, grid_for(params).nodes[::3])
+    table, _ = norms.variant_table(space, schedule.variant)
+    rng = np.random.default_rng(71)
+    taken = set()
+    for m in (16, 24, 32, 38, 39, 64):
+        F = rng.uniform(-2.0, 2.0, size=(space.n, m))
+        F[rng.random(F.shape) < 0.2] = 0.0
+        pad = -(-norms._EXACT_MADDS // (space.n * m))
+        with norms.pruning_work() as work:
+            got = norms.seminorm_profile(F, space, schedule)
+        assert work["range_fallbacks"] == 0
+        assert (work["pruned_rows"] > 0) == (table.size >= norms._PRUNE_RATIO * pad), m
+        if work["pruned_rows"]:
+            taken.add(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+            want = norms.seminorm_profile(F, space, schedule)
+        assert np.array_equal(got, want), m
+    assert taken == pruned
+
+
 @pytest.mark.parametrize("kind", ["asymmetric", "tied", "snowflake"])
 def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
     space = _pruned_space(kind)
