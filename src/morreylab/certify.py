@@ -29,10 +29,9 @@ import numpy as np
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
 from .norms import (ProfileScreen, as_matrix,  # noqa: F401
-                    appended_profile, dominance_report, grand_profile,
-                    grand_rows, inner_seminorm_matrix, lebesgue_norm,
-                    morrey_norm, phi_functional, pruning_work,
-                    seminorm_profile)
+                    appended_profile, dominance_report, grand_rows,
+                    inner_seminorm_matrix, lebesgue_norm, morrey_norm,
+                    phi_functional, pruning_work, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
                         potential, validate_cz_kernel)
 from .scales import (MorreyVariant, delta_exponent, grid_for,
@@ -525,15 +524,6 @@ def _params_dict(params) -> dict:
 # dominance verification
 
 
-def _truncated_sup(F, space, params, nodes, s, include_endpoint):
-    sel = nodes[nodes < s]
-    if include_endpoint:
-        sel = np.unique(np.append(sel, s))
-    if sel.size == 0:
-        return 0.0
-    return float(grand_profile(F, space, params, sel).max())
-
-
 def verify_dominance(space: QuasimetricSpace, f, params, sigma: float,
                      s: float) -> CertReport:
     """Check that the grand tail above sigma folds into the sigma node.
@@ -569,9 +559,10 @@ def verify_dominance(space: QuasimetricSpace, f, params, sigma: float,
     delta_ok = bool(deltas.size == 0
                     or (deltas.min() >= -1e-12 and deltas.max() <= 1.0 + 1e-12))
 
-    fine = grid_for(params).refine().nodes
-    lhs_f = _truncated_sup(F, space, params, fine, s, False)
-    rhs_f = _truncated_sup(F, space, params, fine, sigma, True)
+    fine = grid_for(params).refine()
+    lhs_f = phi_functional(F[:, 0], space, params, s, grid=fine)
+    rhs_f = phi_functional(F[:, 0], space, params, sigma, include_endpoint=True,
+                           grid=fine)
     bound_f = scale * rhs_f
     ratio_f = 0.0 if bound_f == 0.0 else lhs_f / bound_f
     refinement_delta = abs(ratio_f - ratio)

@@ -20,21 +20,25 @@ import numpy as np
 from . import catalog
 from .certify import (CertifyError, certify_boundedness, known_theorems,
                       save_report, write_index)
-from .norms import (GridFunction, NormError, grand_lebesgue_norm,
-                    grand_profile, lebesgue_norm, morrey_norm, variant_table)
+from .norms import (GridFunction, NormError, _scaled_integrals,
+                    grand_lebesgue_norm, grand_profile, lebesgue_norm,
+                    morrey_norm, variant_table)
 from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
                      make_grand_params)
 from .space import (SpaceError, ball_chain_check, dilation_constants,
                     geometry_constants, load_space, nested_ball_bound_check,
-                    save_space)
+                    read_json, save_space)
 
 # exhaustive ball enumeration is not quadratic in n: a ball table holds about
-# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as masks_f
-# and 2n^3 bytes as masks32 (about 450 GB together at n = 4096).  Larger spaces
-# are refused, but the cap does not bound memory; the ROADMAP item "O(n² + B)
-# working memory in every subcommand, then an honest size model" plans that.
+# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as masks_f,
+# which the full path of the exact ball integrals reads (one-column profiles,
+# inner seminorms, the ball that norm eval prints), and 2n^3 bytes as masks32,
+# which the float32 screens read (about 450 GB together at n = 4096).  Larger
+# spaces are refused, but the cap does not bound memory; the ROADMAP item
+# "O(n² + B) working memory in every subcommand, then an honest size model"
+# plans that.
 MAX_POINTS = 4096
 
 
@@ -143,8 +147,8 @@ def _variant_from_args(args) -> MorreyVariant:
 def _plain_argmax(values, space, p_eff, lam_eff, variant):
     table, den = variant_table(space, variant)
     pw = np.abs(values) ** p_eff * space.weights
-    scaled = den ** (-lam_eff) * (table.masks_f @ pw)
-    k = int(np.argmax(scaled))
+    k = int(np.argmax(_scaled_integrals(table.masks_f, pw[None, :, None], den,
+                                        np.array([lam_eff]))))
     return int(table.centers[k]), float(table.radii[k])
 
 
@@ -231,9 +235,12 @@ def _cmd_op_apply(args) -> int:
 # certification
 
 
-_PARAM_KEYS = ("p", "lam", "alpha", "gamma", "q", "phi", "psi", "A",
-               "theta1", "theta2", "delta", "sigma", "grid_count",
-               "separation")
+# the parameters of certify run, set by a flag or a --bundle entry, and their
+# types
+_PARAM_TYPES = {"p": float, "lam": float, "alpha": float, "gamma": float,
+                "q": float, "phi": str, "psi": str, "A": str, "theta1": float,
+                "theta2": float, "delta": float, "sigma": float, "grid_count": int,
+                "separation": float}
 
 
 def _certify_params(args) -> dict:
@@ -242,15 +249,26 @@ def _certify_params(args) -> dict:
         path = Path(args.bundle)
         if not path.exists():
             raise CertifyError(f"parameter bundle {args.bundle!r} does not exist")
-        data = json.loads(path.read_text())
+        data = read_json(path, CertifyError)
         if not isinstance(data, dict):
-            raise CertifyError("parameter bundle must be a JSON object")
-        unknown = ", ".join(sorted(set(data) - set(_PARAM_KEYS)))
+            raise CertifyError(f"parameter bundle {args.bundle!r} must be a JSON object")
+        unknown = ", ".join(sorted(set(data) - set(_PARAM_TYPES)))
         if unknown:
             raise CertifyError(f"parameter bundle {args.bundle!r} has unknown keys: {unknown}")
+        for key, value in data.items():
+            kind = _PARAM_TYPES[key]
+            try:
+                # an entry must convert as its flag's value does
+                if isinstance(value, str) != (kind is str):
+                    raise TypeError
+                kind(value)
+            except (TypeError, ValueError):
+                raise CertifyError(
+                    f"parameter bundle {args.bundle!r}: {key!r} must be a "
+                    f"{'string' if kind is str else 'number'}, got {value!r}") from None
         merged.update(data)
     # flags win over bundle entries
-    for key in _PARAM_KEYS:
+    for key in _PARAM_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -309,7 +327,7 @@ def _cmd_report_index(args) -> int:
     for path in sorted(directory.glob("*.json")):
         if path.name.endswith(".runmeta.json"):
             continue
-        data = json.loads(path.read_text())
+        data = read_json(path, CertifyError)
         if isinstance(data, dict) and "inequality" in data:
             bodies.append(data)
     if not bodies:
@@ -411,20 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="seed, mandatory for randomized families")
     p_run.add_argument("--bundle", help="JSON parameter bundle; flags win")
-    p_run.add_argument("--p", type=float)
-    p_run.add_argument("--lambda", dest="lam", type=float)
-    p_run.add_argument("--alpha", type=float)
-    p_run.add_argument("--gamma", type=float)
-    p_run.add_argument("--q", type=float)
-    p_run.add_argument("--phi")
-    p_run.add_argument("--psi")
-    p_run.add_argument("--A")
-    p_run.add_argument("--theta1", type=float)
-    p_run.add_argument("--theta2", type=float)
-    p_run.add_argument("--delta", type=float)
-    p_run.add_argument("--sigma", type=float)
-    p_run.add_argument("--grid-count", dest="grid_count", type=int)
-    p_run.add_argument("--separation", type=float)
+    for key, kind in _PARAM_TYPES.items():
+        flag = {"lam": "--lambda", "grid_count": "--grid-count"}.get(key, f"--{key}")
+        p_run.add_argument(flag, dest=key, type=kind)
     p_run.add_argument("--calibrate",
                        help="free constants, e.g. c0=2.5,c_cz=1.2")
     p_run.add_argument("--no-sharpen", action="store_true")

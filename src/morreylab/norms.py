@@ -13,20 +13,22 @@ taken over a fixed master grid of nodes in (0, s_max); all grand quantities
 in one computation share the grid, so comparisons between them are exact by
 construction and stable under grid refinement.  A grid is evaluated in one
 pass over its shift schedule, and every row of a profile keeps the bits of
-a node-by-node evaluation (inner_seminorm_matrix):
+a node-by-node evaluation (inner_seminorm_matrix).  One helper forms every
+exact scaled ball integral (_scaled_integrals): mask rows times the terms
+|f|^p w of a block of nodes, one stacked matrix product that keeps the
+per-node BLAS call (a matrix-vector product for one column, a matrix
+product for several), times den^-lam on the product's own (nodes,
+balls, columns) layout.  Two paths take its maximum:
 
-- the full path stacks the ball integrals of a block of nodes into one
-  matrix product, which keeps the per-node BLAS call (a matrix-vector
-  product for one column, a matrix product for several);
-- the pruned path screens the ball integrals of its screened columns
-  with float32 products certified within a relative margin delta
+- the full path (_full_max) over every ball;
+- the pruned path (_pruned_max) screens the ball integrals of its screened
+  columns with float32 products certified within a relative margin delta
   (surrogate_margin): every _COARSE_STRIDE-th node, and the last, over
-  every ball, and the nodes between only over the balls that Lyapunov's
-  inequality (log of a ball integral is convex in the exponent) cannot
-  rule out.  It evaluates exactly only the balls that can hold a (node,
-  column) maximum: per sub-block of nodes one stacked float64 product
-  over the union of their candidate rows, padded so that the BLAS keeps
-  the full product's bits for them.
+  every ball, and the nodes between only over the balls that the Lyapunov
+  bound below cannot rule out.  It evaluates exactly only the balls that
+  can hold a (node, column) maximum: per sub-block of nodes one stacked
+  product over the union of their candidate rows, padded so that the BLAS
+  keeps the full product's bits for them.
 
 A profile of m >= 2 columns on a table large against its padding takes
 the pruned path with all its columns screened.  appended_profile adds one
@@ -37,13 +39,34 @@ columns of an (m + 1)-column product equal the m-column product) above
 its small-matrix path; below it the whole profile is evaluated again.
 Both subset properties are pinned by tests/test_norms.py.
 
-ProfileScreen trades those bits for speed where a bound suffices: it
-brackets every row of the profile of one column, so a caller evaluates
-exactly only the rows that can decide.  The same float32 kernel and range
-checks give surrogates within delta of the exact rows at the coarse rows;
-Lyapunov's inequality bounds the rows between from the coarse maxima
-alone, and only the rows whose bound reaches the coarse rows' lower
-bounds are screened again.
+ProfileScreen is the one certified float32 screen of a schedule: the
+margin delta, the range and the float32 values of the den factors, and
+the Lyapunov bound of every fine row.  The pruned path reads it, and so
+do the sharpening trials, which trade the bits for speed where a bound
+suffices: it brackets every row of the profile of one column, so a
+caller evaluates exactly only the rows that can decide.
+
+The Lyapunov bound.  With t = p_eff, the log of integral_B |f|^t w is
+convex in t (Hoelder).  So at a fine row i between the coarse rows a and
+b, with theta = (t_b - t_i) / (t_b - t_a) and psi = (t_i - t_a) / (t_b -
+t_a), every ball's scaled integral X = den^-lam integral_B |f|^t w has
+    X_i <= X_a^theta X_b^psi exp(gap_i),
+    gap_i = |theta lam_a + psi lam_b - lam_i| max |log den|
+(lam_eff need not be affine in t: it is not for transported shifts).
+With X_a <= (1 + delta) S_a for the float32 surrogate S_a of row a,
+likewise for b, and the exact path's X_i within 1 + eps64 of the real one,
+    X_i <= S_a^theta S_b^psi exp(slack_i),
+    slack_i = log(1 + delta) + gap_i + eta.
+eta (_lyapunov_slack), one per schedule, covers eps64 (the float64 sum of
+at most n terms, the powers, the den factor: gamma_n(u) and a few u) and
+the rounding of every log, product and sum that forms the bound or a
+threshold from it: a few u times the magnitude of each log (at most
+log 2^127 for a normal float32 surrogate, plus |log(1 - delta)| for a
+lower bound), theta and psi each within 3 u relative, lam_a, lam_b and
+lam_i each at most max |lam| and max |log den| within u, and the exp of
+a threshold (Higham, section 2.2).  One ordering rule holds for both
+screens: an interval whose fine t do not all lie strictly between t_a
+and t_b (unordered or tied rows) has no bound.
 """
 
 from __future__ import annotations
@@ -52,18 +75,20 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .scales import (EpsilonGrid, GrandParams, MorreyVariant, ShiftSchedule,
                      build_epsilon_grid, grid_for, shift_schedule)
-from .space import QuasimetricSpace, rep_balls
+from .space import QuasimetricSpace, read_json, rep_balls
 
 __all__ = [
     "NormError",
     "GridFunction",
     "as_matrix",
+    "is_batch",
     "lebesgue_norm",
     "morrey_norm",
     "inner_seminorm_matrix",
@@ -119,7 +144,7 @@ class GridFunction:
 
     @staticmethod
     def load(path, space: QuasimetricSpace) -> GridFunction:
-        data = json.loads(Path(path).read_text())
+        data = read_json(path, NormError)
         if not isinstance(data, dict) or data.get("format") != "grid-function":
             raise NormError(f"{path}: not a grid-function file")
         if "values" not in data:
@@ -128,7 +153,10 @@ class GridFunction:
             raise NormError(
                 f"{path}: function was sampled on space {data['space_id']}, "
                 f"not {space.space_id()}")
-        return GridFunction.from_values(data.get("name", "f"), data["values"], space)
+        try:
+            return GridFunction.from_values(data.get("name", "f"), data["values"], space)
+        except (TypeError, ValueError) as exc:
+            raise NormError(f"{path}: 'values' entry: {exc}") from None
 
 
 def as_matrix(f, space: QuasimetricSpace) -> np.ndarray:
@@ -150,9 +178,15 @@ def as_matrix(f, space: QuasimetricSpace) -> np.ndarray:
     raise NormError(f"cannot interpret array of ndim {v.ndim} as functions")
 
 
+def is_batch(f) -> bool:
+    """Whether f is a batch of functions, one per column: any 2-D array-like,
+    ndarray or nested list.  A batch keeps every column of a result; a
+    single function (a GridFunction, 1-D values or a scalar) its one."""
+    return np.ndim(f) == 2
+
+
 def _squeeze(values: np.ndarray, f) -> float | np.ndarray:
-    batched = (isinstance(f, np.ndarray) and f.ndim == 2)
-    return values if batched else float(values[0])
+    return values if is_batch(f) else float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +222,15 @@ def variant_table(space: QuasimetricSpace, variant: MorreyVariant):
 
 def inner_seminorm_matrix(F: np.ndarray, space: QuasimetricSpace, p_eff: float,
                           lam_eff: float, variant: MorreyVariant) -> np.ndarray:
-    """max over balls of [den^(-lam) integral_B |f|^p]^(1/p), per column of F."""
+    """max over balls of [den^(-lam) integral_B |f|^p]^(1/p), per column of F:
+    the one-node case of _full_max."""
     if p_eff < 1:
         raise NormError(f"shifted exponent fell below 1: {p_eff:g}")
     table, den = variant_table(space, variant)
     if table.size == 0:
         return np.zeros(F.shape[1])
     pw = np.abs(F) ** p_eff * space.weights[:, None]
-    integrals = table.masks_f @ pw
-    scaled = den[:, None] ** (-lam_eff) * integrals
-    return scaled.max(axis=0) ** (1.0 / p_eff)
+    return _full_max(table.masks_f, pw[None], den, np.array([lam_eff]))[0] ** (1.0 / p_eff)
 
 
 def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
@@ -286,7 +319,8 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
                       schedule: ShiftSchedule, screened: int) -> np.ndarray:
     """The last ``screened`` columns of seminorm_profile(F, space, schedule):
     pruned (_pruned_max) under seminorm_profile's rule when all m columns
-    are screened, always when fewer are, unless the margin is 1 or more.
+    are screened, always when fewer are, unless the margin of the
+    schedule's ProfileScreen is 1 or more.
 
     A pruned block runs from one coarse row to the next: it evaluates its
     rows and screens the next coarse row with them, whose surrogates the
@@ -305,152 +339,137 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     absF = np.abs(F)
     w = space.weights[:, None]
     pad = -(-_EXACT_MADDS // max(1, n * m))
-    prune = screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad)
-    if prune:
-        log_den = float(np.abs(np.log(den)).max())
-        delta = surrogate_margin(n, float(np.abs(lam_eff).max() * log_den))
-        # a margin of 1 or more (or NaN) admits every ball
-        prune = delta < 1.0
-    if prune:
-        coarse = _coarse_rows(k)
-        blocks = [(a, b, b + 1 if b > a + 1 else b)
-                  for a, b in zip(coarse, np.append(coarse[1:], k))]
-    else:
-        step = max(1, _BLOCK_ELEMENTS // max(1, table.size * m))
-        blocks = [(a, min(a + step, k), min(a + step, k)) for a in range(0, k, step)]
-    held = None
-    # rows a..b-1 of the profile; the terms of rows a..c-1
-    for a, b, c in blocks:
+    screen = None
+    if screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad):
+        screen = ProfileScreen(space, schedule)
+    # a margin of 1 or more (or NaN) admits every ball
+    if screen is None or not screen.delta < 1.0:
+        pe = p_eff[:, None, None]
+        return _full_max(table.masks_f, absF ** pe * w, den, lam_eff,
+                         m - screened) ** (1.0 / pe[:, 0])
+    coarse, held = screen._coarse, None
+    # rows a..b-1 of the profile, from coarse row j; the terms of rows a..c-1
+    for j, (a, b) in enumerate(zip(coarse, np.append(coarse[1:], k))):
+        c = b + 1 if b > a + 1 else b
         pe = p_eff[a:c, None, None]
         pw = absF ** pe * w
-        top = None
-        if prune:
-            top, held = _pruned_max(table, pw, den, pe[:, 0, 0], lam_eff[a:c], delta,
-                                    log_den, pad, screened, held)
+        top, held = _pruned_max(screen, j, pw, pad, screened, held)
         if top is None:
-            top = _full_max(table.masks_f, pw[:b - a], den,
-                            lam_eff[a:b, None, None])[:, m - screened:]
+            top = _full_max(table.masks_f, pw[:b - a], den, lam_eff[a:b], m - screened)
         out[a:b] = top ** (1.0 / pe[:b - a, 0])
     return out
 
 
-def _coarse_rows(k: int) -> np.ndarray:
-    """The rows of a k-row schedule screened over every ball: every
-    _COARSE_STRIDE-th row and the last."""
-    return np.unique(np.append(np.arange(0, k, _COARSE_STRIDE), k - 1))
+def _scaled_integrals(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
+                      lam: np.ndarray, first: int = 0) -> np.ndarray:
+    """The scaled ball integrals of the mask rows masks_f, whose dens are
+    ``den``, at the nodes of the terms pw (nodes, points, columns), on the
+    product's own layout (nodes, balls, columns): one stacked product, one
+    BLAS call per node, whose columns from ``first`` on take the den
+    factors den^-lam, lam per node."""
+    scaled = np.matmul(masks_f[None], pw)[:, :, first:]
+    scaled *= (den ** -lam[:, None])[:, :, None]
+    return scaled
 
 
 def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
-              lam: np.ndarray) -> np.ndarray:
-    """The largest scaled ball integral per (node, column) over every ball:
-    the terms pw (nodes, points, columns) times the masks, one stacked
-    product per block of nodes, times the den factors den ** -lam, lam of
-    shape (nodes, 1, 1)."""
+              lam: np.ndarray, first: int = 0) -> np.ndarray:
+    """The largest scaled ball integral over every ball per (node, column)
+    of the terms pw (nodes, points, columns), columns from ``first`` on:
+    _scaled_integrals per block of nodes."""
     k, _, m = pw.shape
-    top = np.empty((k, m))
+    top = np.empty((k, m - first))
     step = max(1, _BLOCK_ELEMENTS // max(1, masks_f.shape[0] * m))
     for a in range(0, k, step):
-        # (nodes, columns, balls): the ball axis last for the scaling and the max
-        scaled = np.ascontiguousarray(
-            np.matmul(masks_f[None], pw[a:a + step]).transpose(0, 2, 1))
-        scaled *= den ** -lam[a:a + step]
-        top[a:a + step] = scaled.max(axis=2)
+        top[a:a + step] = _scaled_integrals(masks_f, pw[a:a + step], den,
+                                            lam[a:a + step], first).max(axis=1)
     return top
 
 
-def _pruned_max(table, pw: np.ndarray, den: np.ndarray, t: np.ndarray,
-                lam: np.ndarray, delta: float, log_den: float, pad: int,
+def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray, pad: int,
                 screened: int, held: np.ndarray | None) -> tuple:
     """The last ``screened`` columns of _full_max bit for bit from their
-    candidate balls only, for the rows of pw but its last when it has more
-    than one: that one is the next coarse row, which closes the interval.
-    Returns them with its surrogates for the next block, or (None, None)
-    where a float32 intermediate of the screen could leave the normal range.
+    candidate balls only, for the rows of pw, which start at coarse row j
+    of the schedule of ``screen``, but its last when it has more than one:
+    that one is coarse row j + 1, which closes the interval.  Returns them
+    with its surrogates for the next block, or (None, None) where a float32
+    intermediate of the screen could leave the normal range.
 
-    One float32 product of the masks with the terms of a row's screened
-    columns, times the den factors den ** -lam rounded to float32, gives a
-    surrogate s of each scaled ball integral within the relative margin
-    delta (surrogate_margin).  So the ball holding the exact maximum of a
-    (row, column) pair has s (1 + delta) >= t (1 - delta) for every
-    surrogate t of the pair: it is a candidate against the largest
-    surrogate of any ball set that holds it.  The first row, and the closing one, are screened
-    over every ball (the first's surrogates are ``held`` when the previous
-    block screened them).  The rows between are screened over the balls
-    that _interval_balls keeps, one float32 product per ball block, with a
+    The screen's float32 den factors, times one float32 product of the
+    masks with the terms of a row's screened columns, give a surrogate s
+    of each scaled ball integral within its relative margin delta.  So the
+    ball holding the exact maximum of a (row, column) pair has
+    s (1 + delta) >= t (1 - delta) for every surrogate t of the pair: it
+    is a candidate against the largest surrogate of any ball set that
+    holds it.  The first row, and the closing one, are screened over every
+    ball (the first's surrogates are ``held`` when the previous block
+    screened them).  The rows between are screened over the balls that
+    _interval_balls keeps, one float32 product per ball block, with a
     running maximum started from the coarse candidates of both ends.  A
     pair whose surrogates are all zero has only zero integrals.
 
     Per sub-block of rows, the union of these candidates, padded with
-    further balls in table order to at least ``pad`` rows, goes through one
-    stacked float64 product of those mask rows with the terms of all m
-    columns (one BLAS call per row), and the screened columns take the
-    scaling and max of _full_max.  The padding keeps each row's product
-    above the BLAS's small-matrix path, so it keeps the bits of the full
-    product's rows (pinned by tests/test_norms.py).  A sub-block holds at
-    most _SURROGATE_ELEMENTS / (pad m) rows.  The rows are converted from
-    the bool masks, so a table that only this path reads never builds
-    ``masks_f``.  The den factors are computed only where they are read:
-    for the coarse rows at every ball, for the rows between at the balls
-    they screen and evaluate; each is the power of the full path bit for
-    bit.
+    further balls in table order to at least ``pad`` rows, goes through
+    _scaled_integrals with the terms of all m columns, and the screened
+    columns take its max.  The padding keeps each row's product above the
+    BLAS's small-matrix path, so it keeps the bits of the full product's
+    rows (pinned by tests/test_norms.py).  A sub-block holds at most
+    _SURROGATE_ELEMENTS / (pad m) rows.  The rows are converted from the
+    bool masks, so a table that only this path reads never builds
+    ``masks_f``.
     """
+    table, delta = screen.table, screen.delta
     k, n, m = pw.shape
     rows = max(1, k - 1)
-    # den ** -lam is monotone in den, so its extremes lie at the extreme dens
-    ends = np.array([den.min(), den.max()]) ** -lam[:, None]
-    pw32 = _f32_terms(pw[:, :, m - screened:], float(ends.min()), float(ends.max()))
+    a = screen._coarse[j]
+    pw32 = _f32_terms(pw[:, :, m - screened:], *screen._factor_range)
     if pw32 is None:
         _count(range_fallbacks=1)
         return None, None
     masks32 = table.masks32
 
-    def screen(j):
-        # the surrogates of row j over every ball, (screened, balls): column
+    def coarse_row(i):
+        # the surrogates of row i over every ball, (screened, balls): column
         # maxima and tests then reduce along rows, which numpy does fast
-        s = np.matmul(pw32[:, j * screened:(j + 1) * screened].T, masks32.T)
-        s *= (den ** -lam[j:j + 1]).astype(np.float32)
+        s = np.matmul(pw32[:, i * screened:(i + 1) * screened].T, masks32.T)
+        s *= screen._den_factors(slice(None), a + i)
         return s
-
-    def fine32(ids):
-        # the float32 den factors of the rows between at the balls ids,
-        # (balls, rows)
-        return (den[ids] ** -lam[1:rows, None]).astype(np.float32).T
-    first, coarse = (screen(0), 1) if held is None else (held, 0)
+    first, coarse = (coarse_row(0), 1) if held is None else (held, 0)
     cand = np.zeros((rows, table.size), dtype=bool)
     cand[0] = _coarse_candidates(first, delta)
     last, kept = None, 0
     if k > 1:
-        last = screen(k - 1)
+        last = coarse_row(k - 1)
         coarse += 1
         terms = np.ascontiguousarray(pw32[:, screened:rows * screened])
+        fine = np.arange(a + 1, a + rows)
         near = np.flatnonzero(cand[0] | _coarse_candidates(last, delta))
-        top = _f32_scaled(masks32[near], terms, fine32(near)).max(
+        top = _f32_scaled(masks32[near], terms, screen._den_factors(near, fine)).max(
             axis=0, initial=np.float32(0.0))
-        balls = _interval_balls(first, last, top, t, lam, delta, log_den, n)
+        balls = _interval_balls(screen, j + 1, first, last, top)
         kept = balls.size
         step = max(1, _SURROGATE_ELEMENTS // top.size)
         block = np.empty((min(step, kept), top.size), dtype=np.float32)
         for b in range(0, kept, step):
             ids = balls[b:b + step]
-            s = _f32_scaled(masks32[ids], terms, fine32(ids), block)
+            s = _f32_scaled(masks32[ids], terms, screen._den_factors(ids, fine), block)
             np.maximum(top, s.max(axis=0), out=top)
             hit, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
                                   top.size)
             cand[1 + pair // screened, ids[hit]] = True
-    pw, lam = pw[:rows], lam[:rows]
+    pw, lam = pw[:rows], screen.schedule.lam_eff[a:a + rows]
     out = np.empty((rows, screened))
     sub = max(1, _SURROGATE_ELEMENTS // (pad * m))
     padded = 0
-    for a in range(0, rows, sub):
-        keep = cand[a:a + sub].any(axis=0)
+    for r in range(0, rows, sub):
+        keep = cand[r:r + sub].any(axis=0)
         short = pad - np.count_nonzero(keep)
         if short > 0:
             keep[np.flatnonzero(~keep)[:short]] = True
         union = np.flatnonzero(keep)
-        scaled = np.matmul(table.masks[union].astype(float)[None],
-                           pw[a:a + sub])[:, :, m - screened:]
-        scaled *= (den[union] ** -lam[a:a + sub, None])[:, :, None]
-        out[a:a + sub] = scaled.max(axis=1)
+        scaled = _scaled_integrals(table.masks[union].astype(float), pw[r:r + sub],
+                                   screen._den[union], lam[r:r + sub], m - screened)
+        out[r:r + sub] = scaled.max(axis=1)
         padded += scaled.shape[0] * union.size
     _count(pruned_rows=rows, candidate_balls=int(np.count_nonzero(cand)),
            padded_balls=padded, coarse_rows=coarse, interval_balls=kept)
@@ -463,53 +482,35 @@ def _coarse_candidates(s: np.ndarray, delta: float) -> np.ndarray:
     return (s >= _threshold(s.max(axis=1), delta)[:, None]).any(axis=0)
 
 
-def _interval_balls(first: np.ndarray, last: np.ndarray, top: np.ndarray,
-                    t: np.ndarray, lam: np.ndarray, delta: float, log_den: float,
-                    n: int) -> np.ndarray:
-    """The balls that can hold a maximum at a fine row i of an interval,
-    from the surrogates S_a = ``first`` and S_b = ``last`` of its coarse rows
-    a and b over every ball (columns x balls), and ``top``, the largest
-    surrogates at the fine rows over some balls (rows x columns, flat).
+def _interval_balls(screen: ProfileScreen, end: int, first: np.ndarray,
+                    last: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The balls that can hold a maximum at a fine row of the interval that
+    coarse row ``end`` of ``screen`` closes, from the surrogates S_a =
+    ``first`` and S_b = ``last`` of its coarse rows over every ball
+    (columns x balls), and ``top``, the largest surrogates at the fine rows
+    over some balls (rows x columns, flat).
 
-    With t = p_eff, theta = (t_b - t_i) / (t_b - t_a) and psi = (t_i - t_a) /
-    (t_b - t_a), log of integral_B |f|^t w is convex in t (Hoelder), so a
-    ball's scaled integral is at most
-        X_i <= X_a^theta X_b^psi exp(gap_i),
-        gap_i = |theta lam_a + psi lam_b - lam_i| max |log den|
-    (lam_eff need not be affine in t: it is not for transported shifts).
-    With X_a <= (1 + delta) S_a, likewise for b, and the exact path's X_i
-    within 1 + eps64 of the real one,
-        X_i <= (1 + eps64) (1 + delta) S_a^theta S_b^psi exp(gap_i).
-    The maximum at (i, c) is at least L_i,c = (1 - delta) top_i,c.  Let
-    rho_c = min_i L_i,c / ((1 + eps64) (1 + delta) exp(gap_i) M_a,c^theta
-    M_b,c^psi), M the column maxima of S_a and S_b.  A ball with S_a < rho_c
+    The maximum at (i, c) is at least L_i,c = (1 - delta) top_i,c, and
+    every ball has X_i <= S_a^theta S_b^psi e^slack_i (module docstring).
+    With log rho_c = min_i (log L_i,c - theta log M_a,c - psi log M_b,c -
+    slack_i), M the column maxima of S_a and S_b, a ball with S_a < rho_c
     M_a,c and S_b < rho_c M_b,c has X_i < L_i,c at every fine row, so only
     the balls with S_a >= rho_c M_a,c or S_b >= rho_c M_b,c for some column
-    are kept; the thresholds are rounded down to float32.
-
-    log rho_c is computed in float64 from logs; eta, from _lyapunov_slack,
-    is subtracted from it and covers eps64 (the float64 sum of at most n
-    terms, the powers, the den factor: gamma_n(u) and a few u) and the
-    rounding of every log, product and sum (a few u times the magnitude of
-    each log, theta and psi each within 3 u relative, lam_a, lam_b, lam_i
-    each at most max |lam| and max |log den| within u) and of the exp of
-    the threshold (Higham, section 2.2).  A column with a zero coarse
-    maximum is zero at every t and keeps no ball.  An interval whose fine
-    t do not lie between t_a and t_b (unordered or tied rows) keeps every
-    ball.
+    are kept; the thresholds are rounded down to float32.  eta, in slack,
+    covers the rounding of these logs.  A column with a zero coarse maximum
+    is zero at every t and keeps no ball.  An interval without a bound
+    keeps every ball.
     """
+    i = screen._end == end
+    theta, psi, slack = screen._theta[i, None], screen._psi[i, None], screen._slack[i, None]
+    if np.isnan(slack).any():
+        return np.arange(first.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        span = t[-1] - t[0]
-        theta = (t[-1] - t[1:-1, None]) / span
-        psi = (t[1:-1, None] - t[0]) / span
-        if not np.all((theta >= 0.0) & (psi >= 0.0)):
-            return np.arange(first.shape[1])
         log_a = np.log(first.max(axis=1).astype(float))
         log_b = np.log(last.max(axis=1).astype(float))
-        log_low = np.log1p(-delta) + np.log(top.astype(float).reshape(theta.size, -1))
-        gap, eta = _lyapunov_slack(theta, psi, lam, log_den, n, log_low, log_a, log_b)
-        rho = ((log_low - theta * log_a - psi * log_b - gap).min(axis=0)
-               - np.log1p(delta) - eta)
+        log_low = (np.log1p(-screen.delta)
+                   + np.log(top.astype(float).reshape(theta.size, -1)))
+        rho = (log_low - theta * log_a - psi * log_b - slack).min(axis=0)
         zero = ~np.isfinite(log_a + log_b)
         keep = np.zeros(first.shape[1], dtype=bool)
         for s, log_m in ((first, log_a), (last, log_b)):
@@ -519,15 +520,18 @@ def _interval_balls(first: np.ndarray, last: np.ndarray, top: np.ndarray,
     return np.flatnonzero(keep)
 
 
-def _lyapunov_slack(theta, psi, lam, log_den, n, log_low, log_a, log_b) -> tuple:
-    """gap_i (fine rows x 1) and eta (per column) of _interval_balls, and of
-    ProfileScreen's fine-row bounds: _SURROGATE_ULPS float64 ulps times
-    n + 2 and the magnitudes of the logs and exponents that enter log rho_c
-    or the log of the bound."""
-    gap = np.abs(theta * lam[0] + psi * lam[-1] - lam[1:-1, None]) * log_den
+def _lyapunov_slack(theta, psi, lam, rows, log_den, n, delta) -> tuple:
+    """gap_i of the fine rows i with theta and psi between the rows a and b,
+    rows = (a, b, i) of lam = lam_eff, and one eta for the schedule:
+    _SURROGATE_ULPS float64 ulps times n + 2, the largest |lam log den| and
+    gap, and the magnitudes of the logs that enter log rho_c of
+    _interval_balls or the log of ProfileScreen's bound: those of normal
+    float32 surrogates, and of (1 - delta) times them."""
+    a, b, i = rows
+    gap = np.abs(theta * lam[a] + psi * lam[b] - lam[i]) * log_den
+    logs = 5.0 * np.log(_F32_HUGE) - np.log1p(-delta)
     eta = _SURROGATE_ULPS * np.finfo(float).eps / 2 * (
-        n + 2.0 + np.abs(lam).max() * log_den + gap.max()
-        + np.abs(log_low).max(axis=0) + 2.0 * (np.abs(log_a) + np.abs(log_b)))
+        n + 2.0 + np.abs(lam).max() * log_den + gap.max(initial=0.0) + logs)
     return gap, eta
 
 
@@ -578,10 +582,11 @@ def _count(**counts) -> None:
 
 def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
                rows) -> np.ndarray:
-    """The rows ``rows`` of the weighted profile of ``schedule``.
+    """The rows ``rows`` (indices or a slice) of the weighted profile of
+    ``schedule``; grand_profile takes them all.
 
-    Each row equals the same row of grand_profile over the whole schedule
-    bit for bit, since every node is evaluated on its own.
+    Each row equals the same row over the whole schedule bit for bit, since
+    every node is evaluated on its own.
     """
     part = replace(schedule, nodes=schedule.nodes[rows],
                    p_eff=schedule.p_eff[rows], lam_eff=schedule.lam_eff[rows],
@@ -680,79 +685,82 @@ def _f32_scaled(masks32: np.ndarray, pw32: np.ndarray, factors: np.ndarray,
 
 
 class ProfileScreen:
-    """A certified bracket of the weighted profile of one column at one
-    schedule, and the rows that must be evaluated exactly.
+    """The certified float32 screen of one schedule, and a bracket of the
+    weighted profile of one column from it.
 
-    The screen evaluates float32 surrogates of the coarse rows of the
-    schedule (_coarse_rows) only: it holds their den factors exp(-lam_eff
-    log den) for every ball in float32, computed in float64 and rounded
-    once.  ``rows`` takes the float32 terms |f|^p_eff w of all nodes and,
-    for the coarse rows, per block of balls one float32 product with the
-    ball masks (``masks32``), the product with the factors and a running
-    max.  The root and the weight stay in float64.  The bits of a surrogate
-    row s differ from those of grand_rows, but its exact row lies within
-    [s (1 - delta), s (1 + delta)], delta from surrogate_margin.
+    The screen holds what every float32 screen of the schedule reads: the
+    margin delta (surrogate_margin), the range of the den factors, those
+    factors (_den_factors: exp(-lam_eff log den), computed in float64 and
+    rounded once to float32), and per fine row its theta, psi and slack
+    (module docstring), nan where its interval has no bound.  The pruned
+    profiles (_pruned_max) read all of it.
 
-    A fine row i between coarse rows a and b is bounded by Lyapunov's
-    inequality, as in _interval_balls, from the column maxima S_a and S_b
-    of the coarse surrogates before the root and the weight:
-        X_i <= ((1 + delta) S_a)^theta ((1 + delta) S_b)^psi exp(gap_i + eta),
-    with theta, psi, gap_i and eta from the schedule alone (_lyapunov_slack,
-    with the largest |log| of a normal float32 for the logs of S_a and
-    S_b).  Its upper bound is its weight times that bound to the power
-    1/t_i; its lower bound is 0.  Every fine row whose upper bound reaches
-    the largest lower bound is screened again like a coarse row, its den
-    factors computed block by block; the exact maximum row is among them,
-    since its upper bound reaches its exact value.  An interval whose fine
-    t do not lie strictly between its ends (unordered or tied rows) has no
-    bound, and all its fine rows are screened.  ``candidates`` are the
-    rows whose upper bound reaches the largest lower bound; the exact
-    maximum row is always among them.  ``screened_rows`` counts the
-    surrogate rows evaluated, over all calls.
+    ``rows`` takes the float32 terms |f|^p_eff w of all nodes and, for the
+    coarse rows, per block of balls one float32 product with the ball
+    masks (``masks32``), the product with the factors, held at every ball
+    from the first call on, and a running max.  The root and the weight
+    stay in float64.  The bits of a surrogate row
+    s differ from those of grand_rows, but its exact row lies within
+    [s (1 - delta), s (1 + delta)].  A fine row i has the upper bound
+    weight_i (S_a^theta S_b^psi e^slack_i)^(1/t_i) from the column maxima
+    S_a and S_b of its coarse surrogates, infinite without a bound, and
+    the lower bound 0.  Every fine row whose upper bound reaches the
+    largest lower bound is screened again like a coarse row, its den
+    factors computed block by block.  ``candidates`` are the rows whose
+    upper bound reaches the largest lower bound; the exact maximum row is
+    always among them, since its upper bound reaches its exact value.
+    ``screened_rows`` counts the surrogate rows evaluated, over all calls.
     """
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
-        self.table, den = variant_table(space, schedule.variant)
+        self.table, self._den = variant_table(space, schedule.variant)
         self.space, self.schedule = space, schedule
-        self._log_den = log_den = np.log(den)
+        self._log_den = log_den = np.log(self._den)
         t, lam, k = schedule.p_eff, schedule.lam_eff, schedule.nodes.size
         log_den_max = float(np.abs(log_den).max(initial=0.0))
-        self.den_exponent = float(np.abs(lam).max() * log_den_max)
-        self.delta = surrogate_margin(space.n, self.den_exponent)
+        self.delta = surrogate_margin(space.n, float(np.abs(lam).max() * log_den_max))
         # exp(-lam log den) is monotone in log den, so every row's extreme
         # den factors lie at the extreme dens
         ends = (np.exp(np.multiply.outer(-lam, [log_den.min(), log_den.max()]))
-                if den.size else np.zeros(0))
+                if log_den.size else np.zeros(0))
         lo, hi = float(ends.min(initial=np.inf)), float(ends.max(initial=0.0))
         # _f32_terms declines every column, so every row is exact, when a den
         # factor leaves the float32 normal range
         self._factor_range = (float(np.float32(lo)) if hi <= _F32_HUGE else 0.0, hi)
-        self._coarse = coarse = _coarse_rows(k)
-        self._factors = self._den_factors(slice(None), coarse) if hi <= _F32_HUGE else None
-        # per fine row: its interval's end in coarse, theta, psi and the log
-        # of (1 + delta) e^(gap + eta); nan where its interval has no bound
+        # the coarse rows, screened over every ball: every _COARSE_STRIDE-th
+        # row and the last
+        self._coarse = coarse = np.unique(np.append(np.arange(0, k, _COARSE_STRIDE), k - 1))
         self._fine = fine = np.setdiff1d(np.arange(k), coarse)
+        # per fine row: its interval's end in coarse
         self._end = end = np.searchsorted(coarse, fine)
-        t_a, t_b = t[coarse[end - 1]], t[coarse[end]]
+        a, b = coarse[end - 1], coarse[end]
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._theta = (t_b - t[fine]) / (t_b - t_a)
-            self._psi = (t[fine] - t_a) / (t_b - t_a)
-        self._slack = np.full(fine.size, np.nan)
-        log_f32 = np.log(_F32_HUGE)
-        for j in np.unique(end):
-            i = end == j
-            theta, psi = self._theta[i, None], self._psi[i, None]
-            if np.all((theta > 0.0) & (psi > 0.0)):
-                gap, eta = _lyapunov_slack(theta, psi, lam[coarse[j - 1]:coarse[j] + 1],
-                                           log_den_max, space.n, np.zeros(1),
-                                           log_f32, log_f32)
-                self._slack[i] = np.log1p(self.delta) + gap[:, 0] + eta
+            self._theta = (t[b] - t[fine]) / (t[b] - t[a])
+            self._psi = (t[fine] - t[a]) / (t[b] - t[a])
+            # an interval bounds its fine rows where all lie strictly between
+            # its ends
+            ordered = ~np.isin(end, end[~((self._theta > 0.0) & (self._psi > 0.0))])
+            gap, eta = _lyapunov_slack(self._theta[ordered], self._psi[ordered], lam,
+                                       (a[ordered], b[ordered], fine[ordered]),
+                                       log_den_max, space.n, self.delta)
+            self._slack = np.full(fine.size, np.nan)
+            self._slack[ordered] = np.log1p(self.delta) + gap + eta
         self.screened_rows = 0
-        # one ball block's product, reused by every call: the blocks of an
-        # every-row screen, so that a screen of fewer rows takes no more
-        # memory (or BLAS buffer) than one of all rows
         self.step = max(1, _SURROGATE_ELEMENTS // k)
-        self._buffer = np.empty(min(self.step, self.table.size) * k, dtype=np.float32)
+
+    @cached_property
+    def _buffer(self) -> np.ndarray:
+        """One ball block's product, reused by every call of ``rows``: the
+        blocks of an every-row screen, so that a screen of fewer rows takes
+        no more memory (or BLAS buffer) than one of all rows."""
+        k = self.schedule.nodes.size
+        return np.empty(min(self.step, self.table.size) * k, dtype=np.float32)
+
+    @cached_property
+    def _factors(self) -> np.ndarray:
+        """The float32 den factors of the coarse rows at every ball, (balls,
+        coarse rows), for every call of ``rows``."""
+        return self._den_factors(slice(None), self._coarse)
 
     def _den_factors(self, balls, rows) -> np.ndarray:
         """The float32 den factors of the balls ``balls`` at the schedule
@@ -822,13 +830,13 @@ class ProfileScreen:
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
                   nodes: np.ndarray) -> np.ndarray:
     """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and column."""
-    schedule = shift_schedule(params, nodes)
-    return schedule.weight[:, None] * seminorm_profile(F, space, schedule)
+    return grand_rows(F, space, shift_schedule(params, nodes), slice(None))
 
 
 def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
-                   include_endpoint: bool = False):
-    """Grand supremum truncated to master-grid nodes below s.
+                   include_endpoint: bool = False, grid: EpsilonGrid | None = None):
+    """Grand supremum truncated to the nodes below s of ``grid``, the master
+    grid by default.
 
     With include_endpoint the node equal to s (inserted if absent) joins the
     max, which evaluates the closed-range variant at s.  Monotone in s by
@@ -837,7 +845,7 @@ def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
     if not 0 < s <= params.s_max * (1.0 + 1e-12):
         raise NormError(f"truncation point must lie in (0, s_max], got {s:g}")
     F = as_matrix(f, space)
-    nodes = grid_for(params).nodes
+    nodes = (grid or grid_for(params)).nodes
     sel = nodes[nodes < s]
     if include_endpoint:
         sel = np.unique(np.append(sel, s))

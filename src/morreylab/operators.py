@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import as_matrix
+from .norms import as_matrix, is_batch
 from .space import BallTable, QuasimetricSpace, prefix_profile, rep_balls
 
 __all__ = [
@@ -70,8 +70,7 @@ def _max_ball_average(f, space: QuasimetricSpace, table: BallTable) -> np.ndarra
         slot = np.searchsorted(xs, table.centers[a:b])
         avg = cf[slot, table.counts[a:b]] / table.dilated_measures[a:b, None]
         out[xs] = np.maximum.reduceat(avg, bounds[xs] - a, axis=0)
-    batched = isinstance(f, np.ndarray) and f.ndim == 2
-    return out if batched else out[:, 0]
+    return out if is_batch(f) else out[:, 0]
 
 
 def maximal(f, space: QuasimetricSpace, *, radius_cap: str = "diameter") -> np.ndarray:
@@ -136,8 +135,7 @@ def potential(f, space: QuasimetricSpace, kind: str, alpha: float,
     F = as_matrix(f, space)
     K = potential_matrix(space, kind, alpha, gamma)
     out = K @ (F * space.weights[:, None])
-    batched = isinstance(f, np.ndarray) and f.ndim == 2
-    return out if batched else out[:, 0]
+    return out if is_batch(f) else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +195,7 @@ def cz_apply(f, space: QuasimetricSpace, kernel: CZKernel):
     K = np.array(kernel.matrix, dtype=float)
     np.fill_diagonal(K, 0.0)
     out = K @ (F * space.weights[:, None])
-    batched = isinstance(f, np.ndarray) and f.ndim == 2
-    return out if batched else out[:, 0]
+    return out if is_batch(f) else out[:, 0]
 
 
 def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,

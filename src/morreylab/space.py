@@ -46,6 +46,7 @@ __all__ = [
     "geometry_constants",
     "save_space",
     "load_space",
+    "read_json",
 ]
 
 
@@ -257,25 +258,34 @@ def _circle_matrix(n: int, circumference: float) -> np.ndarray:
 def _metric_matrix(points: list, metric: dict) -> np.ndarray:
     kind = metric.get("kind")
     if kind == "matrix":
-        mat = np.asarray(metric["matrix"], dtype=float)
+        mat = _floats(metric["matrix"], "matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SpaceError("explicit metric matrix must be square")
         if mat.shape[0] != len(points):
             raise SpaceError("metric matrix size does not match the point count")
         return mat
     if kind == "circle":
-        return _circle_matrix(len(points), float(metric.get("circumference", 1.0)))
-    coords = np.asarray(points, dtype=float)
+        circumference = _floats(metric.get("circumference", 1.0), "circumference")
+        return _circle_matrix(len(points), float(circumference))
+    coords = _floats(points, "points")
     if coords.ndim == 1:
         coords = coords[:, None]
     if kind == "euclidean":
         return _euclidean_matrix(coords)
     if kind == "snowflake":
-        s = float(metric["exponent"])
+        s = float(_floats(metric["exponent"], "exponent"))
         if s <= 0:
             raise SpaceError("snowflake exponent must be positive")
         return _euclidean_matrix(coords) ** s
     raise SpaceError(f"unknown metric kind {kind!r}")
+
+
+def _floats(value, key: str) -> np.ndarray:
+    """``value`` as a float array, or a SpaceError that names ``key``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpaceError(f"{key!r} entry is not numeric: {exc}") from None
 
 
 def _snap_distances(dist: np.ndarray) -> np.ndarray:
@@ -309,7 +319,7 @@ def build_space(points, metric, weights, name: str = "") -> QuasimetricSpace:
     if isinstance(metric, np.ndarray):
         metric = {"kind": "matrix", "matrix": np.asarray(metric, dtype=float).tolist()}
     dist = _snap_distances(_metric_matrix(points, dict(metric)))
-    w = np.asarray(weights, dtype=float)
+    w = _floats(weights, "weights")
     if w.shape != (len(points),):
         raise SpaceError("weights must give one value per point")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
@@ -336,14 +346,27 @@ def save_space(space: QuasimetricSpace, path) -> None:
     Path(path).write_text(json.dumps(space.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def read_json(path, error=SpaceError):
+    """The JSON document of the file ``path``; a file that does not parse
+    raises ``error``, naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_space(path) -> QuasimetricSpace:
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, dict) or data.get("format") != "quasimetric-space":
         raise SpaceError(f"{path}: not a space file")
     for key in ("points", "metric", "weights"):
         if key not in data:
             raise SpaceError(f"{path}: space file has no {key!r} entry")
-    return build_space(data["points"], data["metric"], data["weights"], name=data.get("name", ""))
+    try:
+        return build_space(data["points"], data["metric"], data["weights"],
+                           name=data.get("name", ""))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpaceError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

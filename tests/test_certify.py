@@ -407,7 +407,6 @@ def test_reduction_evaluates_each_side_once(monkeypatch, levels, sharpen):
     def grand_profile(*args):
         raise AssertionError("verify_reduction evaluated a grand profile")
 
-    monkeypatch.setattr(certify, "grand_profile", grand_profile)
     monkeypatch.setattr(norms, "grand_profile", grand_profile)
     rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",
                               seed=3, sharpen=sharpen, refinement_levels=levels)

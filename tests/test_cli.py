@@ -218,6 +218,44 @@ def test_malformed_files_give_an_error_line(staged, capsys, body, kind, names):
     assert err.startswith(f"error: {bad}:") and names in err
 
 
+_SPACE = {"format": "quasimetric-space", "points": [0.0, 1.0],
+          "metric": {"kind": "euclidean"}, "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("kind,text,names", [
+    ("space", '{"format": "quasimetric-space"\n "points": [0]}', "not valid JSON"),
+    ("space", json.dumps({**_SPACE, "weights": ["a", 0.5]}), "'weights' entry"),
+    ("space", json.dumps({**_SPACE, "points": ["x", 1.0]}), "'points' entry"),
+    ("space", json.dumps({**_SPACE, "metric": {"kind": "matrix",
+                                               "matrix": [[0, "a"], [1, 0]]}}),
+     "'matrix' entry"),
+    ("function", '{"format": "grid-function",\n "values": [1, 2,]}', "not valid JSON"),
+    ("function", json.dumps({"format": "grid-function", "values": ["a", 1, 1, 1]}),
+     "'values' entry"),
+    ("function", json.dumps({"format": "grid-function", "values": {"a": 1}}),
+     "'values' entry"),
+    ("bundle", '{"p": 2.0\n "lam": 0.3}', "not valid JSON"),
+    ("bundle", json.dumps({"p": "a"}), "'p' must be a number"),
+    ("bundle", json.dumps({"grid_count": [64]}), "'grid_count' must be a number"),
+    ("bundle", json.dumps({"phi": 1}), "'phi' must be a string"),
+    ("bundle", "[1, 2]", "must be a JSON object")])
+def test_malformed_entries_name_the_file_and_the_key(staged, capsys, kind, text,
+                                                     names):
+    # in process, an exception other than the CLI's handled ones fails here
+    bad = staged["tmp"] / "bad.json"
+    bad.write_text(text)
+    if kind == "space":
+        argv = ["space", "analyze", str(bad)]
+    elif kind == "function":
+        argv = ["norm", "eval", str(bad), staged["space"], "--norm", "lebesgue"]
+    else:
+        argv = ["certify", "run", "--theorem", "lemma-5.2", staged["space"],
+                "--family", "ball-indicators", "--bundle", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and names in err
+
+
 def test_certify_run_bundle_file_flags_win(staged, capsys):
     bundle = staged["tmp"] / "bundle.json"
     bundle.write_text(json.dumps({"p": 2.0, "lam": 0.45}))

@@ -125,6 +125,24 @@ def test_lebesgue_norm_batch():
     assert abs(out[0] - 1.0) < 1e-15 and out[1] == 0.0
 
 
+def test_nested_list_batch_keeps_every_column():
+    """A 2-D nested list is a batch of functions like a 2-D array: every
+    norm returns one value per column, not the first column's alone."""
+    s = get_space("grid-16")
+    F = np.random.default_rng(17).uniform(0.0, 2.0, size=(s.n, 3))
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:1", MorreyVariant(), 16)
+    for norm in (lambda f: lebesgue_norm(f, s, 2.0),
+                 lambda f: morrey_norm(f, s, 2.0, 0.3),
+                 lambda f: grand_morrey_norm(f, s, params),
+                 lambda f: phi_functional(f, s, params, params.s_max / 2),
+                 lambda f: grand_lebesgue_norm(f, s, 2.0)):
+        got = norm(F.tolist())
+        assert got.shape == (3,)
+        assert np.array_equal(got, norm(F))
+        # one column alone is a matrix-vector product, whose sums can round apart
+        assert np.isclose(got[1], norm(F[:, 1].tolist()), rtol=1e-14, atol=0.0)
+
+
 def test_morrey_measure_variant_matches_dense_oracle():
     rng = np.random.default_rng(21)
     for name in ("grid-4", "grid-16", "two-atom"):
@@ -718,6 +736,50 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             assert np.all(got[:, m // 2] == 0.0)
 
 
+@pytest.mark.parametrize("order", ["tied", "shuffled"])
+def test_pruned_path_keeps_every_ball_where_the_screen_has_no_bound(monkeypatch,
+                                                                    order):
+    """The pruned profiles read the one ordering rule of ProfileScreen: an
+    interval bounds its fine rows only where all their t lie strictly
+    between its ends.  A fine row that repeats an end (theta = 1, psi = 0)
+    does not, nor does a row swapped into another interval.  Such an
+    interval keeps every ball, every other interval fewer, and the pruned
+    rows equal the forced full path's."""
+    monkeypatch.setattr(norms, "_COARSE_STRIDE", 4)
+    space = _pruned_space("asymmetric")
+    params = _profile_params(MorreyVariant())[0]
+    nodes = grid_for(params).nodes[::4][:13]
+    if order == "tied":
+        # row 2 repeats row 0, the start of its interval
+        nodes = np.insert(nodes, 2, nodes[0])
+    else:
+        # rows 2 and 6 swap intervals
+        nodes[[2, 6]] = nodes[[6, 2]]
+    schedule = shift_schedule(params, nodes)
+    table, _ = norms.variant_table(space, schedule.variant)
+    screen = norms.ProfileScreen(space, schedule)
+    unbounded = set(screen._end[np.isnan(screen._slack)].tolist())
+    assert unbounded == ({1} if order == "tied" else {1, 2})
+    kept = {}
+    interval_balls = norms._interval_balls
+
+    def recording(screen, end, *args):
+        balls = interval_balls(screen, end, *args)
+        kept[end] = balls.size
+        return balls
+    monkeypatch.setattr(norms, "_interval_balls", recording)
+    monkeypatch.setattr(norms, "_PRUNE_RATIO", 1)
+    F = np.random.default_rng(23).uniform(0.5, 1.5, size=(space.n, 9))
+    with norms.pruning_work() as work:
+        got = norms.seminorm_profile(F, space, schedule)
+    assert work["pruned_rows"] == nodes.size
+    assert sorted(kept) == [1, 2, 3]
+    for end, size in kept.items():
+        assert (size == table.size) == (end in unbounded), (end, size)
+    monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+    assert np.array_equal(got, norms.seminorm_profile(F, space, schedule))
+
+
 @pytest.mark.parametrize("name,pruned", [
     ("circle-64", {32, 38, 39, 64}),   # 2,048 balls
     ("circle-65", {32, 38, 39, 64}),   # 2,080 balls
@@ -758,9 +820,9 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
     pruned_max = norms._pruned_max
 
     def _recording(blocks):
-        def recorded(table, pw, *args):
-            blocks.append((pw.shape[0], args[-2]))
-            return pruned_max(table, pw, *args)
+        def recorded(screen, j, pw, pad, screened, held):
+            blocks.append((j, pw.shape[0], screened))
+            return pruned_max(screen, j, pw, pad, screened, held)
         return recorded
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
@@ -785,7 +847,7 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
             with norms.pruning_work() as work:
                 got = norms.appended_profile(prof, F, space, schedule)
             monkeypatch.setattr(norms, "_pruned_max", pruned_max)
-            assert blocks == [(4, 1), (4, 1), (1, 1)]
+            assert blocks == [(0, 4, 1), (1, 4, 1), (2, 1, 1)]
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
             assert work["coarse_rows"] == 3

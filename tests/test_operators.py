@@ -138,6 +138,22 @@ def test_maximal_batch_shape():
     assert M.shape == (4, 2)
 
 
+def test_nested_list_batch_keeps_every_column():
+    """A 2-D nested list is a batch like a 2-D array: every operator maps
+    each column, not the first column alone."""
+    s = get_space("grid-16")
+    F = np.random.default_rng(19).uniform(-1.0, 1.0, size=(s.n, 3))
+    for op in (lambda f: maximal(f, s),
+               lambda f: modified_maximal(f, s, 3.0),
+               lambda f: potential(f, s, "k-alpha", 0.5),
+               lambda f: cz_apply(f, s, hilbert_kernel(s))):
+        got = op(F.tolist())
+        assert got.shape == (s.n, 3)
+        assert np.array_equal(got, op(F))
+        # one column alone is a matrix-vector product, whose sums can round apart
+        assert np.allclose(got[:, 1], op(F[:, 1].tolist()), rtol=1e-14, atol=1e-15)
+
+
 def test_modified_maximal_matches_dense_oracle():
     rng = np.random.default_rng(53)
     for name in ("grid-16", "circle-16", "two-atom"):
