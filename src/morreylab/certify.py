@@ -894,17 +894,11 @@ def verify_direct(space: QuasimetricSpace, family: FunctionFamily, apply_op,
     within = bool(finite_bound and ratio_meas <= bound_val * (1.0 + 1e-9))
     implied_free = (float(ratio_meas / bound_val) if finite_bound else None)
 
-    extra_checks = dict(extra_checks or {})
-    structural = bool(finite_bound and _builder_ok(extra_checks)
+    checks = {"within_formula": within, "bound_finite": finite_bound,
+              "implied_free": implied_free, **(extra_checks or {})}
+    structural = bool(finite_bound and _builder_ok(checks)
                       and (within or not explicit_constant))
     calibrated = within if consts_supplied else None
-
-    checks = {
-        "within_formula": within,
-        "bound_finite": finite_bound,
-        "implied_free": implied_free,
-    }
-    checks.update(extra_checks)
 
     return CertReport(
         inequality=inequality,
@@ -1098,12 +1092,23 @@ def _kernel_hypotheses(space, kernel, separation):
 # theorem registry
 
 
+# the type of every certificate parameter: each is a flag of certify run and
+# a key of its --bundle, and a certificate takes the ones it registers
+PARAM_TYPES = {"p": float, "lam": float, "alpha": float, "gamma": float,
+               "q": float, "phi": str, "psi": str, "A": str, "theta1": float,
+               "theta2": float, "delta": float, "sigma": float, "grid_count": int,
+               "separation": float}
+
+# canonical id -> (builder, the defaults of the parameters it reads)
 _THEOREMS = {}
 
 
-def _register(tid):
+def _register(tid, **defaults):
+    """Register a certificate builder under ``tid``, with the parameters it
+    reads and their defaults; a default of None is derived by the builder
+    from the other parameters."""
     def deco(fn):
-        _THEOREMS[tid] = fn
+        _THEOREMS[tid] = (fn, defaults)
         return fn
     return deco
 
@@ -1127,19 +1132,57 @@ def known_theorems() -> tuple:
     return tuple(sorted(_THEOREMS))
 
 
+def theorem_parameters(theorem) -> dict:
+    """The parameters a certificate reads and their defaults."""
+    return dict(_THEOREMS[normalize_theorem_id(theorem)][1])
+
+
+def param_value(key, value):
+    """``value`` as the certificate parameter ``key``: a string for a scale
+    spec, else a number (not a string) converted to the parameter's type."""
+    kind = PARAM_TYPES[key]
+    try:
+        if isinstance(value, str) == (kind is str):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise CertifyError(f"{key!r} must be a {'string' if kind is str else 'number'}, "
+                       f"got {value!r}")
+
+
 def certify_boundedness(theorem, space: QuasimetricSpace, *, family_spec=None,
                         seed=None, params=None, consts=None, sharpen=True,
                         refinement_levels=1) -> CertReport:
-    """Run the registered certificate for one inequality id on one space."""
+    """Run the registered certificate for one inequality id on one space.
+
+    ``params`` sets some of the parameters the certificate reads
+    (theorem_parameters), and the others keep their defaults; a key it
+    does not read is refused, so no setting is dropped silently.
+    """
     canon = normalize_theorem_id(theorem)
-    builder = _THEOREMS[canon]
-    return builder(space, family_spec=family_spec, seed=seed,
-                   params=dict(params or {}), consts=consts, sharpen=sharpen,
+    builder, defaults = _THEOREMS[canon]
+    params = dict(params or {})
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise CertifyError(f"{canon} does not read {', '.join(unread)}; its "
+                           f"parameters are {', '.join(defaults)}")
+    resolved = {**defaults, **{k: param_value(k, v) for k, v in params.items()}}
+    return builder(space, family_spec=family_spec, seed=seed, params=resolved,
+                   consts=consts, sharpen=sharpen,
                    refinement_levels=refinement_levels)
 
 
 def _family(space, family_spec, seed):
     return generate_family(space, family_spec or "mixed", seed)
+
+
+def _direct(space, apply_op, out_norm, in_norm, cv, *, family_spec, seed,
+            consts, sharpen, refinement_levels, **report):
+    """verify_direct on the requested family; a plain bound has no shift
+    grid, so refinement_levels goes unread."""
+    return verify_direct(space, _family(space, family_spec, seed), apply_op,
+                         out_norm, in_norm, cv, sharpen=sharpen,
+                         consts_supplied=consts is not None, **report)
 
 
 def _grand_reduction(space, apply_op, pin, pout, sigma, per_eps, *,
@@ -1148,15 +1191,16 @@ def _grand_reduction(space, apply_op, pin, pout, sigma, per_eps, *,
     """The reduction lemma behind the six grand certificates.
 
     Draws the family and applies the operator to it once; the builder
-    checks, builder_checks(pin, pout, pairing, per_eps, family, out_values),
-    and verify_reduction (with the ``engine`` keywords) share that
-    application.  The profiles the builder checks evaluate count in the
-    report's pruning work with the engine's own.
+    checks, builder_checks(pin, pout, sigma, pairing, per_eps, family,
+    out_values), and verify_reduction (with the ``engine`` keywords) share
+    that application.  The profiles the builder checks evaluate count in
+    the report's pruning work with the engine's own.
     """
     fam = _family(space, family_spec, seed)
     out_values = _apply(apply_op, fam.values)
     with pruning_work() as checks_work:
-        checks = (builder_checks(pin, pout, pairing, per_eps, fam, out_values)
+        checks = (builder_checks(pin, pout, sigma, pairing, per_eps, fam,
+                                 out_values)
                   if builder_checks else {})
     report = verify_reduction(space, fam, apply_op, pin, pout, sigma,
                               pairing=pairing, per_eps_constant=per_eps,
@@ -1167,32 +1211,28 @@ def _grand_reduction(space, apply_op, pin, pout, sigma, per_eps, *,
     return report
 
 
-def _identity_pairing(params, p_default):
-    """p, lam and sigma of an identity-pairing grand certificate, and the
-    builder of its input (phi) and output (psi) grand parameters, which the
-    certificate calls after checking its hypotheses."""
-    p = float(params.get("p", p_default))
-    lam = float(params.get("lam", 0.3))
-    phi_spec = params.get("phi", "pow:1")
-    psi_spec = params.get("psi", phi_spec)
-    A_spec = params.get("A", "lin:1")
-    sigma = float(params.get("sigma", 0.05))
-    grid_count = int(params.get("grid_count", 64))
-
-    def grand_params():
-        variant = MorreyVariant()
-        return tuple(make_grand_params(p, lam, spec, A_spec, variant, grid_count)
-                     for spec in (phi_spec, psi_spec))
-
-    return p, lam, sigma, grand_params
+# the parameters of an identity-pairing grand certificate but p; psi
+# defaults to phi
+_IDENTITY = {"lam": 0.3, "phi": "pow:1", "psi": None, "A": "lin:1",
+             "sigma": 0.05, "grid_count": 64}
 
 
-@_register("thm-3.6")
+def _identity_pairing(params):
+    """The input (phi) and output (psi) grand parameters of an
+    identity-pairing grand certificate."""
+    psi = params["phi"] if params["psi"] is None else params["psi"]
+    variant = MorreyVariant()
+    return tuple(make_grand_params(params["p"], params["lam"], spec,
+                                   params["A"], variant, params["grid_count"])
+                 for spec in (params["phi"], psi))
+
+
+@_register("thm-3.6", p=2.0, **_IDENTITY)
 def _cert_grand_maximal(space, *, params, consts, **run):
     """Grand bound for the maximal operator, identity pairing, same shift."""
-    p, lam, sigma, grand_params = _identity_pairing(params, 2.0)
+    p, lam = params["p"], params["lam"]
     hyp = _doubling_hypotheses(space)
-    pin, pout = grand_params()
+    pin, pout = _identity_pairing(params)
     C_d = hyp["doubling_C_d"]
 
     def per_eps(e, h, A_e):
@@ -1201,43 +1241,37 @@ def _cert_grand_maximal(space, *, params, consts, **run):
                                     consts=consts)
 
     return _grand_reduction(
-        space, lambda V: maximal(V, space), pin, pout, sigma, per_eps,
+        space, lambda V: maximal(V, space), pin, pout, params["sigma"], per_eps,
         consts=consts, inequality="thm-3.6",
         hypotheses=hyp, extra_params={"operator": "maximal"},
         notes=("identity pairing; the covering factor c0 stays free",), **run)
 
 
-@_register("prop-3.9")
-def _cert_plain_cz(space, *, family_spec, seed, params, consts, sharpen,
-                   refinement_levels):
+@_register("prop-3.9", p=1.7, lam=0.3, separation=2.0)
+def _cert_plain_cz(space, *, params, consts, **run):
     """Plain Morrey bound for the singular kernel operator."""
-    p = float(params.get("p", 1.7))
-    lam = float(params.get("lam", 0.3))
-    separation = float(params.get("separation", 2.0))
+    p, lam, separation = params["p"], params["lam"], params["separation"]
     hyp = _doubling_hypotheses(space)
     kernel = hilbert_kernel(space)
     hyp.update(_kernel_hypotheses(space, kernel, separation))
     cv = theoretical_constant("cz", p=p, lam=lam, consts=consts)
     variant = MorreyVariant()
-    fam = _family(space, family_spec, seed)
-    return verify_direct(
-        space, fam, lambda V: cz_apply(V, space, kernel),
+    return _direct(
+        space, lambda V: cz_apply(V, space, kernel),
         lambda V: morrey_norm(V, space, p, lam, variant),
         lambda V: morrey_norm(V, space, p, lam, variant),
         cv, inequality="prop-3.9",
         params={"p": p, "lam": lam, "kernel": kernel.name,
-                "separation": separation},
-        hypotheses=hyp, sharpen=sharpen,
-        consts_supplied=consts is not None,
+                "separation": separation}, hypotheses=hyp, consts=consts,
         notes=("kernel-shape factor c stays free; the structural run "
-               "reports the implied value",))
+               "reports the implied value",), **run)
 
 
-@_register("thm-3.10")
+@_register("thm-3.10", p=1.7, **_IDENTITY, separation=2.0)
 def _cert_grand_cz(space, *, params, consts, **run):
     """Grand bound for the singular kernel operator, identity pairing."""
-    p, lam, sigma, grand_params = _identity_pairing(params, 1.7)
-    separation = float(params.get("separation", 2.0))
+    p, lam, sigma = params["p"], params["lam"], params["sigma"]
+    separation = params["separation"]
     if p > 2.0 and sigma >= p - 2.0:
         raise CertifyError(
             f"for p > 2 the pivot must satisfy sigma < p - 2 = {p - 2:g}, "
@@ -1245,7 +1279,7 @@ def _cert_grand_cz(space, *, params, consts, **run):
     hyp = _doubling_hypotheses(space)
     kernel = hilbert_kernel(space)
     hyp.update(_kernel_hypotheses(space, kernel, separation))
-    pin, pout = grand_params()
+    pin, pout = _identity_pairing(params)
 
     def per_eps(e, h, A_e):
         return theoretical_constant("cz", p=p, lam=lam, eps=h,
@@ -1261,49 +1295,48 @@ def _cert_grand_cz(space, *, params, consts, **run):
                "branch p > 2 needs sigma < p - 2",), **run)
 
 
-@_register("prop-4.2")
-def _cert_plain_riesz(space, *, family_spec, seed, params, consts, sharpen,
-                      refinement_levels):
+def _sobolev_q(params, gamma):
+    """q, the Sobolev exponent unless given; the relation is checked anyway."""
+    q = sobolev_exponent(params["p"], params["lam"], params["alpha"], gamma)
+    return q if params["q"] is None else params["q"]
+
+
+@_register("prop-4.2", p=2.0, lam=0.5, alpha=0.125, gamma=1.0, q=None)
+def _cert_plain_riesz(space, *, params, consts, **run):
     """Plain radius-denominator bound for the distance-kernel potential."""
-    p = float(params.get("p", 2.0))
-    lam = float(params.get("lam", 0.5))
-    alpha = float(params.get("alpha", 0.125))
-    gamma = float(params.get("gamma", 1.0))
-    q = float(params.get("q", sobolev_exponent(p, lam, alpha, gamma)))
+    p, lam, alpha, gamma = (params[k] for k in ("p", "lam", "alpha", "gamma"))
+    q = _sobolev_q(params, gamma)
     hyp = _doubling_hypotheses(space)
     variant = MorreyVariant(kind="radius", gamma=gamma)
     cv = theoretical_constant("riesz", p=p, lam=lam, q=q, alpha=alpha,
                               gamma=gamma, consts=consts)
-    fam = _family(space, family_spec, seed)
-    return verify_direct(
-        space, fam,
-        lambda V: potential(V, space, "gamma-kernel", alpha, gamma),
+    return _direct(
+        space, lambda V: potential(V, space, "gamma-kernel", alpha, gamma),
         lambda V: morrey_norm(V, space, q, lam, variant),
         lambda V: morrey_norm(V, space, p, lam, variant),
         cv, inequality="prop-4.2",
         params={"p": p, "q": q, "lam": lam, "alpha": alpha, "gamma": gamma},
-        hypotheses=hyp, sharpen=sharpen,
-        consts_supplied=consts is not None,
-        notes=("radius-power denominators on both sides",))
+        hypotheses=hyp, consts=consts,
+        notes=("radius-power denominators on both sides",), **run)
 
 
-def _potential_reduction(space, *, params, consts, mode, kernel_kind,
-                         variant_in, variant_out, per_eps_kind, inequality, hyp,
+# the parameters of a grand potential certificate but gamma (thm-4.4 only)
+_PASSAGE = {"p": 2.0, "lam": 0.5, "alpha": 0.125, "A": "lin:0.05",
+            "theta1": 1.0, "theta2": 2.0, "delta": 0.1, "sigma": 0.05,
+            "grid_count": 64}
+
+
+def _potential_reduction(space, variant_in, variant_out, *, params, consts,
+                         mode, kernel_kind, per_eps_kind, inequality, hyp=None,
                          closed_grid=False, gamma=1.0, extra_notes=(), **run):
     """Passage setup of the four grand potential certificates: the paired
     exponents and grand parameters, then _grand_reduction along the setup's
-    pairing."""
-    p = float(params.get("p", 2.0))
-    lam = float(params.get("lam", 0.5))
-    alpha = float(params.get("alpha", 0.125))
-    theta1 = float(params.get("theta1", 1.0))
-    theta2 = float(params.get("theta2", 2.5 if mode == "thm-4.5" else 2.0))
-    delta = float(params.get("delta", 0.1))
-    sigma = float(params.get("sigma", 0.05))
-    grid_count = int(params.get("grid_count", 64))
-    A_spec = params.get("A", "lin:0.05")
-    setup = make_potential_setup(p, lam, alpha, gamma, A_spec, theta1, theta2,
-                                 delta, mode=mode)
+    pairing.  hyp defaults to the doubling hypotheses."""
+    hyp = _doubling_hypotheses(space) if hyp is None else hyp
+    p, lam, alpha, sigma = (params[k] for k in ("p", "lam", "alpha", "sigma"))
+    theta1, theta2, delta = (params[k] for k in ("theta1", "theta2", "delta"))
+    setup = make_potential_setup(p, lam, alpha, gamma, params["A"], theta1,
+                                 theta2, delta, mode=mode)
     if not setup.admissible:
         raise CertifyError("; ".join(setup.reasons))
     if sigma > setup.delta:
@@ -1312,9 +1345,11 @@ def _potential_reduction(space, *, params, consts, mode, kernel_kind,
             f"(0, {setup.delta:g}]")
     q = setup.q
     pin = make_grand_params(p, lam, f"pow:{theta1:g}", setup.A_source,
-                            variant_in, grid_count, closed_grid=closed_grid)
+                            variant_in, params["grid_count"],
+                            closed_grid=closed_grid)
     pout = make_grand_params(q, lam, f"pow:{theta2:g}", setup.A_target,
-                             variant_out, grid_count, closed_grid=closed_grid)
+                             variant_out, params["grid_count"],
+                             closed_grid=closed_grid)
     b = float(sharp_growth_constant(space))
     N0 = dilation_constants(space)[0]
 
@@ -1336,73 +1371,61 @@ def _potential_reduction(space, *, params, consts, mode, kernel_kind,
                *extra_notes), **run)
 
 
-@_register("thm-4.4")
+@_register("thm-4.4", **_PASSAGE, gamma=1.0)
 def _cert_grand_riesz(space, *, params, **run):
     """Grand radius-denominator bound for the distance-kernel potential."""
-    gamma = float(params.get("gamma", 1.0))
-    hyp = _doubling_hypotheses(space)
-    variant = MorreyVariant(kind="radius", gamma=gamma)
+    variant = MorreyVariant(kind="radius", gamma=params["gamma"])
     return _potential_reduction(
-        space, params=params, mode="thm-4.4", kernel_kind="gamma-kernel",
-        variant_in=variant, variant_out=variant, per_eps_kind="riesz",
-        inequality="thm-4.4", hyp=hyp, gamma=gamma, **run)
+        space, variant, variant, params=params, mode="thm-4.4",
+        kernel_kind="gamma-kernel", per_eps_kind="riesz", inequality="thm-4.4",
+        gamma=params["gamma"], **run)
 
 
-@_register("thm-4.5")
-def _cert_grand_riesz_reverse(space, *, params, **run):
+@_register("thm-4.5", **{**_PASSAGE, "theta2": 2.5})
+def _cert_grand_riesz_reverse(space, **run):
     """Grand potential bound with the passage prescribed on the input shift."""
-    hyp = _doubling_hypotheses(space)
     variant = MorreyVariant(kind="radius", gamma=1.0)
     return _potential_reduction(
-        space, params=params, mode="thm-4.5", kernel_kind="gamma-kernel",
-        variant_in=variant, variant_out=variant, per_eps_kind="riesz",
-        inequality="thm-4.5", hyp=hyp, gamma=1.0,
+        space, variant, variant, mode="thm-4.5", kernel_kind="gamma-kernel",
+        per_eps_kind="riesz", inequality="thm-4.5",
         extra_notes=("input shift given, output shift transported through "
                      "the inverse passage",), **run)
 
 
-@_register("prop-4.6")
-def _cert_plain_measure_riesz(space, *, family_spec, seed, params, consts,
-                              sharpen, refinement_levels):
+@_register("prop-4.6", p=2.0, lam=0.5, alpha=0.125, q=None)
+def _cert_plain_measure_riesz(space, *, params, consts, **run):
     """Plain Morrey bound for the ball-measure-kernel potential."""
-    p = float(params.get("p", 2.0))
-    lam = float(params.get("lam", 0.5))
-    alpha = float(params.get("alpha", 0.125))
-    q = float(params.get("q", sobolev_exponent(p, lam, alpha, 1.0)))
+    p, lam, alpha = params["p"], params["lam"], params["alpha"]
+    q = _sobolev_q(params, 1.0)
     hyp = _doubling_hypotheses(space)
     variant = MorreyVariant()
     cv = theoretical_constant("riesz_measure", p=p, lam=lam, q=q, alpha=alpha,
                               consts=consts)
-    fam = _family(space, family_spec, seed)
-    return verify_direct(
-        space, fam,
-        lambda V: potential(V, space, "measure-kernel", alpha),
+    return _direct(
+        space, lambda V: potential(V, space, "measure-kernel", alpha),
         lambda V: morrey_norm(V, space, q, lam, variant),
         lambda V: morrey_norm(V, space, p, lam, variant),
         cv, inequality="prop-4.6",
         params={"p": p, "q": q, "lam": lam, "alpha": alpha},
-        hypotheses=hyp, sharpen=sharpen,
-        consts_supplied=consts is not None,
-        notes=("free factors b0 and C_alpha stay symbolic",))
+        hypotheses=hyp, consts=consts,
+        notes=("free factors b0 and C_alpha stay symbolic",), **run)
 
 
-@_register("thm-4.7")
-def _cert_grand_measure_riesz(space, *, params, **run):
+@_register("thm-4.7", **_PASSAGE)
+def _cert_grand_measure_riesz(space, **run):
     """Grand Morrey bound for the ball-measure-kernel potential."""
-    hyp = _doubling_hypotheses(space)
     variant = MorreyVariant()
     return _potential_reduction(
-        space, params=params, mode="thm-4.4", kernel_kind="measure-kernel",
-        variant_in=variant, variant_out=variant, per_eps_kind="riesz_measure",
-        inequality="thm-4.7", hyp=hyp, gamma=1.0, **run)
+        space, variant, variant, mode="thm-4.4", kernel_kind="measure-kernel",
+        per_eps_kind="riesz_measure", inequality="thm-4.7", **run)
 
 
-@_register("lemma-5.1")
+@_register("lemma-5.1", p=2.0)
 def _cert_lp_modified_maximal(space, *, family_spec, seed, params, consts,
                               sharpen, refinement_levels):
     """Lebesgue bound 2 (p')^(1/p) for the enlarged-denominator maximal
     operator, together with the exact weak (1,1) and sup bounds."""
-    p = float(params.get("p", 2.0))
+    p = params["p"]
     N0 = dilation_constants(space)[0]
     cv = theoretical_constant("lp_modified_maximal", p=p, consts=consts)
     fam = _family(space, family_spec, seed)
@@ -1434,33 +1457,29 @@ def _cert_lp_modified_maximal(space, *, family_spec, seed, params, consts,
         notes=("interpolation endpoint constants 1 are checked exactly",))
 
 
-@_register("lemma-5.2")
-def _cert_modified_morrey_maximal(space, *, family_spec, seed, params, consts,
-                                  sharpen, refinement_levels):
+@_register("lemma-5.2", p=2.0, lam=0.25)
+def _cert_modified_morrey_maximal(space, *, params, consts, **run):
     """Modified Morrey bound 1 + 2 (p')^(1/p) for the enlarged-denominator
     maximal operator, input dilation N_0 and output dilation N_0 a_bar."""
-    p = float(params.get("p", 2.0))
-    lam = float(params.get("lam", 0.25))
+    p, lam = params["p"], params["lam"]
     hyp = _growth_hypotheses(space)
     N0, abar = hyp["N_0"], hyp["a_bar"]
     var_in = MorreyVariant(kind="modified", dilation=N0, radius_cap="none")
     var_out = MorreyVariant(kind="modified", dilation=N0 * abar,
                             radius_cap="none")
     cv = theoretical_constant("morrey_modified_maximal", p=p, consts=consts)
-    fam = _family(space, family_spec, seed)
-    return verify_direct(
-        space, fam, lambda V: modified_maximal(V, space, N0),
+    return _direct(
+        space, lambda V: modified_maximal(V, space, N0),
         lambda V: morrey_norm(V, space, p, lam, var_out),
         lambda V: morrey_norm(V, space, p, lam, var_in),
         cv, inequality="lemma-5.2",
         params={"p": p, "lam": lam, "N_0": N0, "a_bar": abar},
-        hypotheses=hyp, sharpen=sharpen,
-        explicit_constant=True, consts_supplied=consts is not None,
-        notes=("uncapped radius range on both sides",))
+        hypotheses=hyp, explicit_constant=True, consts=consts,
+        notes=("uncapped radius range on both sides",), **run)
 
 
-@_register("thm-5.4")
-def _cert_grand_line_potential(space, *, params, **run):
+@_register("thm-5.4", **_PASSAGE)
+def _cert_grand_line_potential(space, **run):
     """Grand modified-Morrey bound for the line-kernel potential.
 
     The per-shift constant is fully explicit, but it certifies the
@@ -1470,9 +1489,6 @@ def _cert_grand_line_potential(space, *, params, **run):
     hyp = _growth_hypotheses(space)
     N0, abar = hyp["N_0"], hyp["a_bar"]
     b = hyp["b_sharp"]
-    p = float(params.get("p", 2.0))
-    lam = float(params.get("lam", 0.5))
-    alpha = float(params.get("alpha", 0.125))
     var_in = MorreyVariant(kind="modified", dilation=N0,
                            radius_cap="diameter")
     var_out = MorreyVariant(kind="modified", dilation=N0 * abar,
@@ -1482,9 +1498,8 @@ def _cert_grand_line_potential(space, *, params, **run):
     var_out_unc = MorreyVariant(kind="modified", dilation=N0 * abar,
                                 radius_cap="none")
 
-    def uncapped_checks(pin, pout, pairing, per_eps, fam, out_vals):
+    def uncapped_checks(pin, pout, sigma, pairing, per_eps, fam, out_vals):
         nodes = grid_for(pout).nodes
-        sigma = float(params.get("sigma", 0.05))
         lo = np.unique(np.append(nodes[nodes <= sigma], sigma))
         eta = np.asarray(pairing(lo), dtype=float)
         in_unc = seminorm_profile(fam.values, space, replace(
@@ -1501,10 +1516,9 @@ def _cert_grand_line_potential(space, *, params, **run):
                 "per_shift_explicit_ok": bool(np.all(frac <= 1.0 + 1e-9))}
 
     return _potential_reduction(
-        space, params=params, mode="thm-4.4", kernel_kind="k-alpha",
-        variant_in=var_in, variant_out=var_out, per_eps_kind="k_alpha",
-        inequality="thm-5.4", hyp={**hyp, "b": b}, closed_grid=True,
-        gamma=1.0, builder_checks=uncapped_checks,
+        space, var_in, var_out, mode="thm-4.4", kernel_kind="k-alpha",
+        per_eps_kind="k_alpha", inequality="thm-5.4", hyp={**hyp, "b": b},
+        closed_grid=True, builder_checks=uncapped_checks,
         extra_notes=("explicit per-shift constants checked on the uncapped "
                      "plain norms",), **run)
 
@@ -1518,8 +1532,10 @@ __all__ = [
     "generate_family",
     "known_theorems",
     "normalize_theorem_id",
+    "param_value",
     "save_report",
     "sharpen_witness",
+    "theorem_parameters",
     "verify_direct",
     "verify_dominance",
     "verify_hedberg",

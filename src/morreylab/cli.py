@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .certify import (CertifyError, certify_boundedness, known_theorems,
-                      save_report, write_index)
+from .certify import (PARAM_TYPES, CertifyError, certify_boundedness,
+                      known_theorems, param_value, save_report, write_index)
 from .norms import (GridFunction, NormError, _scaled_integrals,
                     grand_lebesgue_norm, grand_profile, lebesgue_norm,
                     morrey_norm, variant_table)
@@ -37,8 +37,8 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
 # inner seminorms, the ball that norm eval prints), and 2n^3 bytes as masks32,
 # which the float32 screens read (about 450 GB together at n = 4096).  Larger
 # spaces are refused, but the cap does not bound memory; the ROADMAP item
-# "O(n² + B) working memory in every subcommand, then an honest size model"
-# plans that.
+# "No cached B × n array in any subcommand, then an honest size model" plans
+# that.
 MAX_POINTS = 4096
 
 
@@ -235,15 +235,9 @@ def _cmd_op_apply(args) -> int:
 # certification
 
 
-# the parameters of certify run, set by a flag or a --bundle entry, and their
-# types
-_PARAM_TYPES = {"p": float, "lam": float, "alpha": float, "gamma": float,
-                "q": float, "phi": str, "psi": str, "A": str, "theta1": float,
-                "theta2": float, "delta": float, "sigma": float, "grid_count": int,
-                "separation": float}
-
-
 def _certify_params(args) -> dict:
+    """The certificate parameters of certify run: the --bundle entries, each
+    checked as its flag's value is, then the flags, which win."""
     merged = {}
     if args.bundle:
         path = Path(args.bundle)
@@ -252,26 +246,17 @@ def _certify_params(args) -> dict:
         data = read_json(path, CertifyError)
         if not isinstance(data, dict):
             raise CertifyError(f"parameter bundle {args.bundle!r} must be a JSON object")
-        unknown = ", ".join(sorted(set(data) - set(_PARAM_TYPES)))
+        unknown = ", ".join(sorted(set(data) - set(PARAM_TYPES)))
         if unknown:
             raise CertifyError(f"parameter bundle {args.bundle!r} has unknown keys: {unknown}")
         for key, value in data.items():
-            kind = _PARAM_TYPES[key]
             try:
-                # an entry must convert as its flag's value does
-                if isinstance(value, str) != (kind is str):
-                    raise TypeError
-                kind(value)
-            except (TypeError, ValueError):
-                raise CertifyError(
-                    f"parameter bundle {args.bundle!r}: {key!r} must be a "
-                    f"{'string' if kind is str else 'number'}, got {value!r}") from None
+                param_value(key, value)
+            except CertifyError as exc:
+                raise CertifyError(f"parameter bundle {args.bundle!r}: {exc}") from None
         merged.update(data)
-    # flags win over bundle entries
-    for key in _PARAM_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    merged.update((key, getattr(args, key)) for key in PARAM_TYPES
+                  if getattr(args, key) is not None)
     return merged
 
 
@@ -429,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="seed, mandatory for randomized families")
     p_run.add_argument("--bundle", help="JSON parameter bundle; flags win")
-    for key, kind in _PARAM_TYPES.items():
+    for key, kind in PARAM_TYPES.items():
         flag = {"lam": "--lambda", "grid_count": "--grid-count"}.get(key, f"--{key}")
         p_run.add_argument(flag, dest=key, type=kind)
     p_run.add_argument("--calibrate",
@@ -460,10 +445,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (CertifyError, SpaceError, NormError, OperatorError, ScaleError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -333,7 +333,7 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     table, den = variant_table(space, schedule.variant)
     k = p_eff.size
     out = np.zeros((k, screened))
-    if table.size == 0:
+    if table.size == 0 or k == 0:
         return out
     n, m = F.shape
     absF = np.abs(F)

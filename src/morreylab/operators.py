@@ -198,6 +198,22 @@ def cz_apply(f, space: QuasimetricSpace, kernel: CZKernel):
     return out if is_batch(f) else out[:, 0]
 
 
+def _smoothness_triples(D, K, mus, separation):
+    """t = d(x1,x2)/d(x2,y) and |K(x1,y) - K(x2,y)| mu B(x2, d(x2,y)) on the
+    separated triples of distinct points, by x1, x2, then y; one pass per x1."""
+    n = D.shape[0]
+    ts, vals = [], []
+    for x1 in range(n):
+        sep = D >= separation * D[x1][:, None]
+        sep[x1] = False
+        sep[:, x1] = False
+        np.fill_diagonal(sep, False)
+        x2, y = np.nonzero(sep)
+        ts.append(D[x1, x2] / D[x2, y])
+        vals.append(np.abs(K[x1, y] - K[x2, y]) * mus[x2, y])
+    return np.concatenate(ts), np.concatenate(vals)
+
+
 def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
                        separation: float = 2.0) -> dict:
     """Size, smoothness, doubling and Dini diagnostics for a kernel.
@@ -222,25 +238,9 @@ def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
     k_sz = int(np.argmax(size))
     C_sz = float(size[k_sz])
 
-    ts, vals = [], []
-    for x1 in range(n):
-        for x2 in range(n):
-            if x1 == x2:
-                continue
-            sep = D[x2] >= separation * D[x1, x2]
-            sep[x1] = False
-            sep[x2] = False
-            ys = np.nonzero(sep)[0]
-            if ys.size == 0:
-                continue
-            t = D[x1, x2] / D[x2, ys]
-            v = np.abs(K[x1, ys] - K[x2, ys]) * mus[x2, ys]
-            ts.append(t)
-            vals.append(v)
+    t, v = _smoothness_triples(D, K, mus, separation)
     report: dict = {"C_sz": C_sz, "separation": separation}
-    if ts:
-        t = np.concatenate(ts)
-        v = np.concatenate(vals)
+    if t.size:
         bins = np.floor(np.log2(t)).astype(int)
         omega_t, omega_v = [], []
         for b in sorted(set(bins.tolist())):

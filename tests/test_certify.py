@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -743,3 +744,52 @@ def test_line_potential_applies_the_potential_once_to_the_family(monkeypatch):
     size = generate_family(s, "mixed", seed=3).size
     certify_boundedness("thm-5.4", s, family_spec="mixed", seed=3, sharpen=False)
     assert columns == [size]
+
+
+def test_every_certificate_declares_typed_parameters():
+    counts = {}
+    for theorem in certify.known_theorems():
+        declared = certify.theorem_parameters(theorem)
+        counts[theorem] = len(declared)
+        for key, default in declared.items():
+            kind = certify.PARAM_TYPES[key]
+            if default is None:
+                # only q (the Sobolev exponent) and psi (phi) are derived
+                assert key in ("q", "psi"), (theorem, key)
+            else:
+                assert type(default) is kind, (theorem, key)
+    assert counts["lemma-5.1"] == 1 and counts["thm-4.4"] == 10
+    assert max(counts.values()) < len(certify.PARAM_TYPES)
+
+
+def test_library_refuses_parameters_the_theorem_does_not_read():
+    s = get_space("grid-4")
+    with pytest.raises(CertifyError, match=r"thm-4\.5 does not read gamma, lamda; "
+                       r"its parameters are p, lam, "):
+        certify_boundedness("thm-4.5", s, family_spec="ball-indicators",
+                            params={"lamda": 0.4, "gamma": 1.0})
+    with pytest.raises(CertifyError, match=r"'lam' must be a number, got '0\.3'"):
+        certify_boundedness("lemma-5.2", s, family_spec="ball-indicators",
+                            params={"lam": "0.3"})
+    # an int for a float parameter converts, and writes the default's body
+    given = certify_boundedness("lemma-5.2", s, family_spec="ball-indicators",
+                                params={"p": 2})
+    default = certify_boundedness("lemma-5.2", s, family_spec="ball-indicators")
+    assert given.body() == default.body()
+
+
+def test_readme_lists_every_certificate_parameter():
+    def cell(key, value):
+        if value is None:
+            return f"`{key}` derived"
+        if isinstance(value, str):
+            return f"`{key}` = `{value}`"
+        return f"`{key}` = {value!r}"
+
+    rows = ["| Theorem | Parameters and defaults |", "| --- | --- |"]
+    for theorem in certify.known_theorems():
+        cells = ", ".join(cell(k, v) for k, v in
+                          certify.theorem_parameters(theorem).items())
+        rows.append(f"| `{theorem}` | {cells} |")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "\n".join(rows) in readme

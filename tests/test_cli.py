@@ -279,6 +279,57 @@ def test_certify_run_bundle_refuses_unknown_keys(staged, capsys):
     assert not (staged["out"] / "lemma-5.2-grid-4.json").exists()
 
 
+@pytest.mark.parametrize("theorem", certify.known_theorems())
+def test_bundle_of_every_declared_default_writes_the_default_bytes(tmp_path, theorem):
+    # a derived default (None) has no bundle value; the builder derives it
+    defaults = {key: value for key, value in
+                certify.theorem_parameters(theorem).items() if value is not None}
+    bundle = tmp_path / "defaults.json"
+    bundle.write_text(json.dumps(defaults))
+    runs = {"plain": [], "bundle": ["--bundle", str(bundle)]}
+    for name, extra in runs.items():
+        assert main(["certify", "run", "grid-16", "--theorem", theorem, "--seed", "7",
+                     "--outdir", str(tmp_path / name), *extra]) == 0
+    for ext in ("json", "members.csv", "profile.csv"):
+        plain = tmp_path / "plain" / f"{theorem}-grid-16.{ext}"
+        if ext == "json" or plain.exists():
+            assert plain.read_bytes() == (
+                tmp_path / "bundle" / f"{theorem}-grid-16.{ext}").read_bytes(), ext
+
+
+@pytest.mark.parametrize("theorem,flags,unread", [
+    ("thm-4.5", ["--gamma", "3"], "gamma"),
+    ("thm-4.4", ["--phi", "alog:1"], "phi"),
+    ("lemma-5.1", ["--lambda", "0.4"], "lam"),
+    ("thm-4.5", ["--gamma", "3", "--phi", "alog:1", "--q", "9"], "gamma, phi, q")])
+def test_certify_run_refuses_a_parameter_the_theorem_does_not_read(
+        tmp_path, capsys, theorem, flags, unread):
+    code = main(["certify", "run", "grid-16", "--theorem", theorem, "--seed", "7",
+                 "--outdir", str(tmp_path), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    declared = ", ".join(certify.theorem_parameters(theorem))
+    assert f"{theorem} does not read {unread}; its parameters are {declared}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bundle_file_and_type_errors_come_before_unread_keys(staged, capsys):
+    argv = ["certify", "run", "--theorem", "thm-4.5", staged["space"],
+            "--family", "ball-indicators", "--gamma", "3"]
+    missing = staged["tmp"] / "missing.json"
+    assert main(argv + ["--bundle", str(missing)]) == 1
+    assert "does not exist" in capsys.readouterr().err
+    bad = staged["tmp"] / "bad.json"
+    bad.write_text(json.dumps({"gamma": "a"}))
+    assert main(argv + ["--bundle", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "'gamma' must be a number" in err and "does not read" not in err
+    bad.write_text(json.dumps({"gamma": 3.0}))
+    assert main(argv[:-2] + ["--bundle", str(bad)]) == 1
+    assert "thm-4.5 does not read gamma" in capsys.readouterr().err
+    assert not staged["out"].exists() or not list(staged["out"].iterdir())
+
+
 def test_certify_run_refuses_an_unsorted_table_shift(staged, capsys):
     code = main(["certify", "run", "--theorem", "thm-3.6", staged["space"],
                  "--family", "ball-indicators", "--A", "table:0.5=0.2,0.1=0.1"])

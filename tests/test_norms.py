@@ -813,6 +813,22 @@ def test_shipped_prune_gate_keeps_the_full_path_bits(monkeypatch, name, pruned):
     assert taken == pruned
 
 
+@pytest.mark.parametrize("m", [1, 39], ids=["full-path", "pruned-path"])
+def test_empty_row_set_gives_no_rows_on_both_paths(m):
+    # one column takes the full path; 39 columns on circle-64 take the
+    # pruned one, whose screen has no row to read its range from
+    space = get_space("circle-64")
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:1")
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    table, _ = norms.variant_table(space, schedule.variant)
+    pad = -(-norms._EXACT_MADDS // (space.n * m))
+    assert (table.size >= norms._PRUNE_RATIO * pad) == (m > 1)
+    F = np.random.default_rng(73).uniform(-2.0, 2.0, size=(space.n, m))
+    for rows in ([], np.arange(0), slice(0, 0)):
+        got = norms.grand_rows(F, space, schedule, rows)
+        assert got.shape == (0, m)
+
+
 @pytest.mark.parametrize("kind", ["asymmetric", "tied", "snowflake"])
 def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
     space = _pruned_space(kind)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import operators
 from morreylab.catalog import calibrated_circle, catalog, get_space, line_grid, two_atom
 from morreylab.operators import (
     CZKernel,
@@ -288,6 +289,44 @@ def test_grid_kernel_passes_cz_diagnostics():
     assert not rep["dini_divergence_suspected"]
     assert rep["triples"] > 0
     assert k.report is rep
+
+
+def _looped_triples(D, K, mus, separation):
+    """The smoothness triples one (x1, x2) pair at a time."""
+    n = D.shape[0]
+    ts, vals = [], []
+    for x1 in range(n):
+        for x2 in range(n):
+            if x1 == x2:
+                continue
+            sep = D[x2] >= separation * D[x1, x2]
+            sep[x1] = False
+            sep[x2] = False
+            ys = np.nonzero(sep)[0]
+            ts.append(D[x1, x2] / D[x2, ys])
+            vals.append(np.abs(K[x1, ys] - K[x2, ys]) * mus[x2, ys])
+    return np.concatenate(ts), np.concatenate(vals)
+
+
+@pytest.mark.parametrize("name", ["circle-64", "circle-65", "grid-64", "grid-16",
+                                  "two-atom"])
+def test_kernel_triples_match_the_pair_loop_bitwise(monkeypatch, name):
+    s = get_space(name)
+    k = hilbert_kernel(s)
+    K = np.array(k.matrix, dtype=float)
+    np.fill_diagonal(K, 0.0)
+    mus = prefix_profile(s).point_measures
+    for separation in (2.0, 1.0):
+        t, v = operators._smoothness_triples(s.dist, K, mus, separation)
+        t_loop, v_loop = _looped_triples(s.dist, K, mus, separation)
+        assert np.array_equal(t, t_loop) and np.array_equal(v, v_loop)
+        rep = dict(validate_cz_kernel(s, k, separation=separation))
+        monkeypatch.setattr(operators, "_smoothness_triples", _looped_triples)
+        loop = validate_cz_kernel(s, k, separation=separation)
+        monkeypatch.undo()
+        for key in ("omega_t", "omega", "omega_doubling", "dini_pieces",
+                    "dini_integral", "triples"):
+            assert rep[key] == loop[key], key
 
 
 def test_kernel_report_without_separated_triples_has_every_key():
