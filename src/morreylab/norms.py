@@ -26,9 +26,11 @@ balls, columns) layout.  Two paths take its maximum:
   (surrogate_margin): every _COARSE_STRIDE-th node, and the last, over
   every ball, and the nodes between only over the balls that the Lyapunov
   bound below cannot rule out.  It evaluates exactly only the balls that
-  can hold a (node, column) maximum: per sub-block of nodes one stacked
-  product over the union of their candidate rows, padded so that the BLAS
-  keeps the full product's bits for them.
+  can hold a (node, column) maximum, with the terms of the screened
+  columns only: per interval between two coarse nodes one gathered
+  product (_gathered_max), the union of the interval's candidate rows
+  times every node's terms side by side, laid out so that the BLAS keeps
+  each node's own product's bits for them.
 
 A profile of m >= 2 columns on a table large against its padding takes
 the pruned path with all its columns screened.  appended_profile adds one
@@ -37,7 +39,8 @@ path with only that column screened.  The known columns keep the bits of
 the wider profile because the BLAS keeps column subsets (the first m
 columns of an (m + 1)-column product equal the m-column product) above
 its small-matrix path; below it the whole profile is evaluated again.
-Both subset properties are pinned by tests/test_norms.py.
+Both properties, the gathered layout and the column subsets, are pinned
+by tests/test_norms.py.
 
 ProfileScreen is the one certified float32 screen of a schedule: the
 margin delta, the range and the float32 values of the den factors, and
@@ -194,9 +197,9 @@ def _squeeze(values: np.ndarray, f) -> float | np.ndarray:
 
 
 def lebesgue_norm(f, space: QuasimetricSpace, p: float):
-    """(integral |f|^p dmu)^(1/p) for p >= 1."""
-    if p < 1:
-        raise NormError(f"Lebesgue norm needs p >= 1, got {p:g}")
+    """(integral |f|^p dmu)^(1/p) for finite p >= 1."""
+    if not (np.isfinite(p) and p >= 1):
+        raise NormError(f"Lebesgue norm needs a finite p >= 1, got {p:g}")
     F = as_matrix(f, space)
     vals = (np.abs(F) ** p * space.weights[:, None]).sum(axis=0) ** (1.0 / p)
     return _squeeze(vals, f)
@@ -236,8 +239,8 @@ def inner_seminorm_matrix(F: np.ndarray, space: QuasimetricSpace, p_eff: float,
 def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
                 variant: MorreyVariant | None = None):
     """sup over representative balls of [den^(-lam) integral_B |f|^p]^(1/p)."""
-    if p < 1:
-        raise NormError(f"Morrey norm needs p >= 1, got {p:g}")
+    if not (np.isfinite(p) and p >= 1):
+        raise NormError(f"Morrey norm needs a finite p >= 1, got {p:g}")
     if not 0 <= lam < 1:
         raise NormError(f"Morrey norm needs 0 <= lam < 1, got {lam:g}")
     if variant is None:
@@ -252,25 +255,39 @@ def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
 
 # elements of one block's (nodes, balls, columns) integral stack
 _BLOCK_ELEMENTS = 1 << 15
-# the pruned path: each exact row-subset product does at least _EXACT_MADDS
-# multiply-adds, so it takes at least pad = ceil(_EXACT_MADDS / (n m)) ball
-# rows; a profile of m >= 2 columns takes the path when its table holds at
-# least _PRUNE_RATIO times pad balls; every _COARSE_STRIDE-th row of a
-# schedule, and its last, is screened over every ball, the rows between
-# only over the balls that Lyapunov's inequality keeps (_interval_balls).
-# The gate is the crossover of the two paths: seminorm_profile at 379 nodes
-# (p = 2, lam = 0.3, pow:1, lin:1) on random columns, best of 5, OpenBLAS
-# 0.3.31 Haswell with 2 threads; B/pad -> pruned time / full time, every
-# pruned profile equal to the full one:
-#   circle-64  1.00 -> 2.61, 2.00 -> 1.06, 3.00 -> 0.91, 4.00 -> 0.65,
-#              4.86 -> 0.52, 8.00 -> 0.17
-#   circle-65  1.03 -> 1.86, 2.06 -> 1.24, 3.09 -> 0.86, 4.12 -> 0.60,
-#              5.02 -> 0.56
-#   grid-64    1.09 -> 1.74, 2.19 -> 0.92, 2.66 -> 0.86, 4.37 -> 0.59
-# The paths break even near B/pad = 2.5; from 4 on the pruned path takes at
-# most two thirds of the full path's time.
+# the pruned path's exact products (_gathered_max): every row's terms side by
+# side, zero-padded to a width that is a multiple of _ALIGN, over at least
+# max(2, ceil(_EXACT_MADDS / (n width))) ball rows.  Each column then keeps
+# the bits of its row's own product over every ball.  Measured with OpenBLAS
+# 0.3.31 (SkylakeX core, 2 threads), numpy 2.4.6, on the tables of
+# circle-64, circle-65, grid-64, circle-128 and snowflake-128, m from 5 to
+# 64, 1 to 16 rows side by side and 2 to 400 ball rows: every column kept
+# its bits.  Unaligned widths broke one row's columns at every ball count
+# (7 rows x 38 columns, width 266), and random 0/1 products below 2^20
+# multiply-adds broke at n = 512 and 700 on the small-matrix path, which
+# does not split K; at 2^20 or more they held at n = 100 to 700.
+_ALIGN = 8
 _EXACT_MADDS = 1 << 20
-_PRUNE_RATIO = 4
+# a profile of m >= 2 columns takes the pruned path when its table holds at
+# least _PRUNE_RATIO times pad = ceil(_EXACT_MADDS / (n m)) balls, so that
+# every row's own product over every ball does at least _EXACT_MADDS
+# multiply-adds; every _COARSE_STRIDE-th row of a schedule, and its last, is
+# screened over every ball, the rows between only over the balls that
+# Lyapunov's inequality keeps (_interval_balls).
+# The gate is the larger of the two paths' crossover and that floor, B >=
+# pad: seminorm_profile at 379 nodes (p = 2, lam = 0.3, pow:1, lin:1) on
+# random columns, best of 5, OpenBLAS 0.3.31 SkylakeX with 2 threads;
+# B/pad -> pruned time / full time, every pruned profile equal to the
+# full one:
+#   circle-64  1.00 -> 0.24, 2.00 -> 0.23, 3.00 -> 0.23, 4.00 -> 0.25,
+#              4.86 -> 0.22, 8.00 -> 0.28
+#   circle-65  1.03 -> 0.26, 2.06 -> 0.25, 3.09 -> 0.25, 4.12 -> 0.26,
+#              5.02 -> 0.23
+#   grid-64    1.09 -> 0.36, 2.19 -> 0.35, 2.66 -> 0.30, 4.37 -> 0.34
+# The pruned path takes at most 0.36 of the full path's time from B/pad = 1
+# on (at most 0.77 on columns of the certificate families), so the floor
+# sets the gate.
+_PRUNE_RATIO = 1
 _COARSE_STRIDE = 16
 
 
@@ -281,11 +298,13 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit.
     On the full path each node's ball integrals are its own slice of one
     stacked product.  A profile of m >= 2 columns on a table of at least
-    _PRUNE_RATIO = 4 times its padding pad = ceil(_EXACT_MADDS / (n m))
+    _PRUNE_RATIO = 1 times its padding pad = ceil(_EXACT_MADDS / (n m))
     takes the pruned path (_pruned_max) with every column screened instead,
-    which keeps the bits; pruning_work counts its work.  On circle-64 (2,048
-    balls) that holds from 32 columns on, so the families of its reduction
-    certificates (38 and 39 columns) prune; one column never does.
+    one gathered exact product per interval between coarse rows
+    (_gathered_max), which keeps the bits; pruning_work counts its work.
+    On circle-64 (2,048 balls) that holds from 8 columns on, on grid-64
+    (1,119 balls) from 15, so the families of their reduction certificates
+    (38 and 39 columns) prune; one column never does.
     """
     return _trailing_profile(F, space, schedule, F.shape[1])
 
@@ -304,9 +323,11 @@ def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
     so there the whole profile is evaluated again, which costs little.
 
     On any other table the last column takes the pruned path (_pruned_max)
-    with only itself screened; its exact rows come from padded m-column
-    products, which keep their bits by the row-subset pin.  pruning_work
-    counts its blocks.
+    with only itself screened and only its terms powered; its exact rows
+    come from gathered products of that column at every node of an
+    interval side by side, which keep the bits of the m-column product's
+    last column by the gathered-product pin.  pruning_work counts its
+    blocks.
     """
     table, _ = variant_table(space, schedule.variant)
     n, m = F.shape
@@ -324,8 +345,8 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
 
     A pruned block runs from one coarse row to the next: it evaluates its
     rows and screens the next coarse row with them, whose surrogates the
-    next block reuses.  Blocks that fail the range checks take the full
-    path."""
+    next block reuses.  It powers only the screened columns; a block that
+    fails the range checks takes the full path with the terms of all m."""
     p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
     low = p_eff < 1
     if low.any():
@@ -348,16 +369,23 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
         return _full_max(table.masks_f, absF ** pe * w, den, lam_eff,
                          m - screened) ** (1.0 / pe[:, 0])
     coarse, held = screen._coarse, None
+    tail = absF[:, m - screened:]
     # rows a..b-1 of the profile, from coarse row j; the terms of rows a..c-1
     for j, (a, b) in enumerate(zip(coarse, np.append(coarse[1:], k))):
         c = b + 1 if b > a + 1 else b
         pe = p_eff[a:c, None, None]
-        pw = absF ** pe * w
-        top, held = _pruned_max(screen, j, pw, pad, screened, held)
+        top, held = _pruned_max(screen, j, tail ** pe * w, held)
         if top is None:
-            top = _full_max(table.masks_f, pw[:b - a], den, lam_eff[a:b], m - screened)
+            top = _full_max(table.masks_f, absF ** pe[:b - a] * w, den, lam_eff[a:b],
+                            m - screened)
         out[a:b] = top ** (1.0 / pe[:b - a, 0])
     return out
+
+
+def _den_scale(den: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The den factors den^-lam of every exact scaled ball integral, (nodes,
+    balls) for the dens ``den`` and one lam per node."""
+    return den ** -lam[:, None]
 
 
 def _scaled_integrals(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
@@ -368,7 +396,7 @@ def _scaled_integrals(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
     BLAS call per node, whose columns from ``first`` on take the den
     factors den^-lam, lam per node."""
     scaled = np.matmul(masks_f[None], pw)[:, :, first:]
-    scaled *= (den ** -lam[:, None])[:, :, None]
+    scaled *= _den_scale(den, lam)[:, :, None]
     return scaled
 
 
@@ -386,9 +414,9 @@ def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
     return top
 
 
-def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray, pad: int,
-                screened: int, held: np.ndarray | None) -> tuple:
-    """The last ``screened`` columns of _full_max bit for bit from their
+def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray,
+                held: np.ndarray | None) -> tuple:
+    """The columns of _full_max whose terms are pw, bit for bit, from their
     candidate balls only, for the rows of pw, which start at coarse row j
     of the schedule of ``screen``, but its last when it has more than one:
     that one is coarse row j + 1, which closes the interval.  Returns them
@@ -396,33 +424,23 @@ def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray, pad: int,
     intermediate of the screen could leave the normal range.
 
     The screen's float32 den factors, times one float32 product of the
-    masks with the terms of a row's screened columns, give a surrogate s
-    of each scaled ball integral within its relative margin delta.  So the
-    ball holding the exact maximum of a (row, column) pair has
-    s (1 + delta) >= t (1 - delta) for every surrogate t of the pair: it
-    is a candidate against the largest surrogate of any ball set that
-    holds it.  The first row, and the closing one, are screened over every
-    ball (the first's surrogates are ``held`` when the previous block
-    screened them).  The rows between are screened over the balls that
-    _interval_balls keeps, one float32 product per ball block, with a
-    running maximum started from the coarse candidates of both ends.  A
-    pair whose surrogates are all zero has only zero integrals.
-
-    Per sub-block of rows, the union of these candidates, padded with
-    further balls in table order to at least ``pad`` rows, goes through
-    _scaled_integrals with the terms of all m columns, and the screened
-    columns take its max.  The padding keeps each row's product above the
-    BLAS's small-matrix path, so it keeps the bits of the full product's
-    rows (pinned by tests/test_norms.py).  A sub-block holds at most
-    _SURROGATE_ELEMENTS / (pad m) rows.  The rows are converted from the
-    bool masks, so a table that only this path reads never builds
-    ``masks_f``.
+    masks with the terms of a row, give a surrogate s of each scaled ball
+    integral within its relative margin delta.  So the ball holding the
+    exact maximum of a (row, column) pair has s (1 + delta) >= t (1 -
+    delta) for every surrogate t of the pair: it is a candidate against the
+    largest surrogate of any ball set that holds it.  The first row, and
+    the closing one, are screened over every ball (the first's surrogates
+    are ``held`` when the previous block screened them).  The rows between
+    are screened over the balls that _interval_balls keeps, one float32
+    product per ball block, with a running maximum started from the coarse
+    candidates of both ends.  A pair whose surrogates are all zero has only
+    zero integrals.  _gathered_max evaluates the candidates exactly.
     """
     table, delta = screen.table, screen.delta
-    k, n, m = pw.shape
+    k, n, screened = pw.shape
     rows = max(1, k - 1)
     a = screen._coarse[j]
-    pw32 = _f32_terms(pw[:, :, m - screened:], *screen._factor_range)
+    pw32 = _f32_terms(pw, *screen._factor_range)
     if pw32 is None:
         _count(range_fallbacks=1)
         return None, None
@@ -457,23 +475,54 @@ def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray, pad: int,
             hit, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
                                   top.size)
             cand[1 + pair // screened, ids[hit]] = True
-    pw, lam = pw[:rows], screen.schedule.lam_eff[a:a + rows]
-    out = np.empty((rows, screened))
-    sub = max(1, _SURROGATE_ELEMENTS // (pad * m))
-    padded = 0
-    for r in range(0, rows, sub):
-        keep = cand[r:r + sub].any(axis=0)
-        short = pad - np.count_nonzero(keep)
-        if short > 0:
-            keep[np.flatnonzero(~keep)[:short]] = True
-        union = np.flatnonzero(keep)
-        scaled = _scaled_integrals(table.masks[union].astype(float), pw[r:r + sub],
-                                   screen._den[union], lam[r:r + sub], m - screened)
-        out[r:r + sub] = scaled.max(axis=1)
-        padded += scaled.shape[0] * union.size
+    out, padded = _gathered_max(table, screen._den, screen.schedule.lam_eff[a:a + rows],
+                                pw[:rows], cand)
     _count(pruned_rows=rows, candidate_balls=int(np.count_nonzero(cand)),
            padded_balls=padded, coarse_rows=coarse, interval_balls=kept)
     return out, last
+
+
+def _gathered_max(table, den: np.ndarray, lam: np.ndarray, pw: np.ndarray,
+                  cand: np.ndarray) -> tuple:
+    """The largest scaled ball integral per (row, column) of the terms pw
+    (rows, points, columns), whose den factors take one lam per row, over
+    the union of the candidate balls ``cand`` (rows x balls) and its
+    padding: bit for bit those of _full_max where each row's candidates
+    hold its maximum balls.  Returns them with the union's balls times the
+    rows.
+
+    One float64 product: the union's mask rows, padded with further balls
+    in table order to the floor max(2, ceil(_EXACT_MADDS / (n width))),
+    times every row's terms side by side, zero-padded to a width that is a
+    multiple of _ALIGN and, on a small table, to one whose floor the table
+    holds.  Both keep each column's bits equal to those of its row's own
+    product over every ball (pinned by tests/test_norms.py), and the rows
+    share one floor.  The union goes through in chunks of at least the
+    floor, each product and its mask rows at most about
+    _SURROGATE_ELEMENTS elements (or the floor), with a running maximum;
+    each product's columns take their row's den factors (_den_scale).
+    The mask rows are converted from the bool masks, so a table that only
+    this path reads never builds ``masks_f``.
+    """
+    k, n, m = pw.shape
+    reach = -(-_EXACT_MADDS // (n * table.size))
+    width = -(-max(k * m, reach) // _ALIGN) * _ALIGN
+    floor = max(2, -(-_EXACT_MADDS // (n * width)))
+    keep = cand.any(axis=0)
+    short = floor - np.count_nonzero(keep)
+    if short > 0:
+        keep[np.flatnonzero(~keep)[:short]] = True
+    union = np.flatnonzero(keep)
+    terms = np.zeros((n, width))
+    terms[:, :k * m] = pw.transpose(1, 0, 2).reshape(n, k * m)
+    parts = max(1, union.size // max(floor, _SURROGATE_ELEMENTS // max(width, n)))
+    top = np.full((k, m), -np.inf)
+    for ids in np.array_split(union, parts):
+        sums = np.matmul(table.masks[ids].astype(float), terms)
+        scaled = sums[:, :k * m].reshape(ids.size, k, m)
+        scaled *= _den_scale(den[ids], lam).T[:, :, None]
+        np.maximum(top, scaled.max(axis=0), out=top)
+    return top, union.size * k
 
 
 def _coarse_candidates(s: np.ndarray, delta: float) -> np.ndarray:
@@ -559,8 +608,9 @@ _PRUNING: ContextVar[dict | None] = ContextVar("pruning", default=None)
 @contextmanager
 def pruning_work():
     """Count the pruned path's work in the profiles evaluated inside the
-    block: node rows, candidate balls, padded balls (the union rows times
-    the nodes of each stacked exact product), range fallbacks (blocks that
+    block: node rows, candidate balls, padded balls (the ball rows of each
+    interval's gathered exact product, its candidates' union and padding,
+    times the nodes side by side), range fallbacks (blocks that
     took the full path), coarse rows (rows screened over every ball) and
     interval balls (the balls _interval_balls kept, summed over
     intervals)."""
@@ -866,9 +916,12 @@ def grand_morrey_norm(f, space: QuasimetricSpace, params: GrandParams,
 
 
 def grand_lebesgue_norm(f, space: QuasimetricSpace, p: float, theta: float = 1.0):
-    """sup over eps in (0, p-1] of [eps^theta integral |f|^(p-eps)]^(1/(p-eps))."""
-    if p <= 1:
-        raise NormError(f"grand Lebesgue norm needs p > 1, got {p:g}")
+    """sup over eps in (0, p-1] of [eps^theta integral |f|^(p-eps)]^(1/(p-eps)),
+    for finite p > 1 and theta."""
+    if not (np.isfinite(p) and p > 1):
+        raise NormError(f"grand Lebesgue norm needs a finite p > 1, got {p:g}")
+    if not np.isfinite(theta):
+        raise NormError(f"grand Lebesgue norm needs a finite theta, got {theta:g}")
     F = as_matrix(f, space)
     nodes = build_epsilon_grid(p - 1.0, closed=True).nodes
     best = np.zeros(F.shape[1])

@@ -107,8 +107,11 @@ def potential_matrix(space: QuasimetricSpace, kind: str, alpha: float,
     "gamma-kernel": d(x,y)^(alpha - gamma); "measure-kernel":
     mu B(x, d(x,y))^(alpha - 1); "k-alpha": d(x,y)^(alpha - 1).
     """
-    if alpha <= 0:
-        raise OperatorError(f"potential order must be positive, got {alpha:g}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise OperatorError(f"potential order alpha must be finite and positive, "
+                            f"got {alpha:g}")
+    if not np.isfinite(gamma):
+        raise OperatorError(f"potential gamma must be finite, got {gamma:g}")
     key = ("potential", kind, alpha, gamma)
     cached = space._cache.get(key)
     if cached is not None:

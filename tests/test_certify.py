@@ -653,7 +653,7 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
 
 def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     # thm-3.6 on circle-64 prunes its family profiles (2,048 balls against
-    # _PRUNE_RATIO times pad = 432 at 38 columns) and the sharpened column's
+    # pad = 432 at 38 columns) and the sharpened column's
     # pass; the sidecar counts both, and each part follows its schedules
     real = norms._count
     keys = ("pruned_rows", "candidate_balls", "padded_balls", "range_fallbacks",

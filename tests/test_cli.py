@@ -132,6 +132,28 @@ def test_norm_eval_validation_error_cites_precondition(staged, capsys):
     assert "p >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["norm", "eval", "--norm", "lebesgue", "--p", "nan"], "finite p"),
+    (["norm", "eval", "--norm", "lebesgue", "--p", "inf"], "finite p"),
+    (["norm", "eval", "--norm", "morrey", "--p", "nan"], "finite p"),
+    (["norm", "eval", "--norm", "morrey", "--p", "inf"], "finite p"),
+    (["norm", "eval", "--norm", "grand-lebesgue", "--p", "inf"], "finite p"),
+    (["norm", "eval", "--norm", "grand-lebesgue", "--theta", "nan"], "finite theta"),
+    (["norm", "eval", "--norm", "grand-lebesgue", "--theta=-inf"], "finite theta"),
+    (["op", "apply", "--op", "potential-distance", "--alpha", "nan"], "alpha"),
+    (["op", "apply", "--op", "potential-distance", "--gamma", "nan"], "gamma"),
+    (["op", "apply", "--op", "potential-measure", "--alpha", "inf"], "alpha"),
+], ids=lambda v: "_".join(v[2:]) if isinstance(v, list) else None)
+def test_non_finite_parameters_are_refused(staged, capsys, argv, named):
+    # a NaN passes every "x < bound" range check, and an infinite p or alpha
+    # gives a wrong finite value; each must exit 1 and write nothing
+    code = main(argv + [staged["fn"], staged["space"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "got " in err, err
+    assert not staged["out"].exists() or not list(staged["out"].iterdir())
+
+
 def test_op_apply_writes_function_file(staged, capsys):
     code = main(["op", "apply", "--op", "maximal", staged["fn"],
                  staged["space"]])

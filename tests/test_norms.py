@@ -605,48 +605,77 @@ def test_surrogate_steps_aside_where_a_ball_sum_could_overflow_float32():
     assert screen.rows(F * 1e-5) is not None
 
 
-def _padded(rows, size, pad):
-    """The ball rows ``rows`` padded with further rows in table order to at
-    least ``pad`` rows, as the pruned path pads its candidates."""
-    keep = np.zeros(size, dtype=bool)
-    keep[rows] = True
-    keep[np.flatnonzero(~keep)[:max(0, pad - len(rows))]] = True
-    return np.flatnonzero(keep)
+def _gathered(masks, pw):
+    """The ball sums of the mask rows ``masks`` at every node of the terms
+    pw (nodes, points, columns), (rows, nodes, columns), from one product
+    laid out as the pruned path lays out its exact products: every node's
+    terms side by side, zero-padded to a width that is a multiple of
+    norms._ALIGN."""
+    k, n, m = pw.shape
+    width = -(-k * m // norms._ALIGN) * norms._ALIGN
+    terms = np.zeros((n, width))
+    terms[:, :k * m] = pw.transpose(1, 0, 2).reshape(n, k * m)
+    return (masks @ terms)[:, :k * m].reshape(masks.shape[0], k, m)
+
+
+def _floor(n, k, m):
+    """The fewest ball rows of a gathered product of k nodes' m columns."""
+    width = -(-k * m // norms._ALIGN) * norms._ALIGN
+    return max(2, -(-norms._EXACT_MADDS // (n * width)))
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_row_subset_product_keeps_the_full_product_bits(n):
-    """The pruned path's exact rows rest on this BLAS property: a row subset
-    of the ball masks, padded to the pruned path's minimum, times the terms
-    gives the same rows of the full product bit for bit, alone or stacked
-    with the terms of other nodes.  Unpadded subsets do not (a one-row
-    subset goes to a matrix-vector product)."""
+def test_gathered_product_keeps_the_per_node_bits(n):
+    """The pruned path's exact rows rest on this BLAS property: ball rows
+    of the masks times the terms of several nodes side by side, zero-padded
+    to a width that is a multiple of norms._ALIGN, give every node's
+    columns the bits of that node's own product over every ball, wherever
+    the gathered product does at least _EXACT_MADDS multiply-adds on at
+    least two rows.  Checked for every m whose per-node product does that
+    much, 1, 3 or 16 nodes, all their columns or their last one (the
+    appended column), and ball counts from the floor up."""
     space = calibrated_circle(n)
     table = rep_balls(space)
     rng = np.random.default_rng(n)
+    checked = 0
     for m in range(2, 65):
+        if table.size * n * m < norms._EXACT_MADDS:
+            continue
+        checked += 1
+        k = (1, 3, 16)[m % 3]
         F = rng.uniform(-2.0, 2.0, size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=m)
         F[rng.random(F.shape) < 0.2] = 0.0
-        pw = np.abs(F) ** 1.7 * space.weights[:, None]
-        full = table.masks_f @ pw
-        pad = -(-norms._EXACT_MADDS // (n * m))
-        for rows in ([int(rng.integers(table.size))],
-                     np.sort(rng.choice(table.size, size=table.size // 50, replace=False))):
-            rows = _padded(rows, table.size, pad)
-            subset = table.masks[rows].astype(float) @ pw
-            assert np.array_equal(subset, full[rows]), (m, rows.size)
-        # a sub-block of three nodes shares one padded union of their rows in
-        # one stacked product, as the pruned path evaluates it
-        stack = np.abs(F) ** np.array([1.3, 1.7, 2.1])[:, None, None] \
-            * space.weights[:, None]
-        for size in (1, table.size // 150):
-            rows = _padded(np.unique(np.concatenate(
-                [rng.choice(table.size, size=size, replace=False) for _ in range(3)])),
-                table.size, pad)
-            subset = np.matmul(table.masks[rows].astype(float)[None], stack)
-            for i in range(3):
-                assert np.array_equal(subset[i], (table.masks_f @ stack[i])[rows]), \
-                    (m, i, rows.size)
+        pw = np.abs(F) ** np.linspace(1.1, 2.6, k)[:, None, None] * space.weights[:, None]
+        full = np.matmul(table.masks_f[None], pw)
+        for cols in (m, 1):
+            part = np.ascontiguousarray(pw[:, :, m - cols:])
+            floor = _floor(n, k, cols)
+            assert floor <= table.size
+            for size in sorted({floor, min(table.size, floor + 37), table.size // 3}):
+                if size < floor:
+                    continue
+                rows = np.sort(rng.choice(table.size, size=size, replace=False))
+                got = _gathered(table.masks[rows].astype(float), part)
+                for i in range(k):
+                    assert np.array_equal(got[:, i], full[i][rows][:, m - cols:]), \
+                        (m, k, cols, size, i)
+    assert checked == (57 if n == 64 else 63)
+
+
+def test_gathered_product_keeps_the_per_node_bits_of_random_masks():
+    """The same property on random 0/1 rows at n = 512, from the floor of
+    two rows up: 64 nodes of 16 columns side by side."""
+    n, k, m = 512, 64, 16
+    rng = np.random.default_rng(512)
+    masks = (rng.random((600, n)) < 0.5).astype(float)
+    pw = rng.uniform(0.0, 1.0, size=(k, n, m)) * 10.0 ** rng.integers(-3, 4, size=(k, 1, m))
+    full = np.matmul(masks[None], pw)
+    assert _floor(n, k, m) == 2
+    for size in (2, 3, 17, 600):
+        rows = np.sort(rng.choice(600, size=size, replace=False))
+        got = _gathered(masks[rows], pw)
+        for i in range(k):
+            assert np.array_equal(got[:, i], full[i][rows]), (size, i)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -654,9 +683,8 @@ def test_column_subset_product_keeps_the_wider_product_bits(n):
     """verify_reduction appends a sharpened column to the family's profile
     (appended_profile), which rests on this BLAS property: the first m
     columns of an (m + 1)-column product equal the m-column product bit
-    for bit, over the whole table and over row subsets padded as the
-    pruned path pads them for m columns, wherever the m-column product does
-    at least _EXACT_MADDS multiply-adds.  Below that OpenBLAS's
+    for bit over the whole table, wherever the m-column product does at
+    least _EXACT_MADDS multiply-adds.  Below that OpenBLAS's
     small-matrix path breaks it for some m (m = 4 on circle-64), and
     appended_profile evaluates the whole profile instead."""
     space = calibrated_circle(n)
@@ -668,17 +696,35 @@ def test_column_subset_product_keeps_the_wider_product_bits(n):
         F[rng.random(F.shape) < 0.2] = 0.0
         wide = np.abs(F) ** 1.7 * space.weights[:, None]
         narrow = np.ascontiguousarray(wide[:, :m])
-        pad = -(-norms._EXACT_MADDS // (n * m))
-        if table.size < pad:
+        if table.size * n * m < norms._EXACT_MADDS:
             continue
         checked += 1
         assert np.array_equal(np.matmul(table.masks_f, narrow),
                               np.matmul(table.masks_f, wide)[:, :m]), m
-        for rows in ([int(rng.integers(table.size))],
-                     np.sort(rng.choice(table.size, size=table.size // 50, replace=False))):
-            masks = table.masks[_padded(rows, table.size, pad)].astype(float)
-            assert np.array_equal(masks @ narrow, (masks @ wide)[:, :m]), (m, rows)
     assert checked == (57 if n == 64 else 63)
+
+
+def _gathered_products(monkeypatch):
+    """The (ball rows, points, width) of every 2-D float64 product formed
+    while the patch holds, which only the pruned path's exact stage forms."""
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        if a.ndim == 2 and a.dtype == np.float64:
+            shapes.append((a.shape[0], *b.shape))
+        return matmul(a, b, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
+def _assert_gathered_floor(shapes):
+    """Every gathered product does at least _EXACT_MADDS multiply-adds on at
+    least two ball rows, and its width is a multiple of _ALIGN."""
+    assert shapes
+    for rows, n, width in shapes:
+        assert rows >= 2 and rows * n * width >= norms._EXACT_MADDS, (rows, n, width)
+        assert width % norms._ALIGN == 0, width
 
 
 def _pruned_space(kind):
@@ -698,6 +744,7 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
     space = _pruned_space(kind)
     rng = np.random.default_rng(59)
     elements = norms._SURROGATE_ELEMENTS
+    chunked = False
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
         setups = _profile_params(variant)
@@ -716,24 +763,28 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1)
             pad = -(-norms._EXACT_MADDS // (space.n * m))
             assert table.size >= pad
-            # every other m evaluates the first block's exact rows in two
-            # sub-blocks (two nodes, then one), the others in one
-            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS",
-                                2 * pad * m if k % 2 else elements)
-            with norms.pruning_work() as work:
+            # every other m evaluates an interval's exact rows in chunks of
+            # the floor, with a running maximum, where its union holds two
+            # floors of balls; the others in one product per interval
+            monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 0 if k % 2 else elements)
+            with monkeypatch.context() as patch, norms.pruning_work() as work:
+                shapes = _gathered_products(patch)
                 got = norms.seminorm_profile(F, space, schedule)
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
             assert work["coarse_rows"] == 3
             assert 0 < work["interval_balls"] <= 2 * table.size
             assert 0 < work["candidate_balls"] <= work["padded_balls"]
-            assert work["padded_balls"] >= schedule.nodes.size * pad
+            _assert_gathered_floor(shapes)
+            chunked |= len(shapes) > 3
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
             with norms.pruning_work() as work:
                 want = norms.seminorm_profile(F, space, schedule)
             assert work["pruned_rows"] == 0
             assert np.array_equal(got, want), (variant, m)
             assert np.all(got[:, m // 2] == 0.0)
+    # the snowflake's unions stay below two floors
+    assert chunked == (kind != "snowflake")
 
 
 @pytest.mark.parametrize("order", ["tied", "shuffled"])
@@ -781,22 +832,23 @@ def test_pruned_path_keeps_every_ball_where_the_screen_has_no_bound(monkeypatch,
 
 
 @pytest.mark.parametrize("name,pruned", [
-    ("circle-64", {32, 38, 39, 64}),   # 2,048 balls
-    ("circle-65", {32, 38, 39, 64}),   # 2,080 balls
-    ("grid-64", {64}),                 # 1,119 balls
+    ("circle-64", {8, 12, 16, 24, 32, 38, 39, 64}),   # 2,048 balls
+    ("circle-65", {8, 12, 16, 24, 32, 38, 39, 64}),   # 2,080 balls
+    ("grid-64", {16, 24, 32, 38, 39, 64}),            # 1,119 balls
 ], ids=["circle-64", "circle-65", "grid-64"])
 def test_shipped_prune_gate_keeps_the_full_path_bits(monkeypatch, name, pruned):
     # the shipped _PRUNE_RATIO, on the catalog tables and column counts that
     # certificates evaluate (a mixed family has 38 columns, 39 with its
-    # sharpened member): the pruned path is taken exactly where the table
-    # holds _PRUNE_RATIO times pad balls, and gives the full path's bits
+    # sharpened member) and the column counts on both sides of the gate:
+    # the pruned path is taken exactly where the table holds _PRUNE_RATIO
+    # times pad balls, and gives the full path's bits
     space = get_space(name)
     params = make_grand_params(2.0, 0.3, "pow:1", "lin:1")
     schedule = shift_schedule(params, grid_for(params).nodes[::3])
     table, _ = norms.variant_table(space, schedule.variant)
     rng = np.random.default_rng(71)
     taken = set()
-    for m in (16, 24, 32, 38, 39, 64):
+    for m in (4, 8, 12, 16, 24, 32, 38, 39, 64):
         F = rng.uniform(-2.0, 2.0, size=(space.n, m))
         F[rng.random(F.shape) < 0.2] = 0.0
         pad = -(-norms._EXACT_MADDS // (space.n * m))
@@ -836,9 +888,9 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
     pruned_max = norms._pruned_max
 
     def _recording(blocks):
-        def recorded(screen, j, pw, pad, screened, held):
-            blocks.append((j, pw.shape[0], screened))
-            return pruned_max(screen, j, pw, pad, screened, held)
+        def recorded(screen, j, pw, held):
+            blocks.append((j, *pw.shape[::2]))
+            return pruned_max(screen, j, pw, held)
         return recorded
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
@@ -851,24 +903,26 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
             params = setups[(k + v) % 3]
             schedule = shift_schedule(params, grid_for(params).nodes[::5][:7])
             # coarse rows 0, 3 and 6: two blocks of three rows, whose terms
-            # hold their closing coarse row too, with two fine rows each and
-            # their exact products in pairs, and the last row alone
+            # (of the last column only) hold their closing coarse row too,
+            # with two fine rows each, and the last row alone; each exact
+            # product in chunks of its union's balls
             pad = -(-norms._EXACT_MADDS // (space.n * m))
             monkeypatch.setattr(norms, "_COARSE_STRIDE", 3)
             monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 2 * pad * m)
             prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space,
                                           schedule)
             blocks = []
-            monkeypatch.setattr(norms, "_pruned_max", _recording(blocks))
-            with norms.pruning_work() as work:
+            with monkeypatch.context() as patch, norms.pruning_work() as work:
+                patch.setattr(norms, "_pruned_max", _recording(blocks))
+                shapes = _gathered_products(patch)
                 got = norms.appended_profile(prof, F, space, schedule)
-            monkeypatch.setattr(norms, "_pruned_max", pruned_max)
             assert blocks == [(0, 4, 1), (1, 4, 1), (2, 1, 1)]
             assert work["pruned_rows"] == schedule.nodes.size
             assert work["range_fallbacks"] == 0
             assert work["coarse_rows"] == 3
             assert (work["interval_balls"] == 0) == (k == 1)
-            assert work["padded_balls"] >= schedule.nodes.size * pad
+            _assert_gathered_floor(shapes)
+            assert {width for _, _, width in shapes} == {norms._ALIGN}
             assert (work["candidate_balls"] == 0) == (k == 1)
             assert np.array_equal(got, norms.seminorm_profile(F, space, schedule)), \
                 (variant, m)
@@ -877,18 +931,28 @@ def test_appended_profile_matches_the_whole_profile_bitwise(monkeypatch, kind):
                 assert np.all(got[:, -1] == 0.0)
 
 
-def test_appended_profile_of_small_products_and_out_of_range_columns():
+def test_appended_profile_of_small_products_and_out_of_range_columns(monkeypatch):
     rng = np.random.default_rng(71)
     params = _profile_params(MorreyVariant())[0]
     schedule = shift_schedule(params, grid_for(params).nodes[::4])
+    trailing = norms._trailing_profile
+    screened = []
+
+    def recording(F, space, schedule, cols):
+        screened.append(cols)
+        return trailing(F, space, schedule, cols)
     # a small table, and one family column (a matrix-vector product), take
-    # the whole profile again
+    # the whole profile again: no column is screened on its own, and the
+    # whole profile of the tied space (2 columns) takes the pruned path
     for space, m in ((get_space("grid-16"), 39), (_pruned_space("tied"), 2)):
         F = rng.uniform(-2.0, 2.0, size=(space.n, m))
         prof = norms.seminorm_profile(np.ascontiguousarray(F[:, :-1]), space, schedule)
-        with norms.pruning_work() as work:
+        screened.clear()
+        with monkeypatch.context() as patch, norms.pruning_work() as work:
+            patch.setattr(norms, "_trailing_profile", recording)
             got = norms.appended_profile(prof, F, space, schedule)
-        assert work["pruned_rows"] == 0
+        assert screened == [m]
+        assert (work["pruned_rows"] > 0) == (m == 2)
         assert np.array_equal(got, norms.seminorm_profile(F, space, schedule))
     # terms of the appended column below the float32 range take the full path
     space = _pruned_space("tied")
@@ -920,7 +984,8 @@ def _near_tie_case(screened=39):
     table, den = norms.variant_table(space, schedule.variant)
     factors = den ** -schedule.lam_eff[:, None, None]
     m = 39
-    pad = -(-norms._EXACT_MADDS // (space.n * m))
+    # the padding of the one-node exact product of the screened columns
+    floor = _floor(space.n, 1, screened)
 
     def integrals(f):
         F = np.zeros((space.n, m))
@@ -952,7 +1017,7 @@ def _near_tie_case(screened=39):
             # reaches its surrogate no later than the exact argmax ball's,
             # and the two seminorms still differ after the root
             root = exact[[decoy, best]] ** (1.0 / schedule.p_eff[0])
-            if (pad <= decoy < best and surrogate[best] < surrogate[decoy]
+            if (floor <= decoy < best and surrogate[best] < surrogate[decoy]
                     and root[0] < root[1]):
                 return space, schedule, F
     raise AssertionError("no column puts a surrogate above the exact maximum")
@@ -1002,11 +1067,11 @@ def test_appended_margin_keeps_the_exact_maximum_ball(monkeypatch):
 def test_pruned_kernel_matches_the_node_by_node_oracle(kind, n, m, seed, variant,
                                                        which, scale, sub, stride,
                                                        order):
-    """With no padding and every table pruned, the family profile and the
-    appended column rest on the screen's candidates alone; each row agrees
-    with inner_seminorm_matrix within the float64 sums' reordering.  Exact
-    sub-blocks of ``sub`` nodes, and ball blocks of a ball or a few, keep
-    the candidates of each node and the running maxima in play.  Every
+    """With a floor of two balls and every table pruned, the family profile
+    and the appended column rest on the screen's candidates; each row
+    agrees with inner_seminorm_matrix within the float64 sums' reordering.
+    Exact products in chunks of two balls or a few, and screen blocks of a
+    ball or a few, keep the running maxima in play.  Every
     ``stride``-th row is coarse and the schedule holds at least three
     intervals, whose fine rows are screened only over the balls Lyapunov's
     bound keeps.  In grid order t = p - eps falls from row to row, reversed
@@ -1046,6 +1111,40 @@ def test_pruned_kernel_matches_the_node_by_node_oracle(kind, n, m, seed, variant
         assert np.all(np.abs(got[i] - want) <= tol * want), (i, got[i] / want - 1.0)
 
 
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+       n=st.integers(96, 128), m=st.integers(2, 41), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), stride=st.sampled_from((2, 3, 16)))
+def test_pruned_profile_matches_the_forced_full_path_on_random_spaces(
+        kind, n, m, seed, variant, which, scale, stride):
+    """On random spaces the pruned profile, gathered products and all, equals
+    the forced full path's bit for bit.  Every table here takes the pruned
+    path, and m is raised where needed so that the table holds pad balls:
+    each node's own product does at least _EXACT_MADDS multiply-adds, as
+    the shipped gate guarantees."""
+    space = _random_space(kind, n, seed)
+    params = _profile_params(_VARIANTS[variant])[which]
+    table, _ = norms.variant_table(space, params.variant)
+    m = max(m, -(-norms._EXACT_MADDS // (n * table.size)))
+    pad = -(-norms._EXACT_MADDS // (n * m))
+    assert table.size >= pad
+    rng = np.random.default_rng(seed + 3)
+    nodes = grid_for(params).nodes[::2][:rng.integers(stride + 2, 33)]
+    schedule = shift_schedule(params, nodes)
+    F = rng.uniform(-2.0, 2.0, size=(n, m)) * scale
+    F[rng.random(F.shape) < 0.2] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_COARSE_STRIDE", stride)
+        patch.setattr(norms, "_PRUNE_RATIO", 1)
+        with norms.pruning_work() as work:
+            got = norms.seminorm_profile(F, space, schedule)
+        patch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+        want = norms.seminorm_profile(F, space, schedule)
+    assert work["pruned_rows"] + work["range_fallbacks"] > 0
+    assert np.array_equal(got, want), (kind, n, m, stride)
+
+
 def test_lyapunov_slack_keeps_the_exact_maximum_ball(monkeypatch):
     """A column with one nonzero point has a single term in every ball, so
     Hoelder's inequality holds with equality: at a fine row i each ball's
@@ -1069,10 +1168,15 @@ def test_lyapunov_slack_keeps_the_exact_maximum_ball(monkeypatch):
     assert np.all(theta * lam[16] + (1.0 - theta) * lam[32] - lam[fine] > 1e-4)
     F = np.zeros((n, m))
     F[n - 1, 0] = 1.5
-    # each row's exact product on its own, so that no row borrows the
-    # candidates of another row in its sub-block
-    pad = -(-norms._EXACT_MADDS // (n * m))
-    monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", pad * m)
+    # each row's exact product on its own, so that no fine row borrows the
+    # coarse row's candidates from its interval's union
+    gathered_max = norms._gathered_max
+
+    def per_row(table, den, lam, pw, cand):
+        tops, padded = zip(*(gathered_max(table, den, lam[i:i + 1], pw[i:i + 1],
+                                          cand[i:i + 1]) for i in range(lam.size)))
+        return np.concatenate(tops), sum(padded)
+    monkeypatch.setattr(norms, "_gathered_max", per_row)
     with norms.pruning_work() as work:
         got = norms.seminorm_profile(F, space, schedule)
     assert work["pruned_rows"] == schedule.nodes.size
