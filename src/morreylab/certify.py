@@ -1078,6 +1078,11 @@ def _growth_hypotheses(space):
 
 def _kernel_hypotheses(space, kernel, separation):
     report = validate_cz_kernel(space, kernel, separation=separation)
+    # two points have no triple of distinct points at any separation
+    if space.n >= 3 and report["triples"] == 0:
+        raise CertifyError(
+            f"no triple of distinct points is separated at {separation:g}, so the "
+            "kernel smoothness is not checked; lower the separation")
     if report["dini_divergence_suspected"]:
         raise CertifyError(
             "kernel smoothness modulus looks non-integrable at small scale "

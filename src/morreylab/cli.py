@@ -32,13 +32,14 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
                     read_json, save_space)
 
 # exhaustive ball enumeration is not quadratic in n: a ball table holds about
-# n^2/2 balls of n members, n^3/2 bytes of bool masks, 4n^3 bytes as masks_f,
-# which the full path of the exact ball integrals reads (one-column profiles,
-# inner seminorms, the ball that norm eval prints), and 2n^3 bytes as masks32,
-# which the float32 screens read (about 450 GB together at n = 4096).  Larger
-# spaces are refused, but the cap does not bound memory; the ROADMAP item
-# "No cached B × n array in any subcommand, then an honest size model" plans
-# that.
+# B = n^2/2 balls of n members.  space analyze and op apply hold O(B + n^2)
+# values, but the norm products read the masks: n^3/2 bytes of bools, 4n^3
+# bytes as masks_f, which the full path of the exact ball integrals reads
+# (one-column profiles, inner seminorms, the ball that norm eval prints), and
+# 2n^3 bytes as masks32, which the float32 screens read (about 450 GB
+# together at n = 4096).  Larger spaces are refused, but the cap does not
+# bound memory; the ROADMAP item "No cached B × n array in any subcommand,
+# then an honest size model" plans that.
 MAX_POINTS = 4096
 
 

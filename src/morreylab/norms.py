@@ -475,21 +475,22 @@ def _pruned_max(screen: ProfileScreen, j: int, pw: np.ndarray,
             hit, pair = np.divmod(np.flatnonzero(s >= _threshold(top, delta)),
                                   top.size)
             cand[1 + pair // screened, ids[hit]] = True
-    out, padded = _gathered_max(table, screen._den, screen.schedule.lam_eff[a:a + rows],
-                                pw[:rows], cand)
+    out = _gathered_max(table, screen._den, screen.schedule.lam_eff[a:a + rows],
+                        pw[:rows], cand)
     _count(pruned_rows=rows, candidate_balls=int(np.count_nonzero(cand)),
-           padded_balls=padded, coarse_rows=coarse, interval_balls=kept)
+           coarse_rows=coarse, interval_balls=kept)
     return out, last
 
 
 def _gathered_max(table, den: np.ndarray, lam: np.ndarray, pw: np.ndarray,
-                  cand: np.ndarray) -> tuple:
+                  cand: np.ndarray) -> np.ndarray:
     """The largest scaled ball integral per (row, column) of the terms pw
     (rows, points, columns), whose den factors take one lam per row, over
     the union of the candidate balls ``cand`` (rows x balls) and its
     padding: bit for bit those of _full_max where each row's candidates
-    hold its maximum balls.  Returns them with the union's balls times the
-    rows.
+    hold its maximum balls.  It counts the union's balls times the rows as
+    padded balls, and its products' rows times n times width as exact
+    multiply-adds.
 
     One float64 product: the union's mask rows, padded with further balls
     in table order to the floor max(2, ceil(_EXACT_MADDS / (n width))),
@@ -522,7 +523,8 @@ def _gathered_max(table, den: np.ndarray, lam: np.ndarray, pw: np.ndarray,
         scaled = sums[:, :k * m].reshape(ids.size, k, m)
         scaled *= _den_scale(den[ids], lam).T[:, :, None]
         np.maximum(top, scaled.max(axis=0), out=top)
-    return top, union.size * k
+    _count(padded_balls=union.size * k, exact_madds=union.size * n * width)
+    return top
 
 
 def _coarse_candidates(s: np.ndarray, delta: float) -> np.ndarray:
@@ -610,12 +612,14 @@ def pruning_work():
     """Count the pruned path's work in the profiles evaluated inside the
     block: node rows, candidate balls, padded balls (the ball rows of each
     interval's gathered exact product, its candidates' union and padding,
-    times the nodes side by side), range fallbacks (blocks that
-    took the full path), coarse rows (rows screened over every ball) and
-    interval balls (the balls _interval_balls kept, summed over
+    times the nodes side by side), exact multiply-adds (rows times n times
+    width, summed over the gathered products), range fallbacks (blocks
+    that took the full path), coarse rows (rows screened over every ball)
+    and interval balls (the balls _interval_balls kept, summed over
     intervals)."""
     work = {"pruned_rows": 0, "candidate_balls": 0, "padded_balls": 0,
-            "range_fallbacks": 0, "coarse_rows": 0, "interval_balls": 0}
+            "exact_madds": 0, "range_fallbacks": 0, "coarse_rows": 0,
+            "interval_balls": 0}
     token = _PRUNING.set(work)
     try:
         yield work

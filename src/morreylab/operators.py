@@ -229,8 +229,12 @@ def validate_cz_kernel(space: QuasimetricSpace, kernel: CZKernel,
     interpolant, integrated per dyadic piece) are reported, with a
     divergence flag when the log-log decay slope of omega over the smallest
     octaves falls below 1/2 (a modulus that flat makes omega(t)/t
-    non-integrable).  The report is stored on the kernel.
+    non-integrable).  The report is stored on the kernel.  The separation
+    must be finite and positive (NaN selects no triple at all).
     """
+    if not 0.0 < separation < math.inf:
+        raise OperatorError(f"kernel separation must be finite and positive, "
+                            f"got {separation:g}")
     K = np.array(kernel.matrix, dtype=float)
     np.fill_diagonal(K, 0.0)
     n = space.n

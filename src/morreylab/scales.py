@@ -297,10 +297,12 @@ class MorreyVariant:
     def __post_init__(self):
         if self.kind not in ("measure", "radius", "modified"):
             raise ScaleError(f"unknown Morrey variant {self.kind!r}")
-        if self.kind == "radius" and self.gamma <= 0:
-            raise ScaleError("radius variant needs gamma > 0")
-        if self.kind == "modified" and self.dilation < 1.0:
-            raise ScaleError("modified variant needs dilation >= 1")
+        # written so that NaN fails too
+        if self.kind == "radius" and not 0.0 < self.gamma < math.inf:
+            raise ScaleError(f"radius variant needs a finite gamma > 0, got {self.gamma:g}")
+        if self.kind == "modified" and not 1.0 <= self.dilation < math.inf:
+            raise ScaleError("modified variant needs a finite dilation >= 1, "
+                             f"got {self.dilation:g}")
         if self.radius_cap not in ("auto", "diameter", "none"):
             raise ScaleError(f"unknown radius cap {self.radius_cap!r}")
 

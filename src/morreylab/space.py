@@ -717,13 +717,13 @@ def _running_max(space: QuasimetricSpace, y: int) -> np.ndarray:
     return np.maximum.accumulate(space.dist[:, prefix_profile(space).order[y]], axis=1)
 
 
-def _ball_reach(space: QuasimetricSpace, table: BallTable) -> np.ndarray:
-    """[i, x]: the largest d(x, z) over the members z of ball i."""
-    reach = np.empty((table.size, space.n))
-    for y in range(space.n):
-        rows = np.flatnonzero(table.centers == y)
-        reach[rows] = _running_max(space, y)[:, table.counts[rows] - 1].T
-    return reach
+def _reach_from(space: QuasimetricSpace, x: int) -> np.ndarray:
+    """[y, k]: the largest d(x, z) over the k + 1 points z nearest to y.
+
+    Ball i of a table lies inside B(x, R) exactly when entry [c_i, k_i - 1]
+    is below R, where c_i is its center and k_i its member count.
+    """
+    return np.maximum.accumulate(space.dist[x][prefix_profile(space).order], axis=1)
 
 
 def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -> NestedBallReport:
@@ -735,12 +735,13 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
 
     rep_balls lists each center's radii in growing order, so the outer balls
     at center x that qualify for inner ball i are a suffix of x's balls: those
-    with radius above reach[i, x] and at least r_i.  The pair count is a sum
-    of suffix lengths, and the largest surrogate slack log mu_j - e log r_j
-    of each inner ball comes from per-center suffix maxima, at O(B n) cost.
-    Only the outer balls within a rounding margin of that maximum are
-    evaluated with the exact slack expression, so the ratio and the witness
-    are bit for bit those of a scan over all B^2 pairs.
+    with radius above the reach of i from x (_reach_from) and at least r_i.
+    The pair count is a sum of suffix lengths, and the largest surrogate
+    slack log mu_j - e log r_j of each inner ball comes from per-center
+    suffix maxima.  A second pass evaluates the exact slack only at the outer
+    balls within a rounding margin of that maximum, so the ratio and the
+    witness are bit for bit those of a scan over all B^2 pairs.  Both passes
+    go one outer center at a time, in O(B n) time and O(B + n^2) memory.
     """
     if C_d is None:
         C_d = doubling_constant(space)
@@ -749,18 +750,17 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     if nb == 0:
         return NestedBallReport(True, 0.0, {}, 0)
     exponent = math.log2(C_d) if C_d > 1 else 0.0
-    reach = _ball_reach(space, table)
-    log_mu = np.log(table.measures)
-    log_r = np.log(table.radii)
+    flat = table.centers * space.n + table.counts - 1
+    log_mu, log_r = np.log(table.measures), np.log(table.radii)
     surrogate = log_mu - exponent * log_r
     # the balls of center x are the table rows bounds[x]:bounds[x + 1]
     bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
-    checked = 0
-    best = np.full(nb, -np.inf)
+    checked, best = 0, np.full(nb, -np.inf)
     for x in range(space.n):
         a, b = bounds[x], bounds[x + 1]
         rx = table.radii[a:b]
-        suffix = np.maximum(np.searchsorted(rx, reach[:, x], side="right"),
+        suffix = np.maximum(np.searchsorted(rx, np.take(_reach_from(space, x), flat),
+                                            side="right"),
                             np.searchsorted(rx, table.radii, side="left"))
         checked += int((b - a) * nb - suffix.sum())
         suffix_max = np.append(np.maximum.accumulate(surrogate[a:b][::-1])[::-1],
@@ -771,34 +771,36 @@ def nested_ball_bound_check(space: QuasimetricSpace, C_d: float | None = None) -
     margin = 64 * np.finfo(float).eps * (
         np.abs(log_mu).max() + exponent * np.abs(log_r).max()
         + abs(math.log(C_d)) + 1.0)
-    order = np.argsort(surrogate, kind="stable")
-    ranked = surrogate[order]
-    lo = np.searchsorted(ranked, best - margin, side="left")
-    size = np.searchsorted(ranked, best, side="right") - lo
-    worst = 0.0
-    witness = {}
-    # rows go in the blocks of the dense scan, which takes the first largest
-    # slack within a block and the first block with the largest ratio
+    # per inner ball i, the largest exact slack over the outer balls j with
+    # best[i] - margin <= surrogate[j] <= best[i] (for each j, a run of inner
+    # balls in best order), and the first j attaining it: centers ascend
+    ranked = np.argsort(best, kind="stable")
+    high, low = best[ranked], best[ranked] - margin
+    top, arg = np.full(nb, -np.inf), np.zeros(nb, dtype=np.intp)
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        start = np.searchsorted(high, surrogate[a:b], side="left")
+        size = np.searchsorted(low, surrogate[a:b], side="right") - start
+        outer = np.repeat(np.arange(a, b), size)
+        inner = ranked[np.arange(outer.size) + np.repeat(start - np.cumsum(size) + size, size)]
+        valid = ((np.take(_reach_from(space, x), flat[inner]) < table.radii[outer])
+                 & (table.radii[inner] <= table.radii[outer]))
+        inner, outer = inner[valid], outer[valid]
+        slack = ((log_mu[outer] - log_mu[inner])
+                 - (math.log(C_d) + exponent * (log_r[outer] - log_r[inner])))
+        arg[inner[slack > top[inner]]] = b
+        np.maximum.at(top, inner, slack)
+        hit = slack == top[inner]
+        np.minimum.at(arg, inner[hit], outer[hit])
+    # the dense scan's blocks of inner balls: the first block with the
+    # largest ratio, its first inner ball with the largest slack
+    worst, witness = 0.0, {}
     block = max(1, int(2**22 // nb))
     for start in range(0, nb, block):
-        k = size[start:start + block]
-        inner = np.repeat(np.arange(start, start + k.size), k)
-        if inner.size == 0:
-            continue
-        outer = order[np.arange(inner.size) + np.repeat(lo[start:start + k.size]
-                                                        - (np.cumsum(k) - k), k)]
-        valid = ((reach[inner, table.centers[outer]] < table.radii[outer])
-                 & (table.radii[inner] <= table.radii[outer]))
-        lhs = log_mu[outer] - log_mu[inner]
-        rhs = math.log(C_d) + exponent * (log_r[outer] - log_r[inner])
-        slack = np.where(valid, lhs - rhs, -np.inf)
-        top = slack.max()
-        ratio = float(np.exp(top))
+        i = start + int(np.argmax(top[start:start + block]))
+        ratio = float(np.exp(top[i]))
         if ratio > worst:
-            worst = ratio
-            hit = np.flatnonzero(slack == top)
-            first = hit[np.lexsort((outer[hit], inner[hit]))[0]]
-            i, j = int(inner[first]), int(outer[first])
+            worst, j = ratio, int(arg[i])
             witness = {
                 "inner": (int(table.centers[i]), float(table.radii[i])),
                 "outer": (int(table.centers[j]), float(table.radii[j])),
@@ -837,10 +839,8 @@ def ball_chain_check(space: QuasimetricSpace) -> BallChainReport:
         r = table.radii[a:b][balls]
         # step 1: the largest d(y, z) over the members z of B(x, r)
         step1 = _running_max(space, x)[via, counts[balls] - 1] < mid * r
-        # step 2: the largest d(x, z) over the z in B(y, mid r); row y of the
-        # running max lists z by distance from y
-        far = np.maximum.accumulate(space.dist[x][prof.order], axis=1)
-        step2 = far[via, count(via, mid * r) - 1] < a_bar * r
+        # step 2: the largest d(x, z) over the z in B(y, mid r)
+        step2 = _reach_from(space, x)[via, count(via, mid * r) - 1] < a_bar * r
         bad = np.flatnonzero(~(step1 & step2))
         checked += balls.size
         failures += bad.size

@@ -208,6 +208,18 @@ def test_cz_certificate_reports_divergent_constant_honestly():
     assert not rep.structural_pass
 
 
+def test_kernel_certificates_refuse_a_separation_that_leaves_no_triple():
+    # at 1e9 no triple of grid-16 is separated, so the Dini check would see
+    # no data; two-atom has no triple of distinct points at any separation
+    for tid in ("prop-3.9", "thm-3.10"):
+        with pytest.raises(CertifyError, match="no triple of distinct points"):
+            certify_boundedness(tid, get_space("grid-16"), family_spec="ball-indicators",
+                                params={"separation": 1e9})
+    rep = certify_boundedness("prop-3.9", get_space("two-atom"),
+                              family_spec="ball-indicators", params={"separation": 1e9})
+    assert rep.structural_pass
+
+
 def test_grand_potential_certificates_structural():
     s = get_space("grid-16")
     for tid in ("thm-4.4", "thm-4.5", "thm-4.7"):
@@ -634,7 +646,8 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
     # outside the engine's own profiles
     real = norms._count
     every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
-                           "range_fallbacks", "coarse_rows", "interval_balls"), 0)
+                           "exact_madds", "range_fallbacks", "coarse_rows",
+                           "interval_balls"), 0)
 
     def counting(**counts):
         for key, value in counts.items():
@@ -656,8 +669,8 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     # pad = 432 at 38 columns) and the sharpened column's
     # pass; the sidecar counts both, and each part follows its schedules
     real = norms._count
-    keys = ("pruned_rows", "candidate_balls", "padded_balls", "range_fallbacks",
-            "coarse_rows", "interval_balls")
+    keys = ("pruned_rows", "candidate_balls", "padded_balls", "exact_madds",
+            "range_fallbacks", "coarse_rows", "interval_balls")
     every = dict.fromkeys(keys, 0)
     appended = dict.fromkeys(keys, 0)
     inside = []
@@ -700,6 +713,8 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
         assert part["pruned_rows"] == sum(nodes)
         assert part["range_fallbacks"] == 0
         assert 0 < part["candidate_balls"] <= part["padded_balls"]
+        # a product of width W >= rows x columns over n = 64 points
+        assert part["exact_madds"] >= 64 * part["padded_balls"]
         assert part["coarse_rows"] == coarse
         assert 0 < part["interval_balls"]
 

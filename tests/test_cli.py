@@ -140,6 +140,12 @@ def test_norm_eval_validation_error_cites_precondition(staged, capsys):
     (["norm", "eval", "--norm", "grand-lebesgue", "--p", "inf"], "finite p"),
     (["norm", "eval", "--norm", "grand-lebesgue", "--theta", "nan"], "finite theta"),
     (["norm", "eval", "--norm", "grand-lebesgue", "--theta=-inf"], "finite theta"),
+    (["norm", "eval", "--norm", "morrey", "--variant", "radius", "--gamma", "nan"], "gamma"),
+    (["norm", "eval", "--norm", "morrey", "--variant", "radius", "--gamma", "inf"], "gamma"),
+    (["norm", "eval", "--norm", "morrey", "--variant", "modified", "--dilation", "nan"],
+     "dilation"),
+    (["norm", "eval", "--norm", "grand-morrey", "--variant", "modified", "--dilation", "inf"],
+     "dilation"),
     (["op", "apply", "--op", "potential-distance", "--alpha", "nan"], "alpha"),
     (["op", "apply", "--op", "potential-distance", "--gamma", "nan"], "gamma"),
     (["op", "apply", "--op", "potential-measure", "--alpha", "inf"], "alpha"),
@@ -369,6 +375,18 @@ def test_certify_run_names_a_malformed_shorthand(capsys, tmp_path, spec):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: cannot parse scale shorthand") and repr(spec) in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("space,theorem,separation,named", [
+    ("circle-64", "thm-3.10", "1e9", "no triple of distinct points is separated"),
+    ("grid-16", "prop-3.9", "nan", "separation must be finite and positive")])
+def test_certify_run_refuses_a_separation_that_skips_the_smoothness_gate(
+        capsys, tmp_path, space, theorem, separation, named):
+    code = main(["certify", "run", space, "--theorem", theorem, "--seed", "7",
+                 "--separation", separation, "--outdir", str(tmp_path)])
+    assert code == 1
+    assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

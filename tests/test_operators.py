@@ -291,6 +291,14 @@ def test_grid_kernel_passes_cz_diagnostics():
     assert k.report is rep
 
 
+@pytest.mark.parametrize("separation", [math.nan, math.inf, 0.0, -1.0])
+def test_cz_validation_refuses_a_separation_that_is_not_finite_and_positive(separation):
+    # NaN and inf select no triple, so the smoothness modulus would be empty
+    s = line_grid(16)
+    with pytest.raises(OperatorError, match="separation must be finite and positive"):
+        validate_cz_kernel(s, hilbert_kernel(s), separation=separation)
+
+
 def _looped_triples(D, K, mus, separation):
     """The smoothness triples one (x1, x2) pair at a time."""
     n = D.shape[0]

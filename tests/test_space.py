@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import morreylab.space as space_module
 from morreylab.catalog import (
@@ -158,13 +160,23 @@ def oracle_nested(space, C_d):
     return len(ratios), max(ratios.values()), ratios
 
 
+def dense_reach(space, table):
+    """[i, x]: the largest d(x, z) over the members z of ball i, as one B x n
+    matrix read from _running_max one center at a time."""
+    reach = np.empty((table.size, space.n))
+    for y in range(space.n):
+        rows = np.flatnonzero(table.centers == y)
+        reach[rows] = space_module._running_max(space, y)[:, table.counts[rows] - 1].T
+    return reach
+
+
 def dense_nested_check(space, C_d):
     """The nested-ball scan over all B^2 pairs of representative balls, in row
     blocks of 2^22 pairs: (pairs_checked, worst_ratio, witness, passed)."""
     table = rep_balls(space)
     nb = table.size
     exponent = math.log2(C_d) if C_d > 1 else 0.0
-    reach = space_module._ball_reach(space, table)
+    reach = dense_reach(space, table)
     log_mu = np.log(table.measures)
     log_r = np.log(table.radii)
     worst = 0.0
@@ -227,7 +239,7 @@ def dense_chain_check(space):
     prof = prefix_profile(space)
     balls, via = np.nonzero(table.masks)
     r = table.radii[balls]
-    step1 = space_module._ball_reach(space, table)[balls, via] < mid * r
+    step1 = dense_reach(space, table)[balls, via] < mid * r
     # far[b, y]: the largest d(x_b, z) over z in B(y, mid r_b), for members y
     far = np.zeros((table.size, space.n))
     for y in range(space.n):
@@ -259,6 +271,22 @@ def oracle_spaces():
     spaces += [snowflake_grid(9), snowflake_grid(7, exponent=0.3),
                calibrated_circle(8), calibrated_circle(9), asymmetric_demo()]
     return spaces
+
+
+def random_space(kind, n, seed):
+    """A seeded asymmetric space, one with tied distances, or a snowflake of
+    random points, all with random weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 2.0, size=n).tolist()
+    if kind == "snowflake":
+        pts = np.sort(rng.uniform(0.0, 1.0, size=n)).tolist()
+        return build_space(pts, {"kind": "snowflake",
+                                 "exponent": float(rng.uniform(0.3, 0.9))}, weights)
+    mat = (rng.integers(1, 4, size=(n, n)).astype(float) if kind == "tied"
+           else rng.uniform(0.5, 3.0, size=(n, n)))
+    np.fill_diagonal(mat, 0.0)
+    return build_space(list(range(n)), {"kind": "matrix", "matrix": mat.tolist()},
+                       weights)
 
 
 def reference_doubling_scan(space):
@@ -906,6 +934,64 @@ def test_ball_chain_equals_dense_scan(name, case, monkeypatch):
         got = (rep.passed, rep.checked, rep.failures, rep.witness)
         assert got == dense_chain_check(s), (s.name, case)
         assert (rep.failures > 0) == (case != "true")
+
+
+def test_nested_ball_scan_memory_is_quadratic():
+    # the B x n reach matrix took 14.2 MiB here; the streamed scan holds a few
+    # arrays of B entries and one n x n running maximum per center
+    s = snowflake_grid(128)
+    doubling_constant(s)
+    rep_balls(s)
+    tracemalloc.start()
+    try:
+        rep = nested_ball_bound_check(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 4 * 2**20, peak
+
+
+_RANDOM_SPACES = dict(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+                      n=st.integers(3, 24), seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(true_C_d=st.booleans(), **_RANDOM_SPACES)
+@example(kind="asymmetric", n=24, seed=1, true_C_d=True)
+@example(kind="tied", n=24, seed=2, true_C_d=False)
+@example(kind="snowflake", n=24, seed=3, true_C_d=True)
+def test_nested_ball_bound_matches_member_set_oracle_on_random_spaces(kind, n, seed,
+                                                                      true_C_d):
+    s = random_space(kind, n, seed)
+    C_d = doubling_constant(s) if true_C_d else 1.0
+    rep = nested_ball_bound_check(s, C_d)
+    pairs, worst, ratios = oracle_nested(s, C_d)
+    assert rep.pairs_checked == pairs
+    assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert rep.passed == (rep.worst_ratio <= 1.0 + 1e-12)
+    witness = rep.witness["inner"], rep.witness["outer"]
+    assert ratios[witness] == pytest.approx(worst, rel=1e-12)
+    got = (rep.pairs_checked, rep.worst_ratio, rep.witness, rep.passed)
+    assert got == dense_nested_check(s, C_d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(true_constants=st.booleans(), **_RANDOM_SPACES)
+@example(kind="asymmetric", n=24, seed=1, true_constants=False)
+@example(kind="tied", n=24, seed=2, true_constants=True)
+@example(kind="snowflake", n=24, seed=3, true_constants=False)
+def test_ball_chain_matches_member_set_oracle_on_random_spaces(kind, n, seed,
+                                                               true_constants):
+    # (0.5, 1.0) lies below every true pair of constants, so inclusions can fail
+    s = random_space(kind, n, seed)
+    constants = quasimetric_constants(s) if true_constants else (0.5, 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "quasimetric_constants", lambda space: constants)
+        rep = ball_chain_check(s)
+        dense = dense_chain_check(s)
+    assert (rep.checked, rep.failures, rep.witness) == oracle_chain(s, *constants)
+    assert (rep.passed, rep.checked, rep.failures, rep.witness) == dense
 
 
 def test_ball_chain_scan_memory_is_quadratic():
