@@ -49,6 +49,19 @@ do the sharpening trials, which trade the bits for speed where a bound
 suffices: it brackets every row of the profile of one column, so a
 caller evaluates exactly only the rows that can decide.
 
+A screen reads only the balls of its table that no other ball dominates
+(space.undominated: whose members lie in another ball's, at no smaller
+den), found once per variant.  A dropped ball never holds a row's
+maximum alone, since its dominator's exact scaled integral is no
+smaller: with 0/1 masks and terms >= 0 the superset's float64 sum is no
+smaller, as rounding is monotone and the BLAS accumulates each element in
+an order that does not depend on its row (pinned by tests/test_norms.py),
+and so is its den factor wherever the factors den^-lam_eff do not
+increase with den, which the screen checks at every row; a schedule that
+fails the check keeps the whole table.  So every maximum keeps its bits.
+variant_table, the full path and the one-node seminorms read the whole
+table.
+
 The Lyapunov bound.  With t = p_eff, the log of integral_B |f|^t w is
 convex in t (Hoelder).  So at a fine row i between the coarse rows a and
 b, with theta = (t_b - t_i) / (t_b - t_a) and psi = (t_i - t_a) / (t_b -
@@ -85,7 +98,7 @@ import numpy as np
 
 from .scales import (EpsilonGrid, GrandParams, MorreyVariant, ShiftSchedule,
                      build_epsilon_grid, grid_for, shift_schedule)
-from .space import QuasimetricSpace, read_json, rep_balls
+from .space import QuasimetricSpace, read_json, rep_balls, undominated
 
 __all__ = [
     "NormError",
@@ -221,6 +234,26 @@ def variant_table(space: QuasimetricSpace, variant: MorreyVariant):
             den = table.dilated_measures
         space._cache[key] = den
     return table, den
+
+
+def _undominated_table(space: QuasimetricSpace, variant: MorreyVariant) -> tuple:
+    """The balls of variant_table that no other ball dominates
+    (space.undominated), their dens, and the sorted distinct dens of the
+    whole table (None where no ball is dropped), built once per variant.
+    Where den is the ball's own measure the scan is skipped: under
+    positive weights a ball there dominates at most one of equal members
+    whose measure rounded higher."""
+    key = ("undominated", variant)
+    cached = space._cache.get(key)
+    if cached is None:
+        table, den = variant_table(space, variant)
+        cached = (table, den, None)
+        if not np.array_equal(den, table.measures):
+            keep = undominated(space, table, den)
+            if keep.size < table.size:
+                cached = (table.take(keep), den[keep], np.unique(den))
+        space._cache[key] = cached
+    return cached
 
 
 def inner_seminorm_matrix(F: np.ndarray, space: QuasimetricSpace, p_eff: float,
@@ -614,12 +647,14 @@ def pruning_work():
     interval's gathered exact product, its candidates' union and padding,
     times the nodes side by side), exact multiply-adds (rows times n times
     width, summed over the gathered products), range fallbacks (blocks
-    that took the full path), coarse rows (rows screened over every ball)
-    and interval balls (the balls _interval_balls kept, summed over
-    intervals)."""
+    that took the full path), coarse rows (rows screened over every ball),
+    interval balls (the balls _interval_balls kept, summed over
+    intervals), dominated balls (the balls dropped from the screens'
+    tables, summed over screens) and dominance refusals (screens that kept
+    the whole table because their den factors increase with den)."""
     work = {"pruned_rows": 0, "candidate_balls": 0, "padded_balls": 0,
             "exact_madds": 0, "range_fallbacks": 0, "coarse_rows": 0,
-            "interval_balls": 0}
+            "interval_balls": 0, "dominated_balls": 0, "dominance_refusals": 0}
     token = _PRUNING.set(work)
     try:
         yield work
@@ -742,11 +777,13 @@ class ProfileScreen:
     """The certified float32 screen of one schedule, and a bracket of the
     weighted profile of one column from it.
 
-    The screen holds what every float32 screen of the schedule reads: the
-    margin delta (surrogate_margin), the range of the den factors, those
-    factors (_den_factors: exp(-lam_eff log den), computed in float64 and
-    rounded once to float32), and per fine row its theta, psi and slack
-    (module docstring), nan where its interval has no bound.  The pruned
+    The screen holds what every float32 screen of the schedule reads: its
+    table, the undominated balls where the den factors do not increase
+    with den (module docstring), the margin delta (surrogate_margin), the
+    range of the den factors, those factors (_den_factors: exp(-lam_eff
+    log den), computed in float64 and rounded once to float32), and per
+    fine row its theta, psi and slack (module docstring), nan where its
+    interval has no bound.  The pruned
     profiles (_pruned_max) read all of it.
 
     ``rows`` takes the float32 terms |f|^p_eff w of all nodes and, for the
@@ -768,6 +805,15 @@ class ProfileScreen:
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
         self.table, self._den = variant_table(space, schedule.variant)
+        small, small_den, levels = _undominated_table(space, schedule.variant)
+        if levels is not None:
+            # a kept dominator's den factor is at least the dropped ball's
+            # where the factors do not increase with den at any row
+            if (np.diff(_den_scale(levels, schedule.lam_eff), axis=1) <= 0.0).all():
+                _count(dominated_balls=self.table.size - small.size)
+                self.table, self._den = small, small_den
+            else:
+                _count(dominance_refusals=1)
         self.space, self.schedule = space, schedule
         self._log_den = log_den = np.log(self._den)
         t, lam, k = schedule.p_eff, schedule.lam_eff, schedule.nodes.size

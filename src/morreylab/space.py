@@ -34,6 +34,7 @@ __all__ = [
     "build_space",
     "prefix_profile",
     "rep_balls",
+    "undominated",
     "quasimetric_constants",
     "dilation_constants",
     "quasimetric_witnesses",
@@ -134,6 +135,17 @@ class BallTable:
     @property
     def size(self) -> int:
         return self.centers.shape[0]
+
+    def take(self, keep: np.ndarray) -> BallTable:
+        """The table of the balls ``keep`` (ascending row indices), sharing
+        ``rank``; built member masks carry over."""
+        sub = BallTable(centers=self.centers[keep], radii=self.radii[keep],
+                        counts=self.counts[keep], measures=self.measures[keep],
+                        dilation=self.dilation,
+                        dilated_measures=self.dilated_measures[keep], rank=self.rank)
+        if "masks" in vars(self):
+            vars(sub)["masks"] = self.masks[keep]
+        return sub
 
     @cached_property
     def masks(self) -> np.ndarray:
@@ -489,17 +501,45 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
                              return_index=True)
         if first.size < table.size:
             keep = np.sort(first)
-            table = BallTable(
-                centers=centers[keep], radii=radii[keep], counts=counts[keep],
-                measures=table.measures[keep], dilation=dilation,
-                dilated_measures=table.dilated_measures[keep], rank=prof.rank,
-            )
             # the kept rows of the key's masks fill the cache of ``masks``,
             # unpacked once the full table's masks are gone
+            vars(table).pop("masks")
+            table = table.take(keep)
             vars(table)["masks"] = np.unpackbits(packed[keep], axis=1,
                                                  count=space.n).view(bool)
     space._cache[key] = table
     return table
+
+
+def undominated(space: QuasimetricSpace, table: BallTable, den: np.ndarray) -> np.ndarray:
+    """Row indices, ascending, of the balls of ``table`` that no other ball
+    dominates, for the dens ``den``.
+
+    Ball j dominates ball i when the members of i lie in those of j and j
+    comes first in the order of (den, -count, row): so den_j <= den_i, and
+    of two balls with equal members and equal dens the first in the table
+    stays.  This is a strict partial order, so every dropped ball has a kept
+    dominator.  The nested-ball scan with each ball's place in that order in
+    place of its slack: the balls of an outer center x that hold ball i are
+    those with radius above the reach of i from x (_reach_from), a suffix of
+    x's balls, and i is dominated when the suffix minimum of the order lies
+    before i.  One outer center at a time, in O(B n) time and O(B + n^2)
+    memory.
+    """
+    nb = table.size
+    place = np.empty(nb, dtype=np.intp)
+    place[np.lexsort((-table.counts, den))] = np.arange(nb)
+    flat = table.centers * space.n + table.counts - 1
+    bounds = np.searchsorted(table.centers, np.arange(space.n + 1))
+    # the first place of a ball holding each ball, itself included
+    low = place.copy()
+    for x in range(space.n):
+        a, b = bounds[x], bounds[x + 1]
+        suffix = np.searchsorted(table.radii[a:b], np.take(_reach_from(space, x), flat),
+                                 side="right")
+        suffix_min = np.append(np.minimum.accumulate(place[a:b][::-1])[::-1], nb)
+        np.minimum(low, suffix_min[suffix], out=low)
+    return np.flatnonzero(low == place)
 
 
 # ---------------------------------------------------------------------------

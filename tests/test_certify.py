@@ -643,11 +643,13 @@ def test_reduction_runmeta_records_sharpening_work(tmp_path):
 def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_path):
     # thm-5.4's uncapped builder checks evaluate two 38-column profiles on
     # circle-64 tables of 3,457 and 3,905 balls, which take the pruned path
-    # outside the engine's own profiles
+    # outside the engine's own profiles; their screens drop the 2,752 and
+    # 3,648 balls that another ball dominates
     real = norms._count
     every = dict.fromkeys(("pruned_rows", "candidate_balls", "padded_balls",
                            "exact_madds", "range_fallbacks", "coarse_rows",
-                           "interval_balls"), 0)
+                           "interval_balls", "dominated_balls",
+                           "dominance_refusals"), 0)
 
     def counting(**counts):
         for key, value in counts.items():
@@ -661,6 +663,8 @@ def test_line_potential_runmeta_counts_every_pruned_profile(monkeypatch, tmp_pat
     meta = json.loads((tmp_path / "thm-5.4.json.runmeta.json").read_text())
     assert meta["pruning"] == every
     assert every["pruned_rows"] > 0
+    assert every["dominated_balls"] >= 2752 + 3648
+    assert every["dominance_refusals"] == 0
     assert "pruning_work" not in json.loads((tmp_path / "thm-5.4.json").read_text())
 
 
@@ -670,7 +674,8 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
     # pass; the sidecar counts both, and each part follows its schedules
     real = norms._count
     keys = ("pruned_rows", "candidate_balls", "padded_balls", "exact_madds",
-            "range_fallbacks", "coarse_rows", "interval_balls")
+            "range_fallbacks", "coarse_rows", "interval_balls", "dominated_balls",
+            "dominance_refusals")
     every = dict.fromkeys(keys, 0)
     appended = dict.fromkeys(keys, 0)
     inside = []
@@ -717,6 +722,8 @@ def test_sharpened_runmeta_counts_the_appended_column(monkeypatch, tmp_path):
         assert part["exact_madds"] >= 64 * part["padded_balls"]
         assert part["coarse_rows"] == coarse
         assert 0 < part["interval_balls"]
+        # the measure tables are never reduced
+        assert part["dominated_balls"] == part["dominance_refusals"] == 0
 
 
 @pytest.mark.parametrize("sharpen", [True, False])

@@ -704,6 +704,59 @@ def test_column_subset_product_keeps_the_wider_product_bits(n):
     assert checked == (57 if n == 64 else 63)
 
 
+@pytest.mark.parametrize("name", ["circle-64", "circle-65", "grid-64"])
+def test_superset_ball_sums_never_fall_below_their_subsets(name):
+    """The screens drop every ball that another ball dominates
+    (space.undominated): its members lie in the other's, whose den is no
+    larger.  A dropped ball never holds a row's maximum alone, since its
+    dominator's float64 scaled integral is never below its own: with 0/1
+    masks and terms >= 0 the superset's exact sum is no smaller, rounding
+    is monotone, and so is the den factor (ProfileScreen checks it).  That
+    holds wherever the BLAS accumulates an element of a product in an order
+    that does not depend on its row.  Checked on thm-5.4's uncapped dilated
+    tables (dilation N_0 = 3 on these spaces) with random terms >= 0 and
+    zeros, scaled by 1e-3 to 1e3, over every pair of nested balls: in the
+    stacked full product and in gathered products of random ball rows."""
+    space = get_space(name)
+    variant = MorreyVariant(kind="modified", dilation=3.0, radius_cap="none")
+    table, den = norms.variant_table(space, variant)
+    rng = np.random.default_rng(space.n + 3)
+    k, m = 2, 4
+    pw = (rng.uniform(0.0, 1.0, size=(k, space.n, m))
+          * 10.0 ** rng.integers(-3, 4, size=(k, 1, m)))
+    pw[rng.random(pw.shape) < 0.2] = 0.0
+    lam = np.array([0.3, 0.45])
+    # every (inner, outer) pair of balls whose members nest
+    masks32 = table.masks32
+    inner, outer = [], []
+    for a in range(0, table.size, 512):
+        i, j = np.nonzero(masks32[a:a + 512] @ masks32.T == table.counts[a:a + 512, None])
+        inner.append(i + a)
+        outer.append(j)
+    inner, outer = np.concatenate(inner), np.concatenate(outer)
+    assert inner.size > 100 * table.size
+
+    def assert_monotone(sums, rows):
+        # sums (ball rows, k, m) of the table rows ``rows``
+        scaled = sums * norms._den_scale(den[rows], lam).T[:, :, None]
+        at = np.full(table.size, -1)
+        at[rows] = np.arange(rows.size)
+        both = np.flatnonzero((at[inner] >= 0) & (at[outer] >= 0))
+        assert both.size > rows.size
+        for part in np.array_split(both, -(-both.size // (1 << 16))):
+            i, j = at[inner[part]], at[outer[part]]
+            assert np.all(sums[j] >= sums[i])
+            below = den[rows[j]] <= den[rows[i]]
+            assert np.all(scaled[j[below]] >= scaled[i[below]])
+
+    rows = np.arange(table.size)
+    assert_monotone(np.matmul(table.masks_f[None], pw).transpose(1, 0, 2), rows)
+    floor = _floor(space.n, k, m)
+    for size in (floor, (floor + table.size) // 2):
+        rows = np.sort(rng.choice(table.size, size=size, replace=False))
+        assert_monotone(_gathered(table.masks[rows].astype(float), pw), rows)
+
+
 def _gathered_products(monkeypatch):
     """The (ball rows, points, width) of every 2-D float64 product formed
     while the patch holds, which only the pruned path's exact stage forms."""
@@ -748,7 +801,12 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
     for v, variant in enumerate(_VARIANTS):
         table, _ = norms.variant_table(space, variant)
         setups = _profile_params(variant)
-        for k, m in enumerate((2, 5, 9, 38, 39, 41)):
+        # space.undominated leaves the modified tables' candidate unions a
+        # few balls (the random columns peak on the saturated whole-space
+        # ball), but the radius tables lose few balls (350, 120 and 1,552),
+        # so their unions still reach two floors, at m = 128
+        wide = (64, 128) if variant.kind == "radius" else ()
+        for k, m in enumerate((2, 5, 9, 38, 39, 41) + wide):
             F = rng.uniform(-2.0, 2.0, size=(space.n, m)) * (1e-3, 1.0, 1e3)[k % 3]
             F[rng.random(F.shape) < 0.2] = 0.0
             F[:, m // 2] = 0.0
@@ -775,16 +833,90 @@ def test_pruned_profile_matches_the_full_path_bitwise(monkeypatch, kind):
             assert work["coarse_rows"] == 3
             assert 0 < work["interval_balls"] <= 2 * table.size
             assert 0 < work["candidate_balls"] <= work["padded_balls"]
+            assert (work["dominated_balls"] > 0) == (variant.kind != "measure")
             _assert_gathered_floor(shapes)
-            chunked |= len(shapes) > 3
+            if variant.kind == "radius":
+                chunked |= len(shapes) > 3
             monkeypatch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
             with norms.pruning_work() as work:
                 want = norms.seminorm_profile(F, space, schedule)
             assert work["pruned_rows"] == 0
             assert np.array_equal(got, want), (variant, m)
             assert np.all(got[:, m // 2] == 0.0)
-    # the snowflake's unions stay below two floors
+    # the snowflake's radius unions stay below two floors
     assert chunked == (kind != "snowflake")
+
+
+@pytest.mark.parametrize("kind", ["asymmetric", "tied", "snowflake"])
+def test_undominated_screens_keep_the_whole_table_bits(monkeypatch, kind):
+    """The screens read only the balls that no other ball dominates
+    (space.undominated): the pruned family profile, the appended column and
+    the sharpening screens' candidate rows give the bits of screens over
+    the whole table, on all three variants; the measure tables are never
+    reduced."""
+    space = _random_space(kind, 96, 9)
+    rng = np.random.default_rng(61)
+    F = rng.uniform(-2.0, 2.0, size=(space.n, 39))
+    F[rng.random(F.shape) < 0.2] = 0.0
+    family = np.ascontiguousarray(F[:, :-1])
+    shipped = norms.undominated
+    for v, variant in enumerate(_VARIANTS):
+        params = _profile_params(variant)[v]
+        schedule = shift_schedule(params, grid_for(params).nodes[::2])
+        runs = []
+        for scan in (shipped, lambda space, table, den: np.arange(table.size)):
+            monkeypatch.setattr(norms, "undominated", scan)
+            space._cache.pop(("undominated", variant), None)
+            with norms.pruning_work() as work:
+                prof = norms.seminorm_profile(family, space, schedule)
+                whole = norms.appended_profile(prof, F, space, schedule)
+                screen = norms.ProfileScreen(space, schedule)
+                rows = screen.candidates(screen.rows(F[:, -1:]))
+            exact = norms.grand_rows(F[:, -1:], space, schedule, rows).max()
+            runs.append((whole, exact, screen.table.size, dict(work)))
+        (got, top, size, work), (want, top_whole, whole_size, whole_work) = runs
+        table, _ = norms.variant_table(space, variant)
+        assert whole_size == table.size and whole_work["dominated_balls"] == 0
+        assert work["pruned_rows"] == whole_work["pruned_rows"] > 0
+        # three screens: the family's, the appended column's and this one
+        assert work["dominated_balls"] == 3 * (table.size - size)
+        # the tied space's radius table has no dominated ball
+        if variant.kind != "radius" or kind != "tied":
+            assert (size < table.size) == (variant.kind != "measure"), variant
+        assert work["dominance_refusals"] == 0
+        assert np.array_equal(got, want), variant
+        assert top == top_whole, variant
+
+
+def test_screen_keeps_the_whole_table_where_den_factors_increase():
+    """A kept dominator's den is at most the dropped ball's, so its den
+    factor den^-lam is at least the dropped ball's only where the factors
+    do not increase with den.  A row with lam_eff < 0 has increasing
+    factors, and the screen keeps the whole table."""
+    space = _pruned_space("tied")
+    variant = _VARIANTS[2]
+    params = _profile_params(variant)[0]
+    schedule = shift_schedule(params, grid_for(params).nodes[::5][:6])
+    table, _ = norms.variant_table(space, variant)
+    with norms.pruning_work() as work:
+        screen = norms.ProfileScreen(space, schedule)
+    assert screen.table.size < table.size
+    assert work["dominance_refusals"] == 0
+    lam = schedule.lam_eff.copy()
+    lam[-1] = -0.1
+    rising = replace(schedule, lam_eff=lam)
+    with norms.pruning_work() as work:
+        screen = norms.ProfileScreen(space, rising)
+    assert screen.table is table
+    assert work["dominance_refusals"] == 1 and work["dominated_balls"] == 0
+    F = np.random.default_rng(79).uniform(-2.0, 2.0, size=(space.n, 9))
+    with norms.pruning_work() as work:
+        got = norms.seminorm_profile(F, space, rising)
+    assert work["pruned_rows"] > 0 and work["dominance_refusals"] == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_PRUNE_RATIO", 1 << 62)
+        want = norms.seminorm_profile(F, space, rising)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("order", ["tied", "shuffled"])

@@ -45,6 +45,7 @@ from morreylab.space import (
     rep_balls,
     save_space,
     sharp_growth_constant,
+    undominated,
 )
 from morreylab.operators import maximal, modified_maximal
 
@@ -254,6 +255,24 @@ def dense_chain_check(space):
         witness = {"center": int(table.centers[balls[i]]), "radius": float(r[i]),
                    "via": int(via[i]), "step1": bool(step1[i]), "step2": bool(step2[i])}
     return bad.size == 0, int(balls.size), int(bad.size), witness
+
+
+def oracle_inside(table):
+    """[i, j]: the members of ball i lie in those of ball j, by the subset
+    test masks @ masks.T == counts."""
+    return table.masks32 @ table.masks32.T == table.counts[:, None]
+
+
+def oracle_dominated(table, den, inside):
+    """[i, j]: ball j dominates ball i.  The members of i lie in those of j
+    (``inside``) and den_j <= den_i, and of two balls with equal members and
+    equal dens only the earlier one dominates the later; the diagonal is
+    excluded."""
+    ties = inside & inside.T & (den[None, :] == den[:, None])
+    ties &= np.arange(table.size)[None, :] > np.arange(table.size)[:, None]
+    dominated = inside & (den[None, :] <= den[:, None]) & ~ties
+    np.fill_diagonal(dominated, False)
+    return dominated
 
 
 def oracle_spaces():
@@ -1008,3 +1027,53 @@ def test_ball_chain_scan_memory_is_quadratic():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 4 * 2**20, peak
+
+
+def _variant_dens(space):
+    """(label, table, den) of the norm variants' denominators: the ball
+    measure, the radius powers gamma = 0.5 and 1.5, and the dilated
+    measures at dilation 1, 2 and 3 under both caps."""
+    table = rep_balls(space, dedupe=True)
+    yield "measure", table, table.measures
+    for gamma in (0.5, 1.5):
+        yield f"radius-{gamma}", table, table.radii ** gamma
+    for dilation in (1.0, 2.0, 3.0):
+        for cap in ("diameter", "none"):
+            table = rep_balls(space, dilation=dilation, radius_cap=cap, dedupe=True)
+            yield f"modified-{dilation}-{cap}", table, table.dilated_measures
+
+
+def _assert_undominated(space):
+    for label, table, den in _variant_dens(space):
+        inside = oracle_inside(table)
+        tries = [den]
+        if space.n <= 24:
+            # equal dens for every ball, and dens rounded to a tenth, also
+            # tie balls of equal members
+            tries += [np.ones(table.size), np.round(den, 1)]
+        for dens in tries:
+            keep = undominated(space, table, dens)
+            dominated = oracle_dominated(table, dens, inside)
+            assert np.array_equal(keep, np.flatnonzero(~dominated.any(axis=1))), label
+            # every dropped ball has a kept dominator
+            dropped = np.setdiff1d(np.arange(table.size), keep)
+            assert dominated[np.ix_(dropped, keep)].any(axis=1).all(), label
+            if dens is den and (label == "measure" or label.startswith("modified-1.0")):
+                # under positive weights a ball's own measure dominates only
+                # a ball of equal members whose measure rounded higher
+                assert not (dominated & ~inside.T).any(), label
+
+
+@pytest.mark.parametrize("name", ["circle-64", "grid-64", "circle-65", "grid-16",
+                                  "asym-4", "two-atom"])
+def test_undominated_matches_the_subset_oracle(name):
+    _assert_undominated(get_space(name))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(**_RANDOM_SPACES)
+@example(kind="asymmetric", n=24, seed=1)
+@example(kind="tied", n=24, seed=2)
+@example(kind="snowflake", n=24, seed=3)
+def test_undominated_matches_the_subset_oracle_on_random_spaces(kind, n, seed):
+    _assert_undominated(random_space(kind, n, seed))
