@@ -29,7 +29,7 @@ import numpy as np
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
 from .norms import (ProfileScreen, as_matrix,  # noqa: F401
-                    appended_profile, dominance_report, grand_rows,
+                    appended_profile, dominance_report, grand_supremum,
                     inner_seminorm_matrix, lebesgue_norm, morrey_norm,
                     phi_functional, pruning_work, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
@@ -272,20 +272,16 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
     of the coarse rows and of the fine rows Lyapunov's bound cannot rule
     out).  Division is monotone, so a trial with max(upper out) /
     max(lower in) <= best (1 + _SHARPEN_GAIN) cannot be accepted, and
-    returns that upper bound.  Otherwise each side's grand norm is the
-    largest of its exact rows (grand_rows) among the candidates, which
-    hold the exact maximum, so the ratio is bit for bit that of
-    _ratio_evaluator.  ``work`` counts the trials, the surrogate
-    rejections, the exact rows, the screen fallbacks (bounds a screen
-    declined, one per side) and the float32 rows both screens evaluated.
+    returns that upper bound.  Otherwise each side's grand norm is
+    norms.grand_supremum from that side's screen and bounds: the largest
+    exact row among the candidates, which hold the exact maximum, so the
+    ratio is bit for bit that of _ratio_evaluator.  ``work`` counts the
+    trials, the surrogate rejections, the exact rows, the screen fallbacks
+    (bounds a screen declined, one per side) and the float32 rows both
+    screens evaluated.
     """
     screen_out, screen_in = ProfileScreen(space, s_out), ProfileScreen(space, s_in)
     best = None
-
-    def exact(screen, V, bounds):
-        part = screen.candidates(bounds)
-        work["exact_rows"] += part.size
-        return float(grand_rows(V, space, screen.schedule, part).max())
 
     def evaluate(vec):
         nonlocal best
@@ -300,8 +296,9 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
             if lower > 0.0 and upper / lower <= best * (1.0 + _SHARPEN_GAIN):
                 work["surrogate_rejections"] += 1
                 return upper / lower
-        pout = exact(screen_out, col_out, bounds_out)
-        pin = exact(screen_in, col, bounds_in)
+        pout = grand_supremum(col_out, space, s_out, screen_out, bounds_out)[1]
+        pin = grand_supremum(col, space, s_in, screen_in, bounds_in)[1]
+        work["exact_rows"] = screen_out.exact_rows + screen_in.exact_rows
         ratio = 0.0 if pin <= 0.0 else pout / pin
         if best is None or ratio > best * (1.0 + _SHARPEN_GAIN):
             best = ratio

@@ -21,12 +21,12 @@ from . import catalog
 from .certify import (PARAM_TYPES, CertifyError, certify_boundedness,
                       known_theorems, param_value, save_report, write_index)
 from .norms import (GridFunction, NormError, _scaled_integrals,
-                    grand_lebesgue_norm, grand_profile, lebesgue_norm,
+                    grand_lebesgue_norm, grand_supremum, lebesgue_norm,
                     morrey_norm, variant_table)
 from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
-                     make_grand_params)
+                     make_grand_params, shift_schedule)
 from .space import (SpaceError, ball_chain_check, dilation_constants,
                     geometry_constants, load_space, nested_ball_bound_check,
                     read_json, save_space)
@@ -35,11 +35,13 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
 # B = n^2/2 balls of n members.  space analyze and op apply hold O(B + n^2)
 # values, but the norm products read the masks: n^3/2 bytes of bools, 4n^3
 # bytes as masks_f, which the full path of the exact ball integrals reads
-# (one-column profiles, inner seminorms, the ball that norm eval prints), and
-# 2n^3 bytes as masks32, which the float32 screens read (about 450 GB
-# together at n = 4096).  Larger spaces are refused, but the cap does not
-# bound memory; the ROADMAP item "No cached B × n array in any subcommand,
-# then an honest size model" plans that.
+# (the exact rows of a grand supremum, inner seminorms, the ball that norm
+# eval prints), and 2n^3 bytes as masks32, which the float32 screens read
+# (about 450 GB together at n = 4096).  norm eval drops its screen's masks32
+# before it builds masks_f, so it holds at most one of them.  Larger spaces
+# are refused, but the cap does not bound memory; the ROADMAP item "No
+# cached B × n array in any subcommand, then an honest size model" plans
+# that.
 MAX_POINTS = 4096
 
 
@@ -182,10 +184,9 @@ def _cmd_norm_eval(args) -> int:
                                    variant, args.grid_count,
                                    closed_grid=args.closed_grid)
         nodes = grid_for(params).nodes
-        prof = grand_profile(fn.values[:, None], space, params, nodes)[:, 0]
-        i = int(np.argmax(prof))
+        i, value = grand_supremum(fn.values[:, None], space,
+                                  shift_schedule(params, nodes))
         eps = float(nodes[i])
-        value = float(prof[i])
         p_eff = params.p - eps
         lam_eff = params.lam - float(params.A(eps))
         center, radius = _plain_argmax(fn.values, space, p_eff, lam_eff,

@@ -45,9 +45,13 @@ by tests/test_norms.py.
 ProfileScreen is the one certified float32 screen of a schedule: the
 margin delta, the range and the float32 values of the den factors, and
 the Lyapunov bound of every fine row.  The pruned path reads it, and so
-do the sharpening trials, which trade the bits for speed where a bound
-suffices: it brackets every row of the profile of one column, so a
-caller evaluates exactly only the rows that can decide.
+does every supremum over the rows of one column (grand_supremum): the
+screen brackets every row of the profile of one column, and only the
+rows that can hold the maximum are evaluated exactly, each with its own
+bits.  norm eval, grand_morrey_norm and phi_functional of one column
+take it with a screen used once, the sharpening trials with their own
+screens, which also reject a trial from the bounds alone where they
+suffice.
 
 A screen reads only the balls of its table that no other ball dominates
 (space.undominated: whose members lie in another ball's, at no smaller
@@ -59,8 +63,8 @@ an order that does not depend on its row (pinned by tests/test_norms.py),
 and so is its den factor wherever the factors den^-lam_eff do not
 increase with den, which the screen checks at every row; a schedule that
 fails the check keeps the whole table.  So every maximum keeps its bits.
-variant_table, the full path and the one-node seminorms read the whole
-table.
+variant_table, the full path, the one-node seminorms and a screen used
+once read the whole table.
 
 The Lyapunov bound.  With t = p_eff, the log of integral_B |f|^t w is
 convex in t (Hoelder).  So at a fine row i between the coarse rows a and
@@ -114,6 +118,7 @@ __all__ = [
     "grand_rows",
     "surrogate_margin",
     "ProfileScreen",
+    "grand_supremum",
     "grand_profile",
     "phi_functional",
     "grand_morrey_norm",
@@ -381,9 +386,7 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     next block reuses.  It powers only the screened columns; a block that
     fails the range checks takes the full path with the terms of all m."""
     p_eff, lam_eff = schedule.p_eff, schedule.lam_eff
-    low = p_eff < 1
-    if low.any():
-        raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
+    _check_exponents(p_eff)
     table, den = variant_table(space, schedule.variant)
     k = p_eff.size
     out = np.zeros((k, screened))
@@ -413,6 +416,13 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
                             m - screened)
         out[a:b] = top ** (1.0 / pe[:b - a, 0])
     return out
+
+
+def _check_exponents(p_eff: np.ndarray) -> None:
+    """Refuse shifted exponents below 1, naming the first."""
+    low = p_eff < 1
+    if low.any():
+        raise NormError(f"shifted exponent fell below 1: {p_eff[low][0]:g}")
 
 
 def _den_scale(den: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -800,12 +810,18 @@ class ProfileScreen:
     factors computed block by block.  ``candidates`` are the rows whose
     upper bound reaches the largest lower bound; the exact maximum row is
     always among them, since its upper bound reaches its exact value.
-    ``screened_rows`` counts the surrogate rows evaluated, over all calls.
+    ``screened_rows`` counts the surrogate rows evaluated, and
+    ``exact_rows`` the candidates grand_supremum evaluated exactly, over
+    all calls.  With ``undominated`` false the screen reads the whole
+    table, as a screen used once does: the scan that finds the undominated
+    balls can cost more than the screen it saves.
     """
 
-    def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule):
+    def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule,
+                 undominated: bool = True):
         self.table, self._den = variant_table(space, schedule.variant)
-        small, small_den, levels = _undominated_table(space, schedule.variant)
+        small, small_den, levels = (_undominated_table(space, schedule.variant)
+                                    if undominated else (None, None, None))
         if levels is not None:
             # a kept dominator's den factor is at least the dropped ball's
             # where the factors do not increase with den at any row
@@ -845,7 +861,7 @@ class ProfileScreen:
                                        log_den_max, space.n, self.delta)
             self._slack = np.full(fine.size, np.nan)
             self._slack[ordered] = np.log1p(self.delta) + gap + eta
-        self.screened_rows = 0
+        self.screened_rows = self.exact_rows = 0
         self.step = max(1, _SURROGATE_ELEMENTS // k)
 
     @cached_property
@@ -927,6 +943,63 @@ class ProfileScreen:
         return np.flatnonzero(upper >= lower.max())
 
 
+# a one-column supremum screens its rows (grand_supremum) on a table of at
+# least _SCREEN_ELEMENTS ball-point pairs B n; below, building the screen
+# costs more than evaluating every row.  Measured on line grids, calibrated
+# circles and the catalog spaces, 63 nodes (p = 2, lam = 0.3, pow:1,
+# lin:0.2), measure and modified tables, one random column, masks_f and
+# masks32 built anew per call, median of 9, OpenBLAS 0.3.31 Haswell with 2
+# threads; B n -> screened time / full time:
+#   asym-4 44 -> 7.5, two-atom 10 -> 6.7, grid-16 3,152 -> 3.4,
+#   4,296 -> 2.2, 8,788 -> 1.4, 9,696 -> 1.3, 11,400 -> 0.86,
+#   15,574 -> 0.89, 16,384 -> 0.93, 18,360 -> 0.70, 31,056 -> 0.89,
+#   32,000 -> 0.94, 49,480 -> 0.56, grid-64 71,616 -> 0.58,
+#   circle-64 131,072 -> 0.40, grid-128 1,564,544 -> 0.18.
+# The crossover lies between 9,696 and 16,384 and is not sharp there; the
+# gate sits one doubling above it.
+_SCREEN_ELEMENTS = 1 << 15
+
+
+def grand_supremum(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
+                   screen: ProfileScreen | None = None,
+                   bounds: tuple | None = None) -> tuple:
+    """The first row holding the largest weighted row of the one-column F at
+    ``schedule``, and that row's value: bit for bit np.argmax and max of
+    grand_rows(F, space, schedule, slice(None)).
+
+    Only the candidates of a ProfileScreen's bracket of the rows are
+    evaluated exactly, through grand_rows, so each keeps its per-node bits;
+    every row holding the maximum is among them, and they ascend, so the
+    first of those is the first overall.  Where the screen declines
+    (bounds None) every row is a candidate.  With ``screen``, ``bounds``
+    are its rows(F), and its exact_rows counts the candidates.  Without,
+    a table of fewer than _SCREEN_ELEMENTS ball-point pairs takes the
+    whole profile; a larger one gets a screen used once, over the whole
+    table, and loses the float32 masks that screen built before the exact
+    rows build masks_f, so that the two are never held together.
+    """
+    _check_exponents(schedule.p_eff)
+    if screen is None:
+        table, _ = variant_table(space, schedule.variant)
+        if schedule.nodes.size == 0 or table.size * space.n < _SCREEN_ELEMENTS:
+            prof = grand_rows(F, space, schedule, slice(None))[:, 0]
+            i = int(np.argmax(prof))
+            return i, float(prof[i])
+        held = "masks32" in vars(table)
+        once = ProfileScreen(space, schedule, undominated=False)
+        rows = once.candidates(once.rows(F))
+        # the screen's buffers and float32 masks go before masks_f comes
+        del once
+        if not held:
+            vars(table).pop("masks32", None)
+    else:
+        rows = screen.candidates(bounds)
+        screen.exact_rows += rows.size
+    vals = grand_rows(F, space, schedule, rows)[:, 0]
+    i = int(np.argmax(vals))
+    return int(rows[i]), float(vals[i])
+
+
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
                   nodes: np.ndarray) -> np.ndarray:
     """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and column."""
@@ -951,8 +1024,7 @@ def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
         sel = np.unique(np.append(sel, s))
     if sel.size == 0:
         raise NormError(f"no grid node below s={s:g}; refine the grid")
-    vals = grand_profile(F, space, params, sel).max(axis=0)
-    return _squeeze(vals, f)
+    return _squeeze(_grand_max(F, space, params, sel), f)
 
 
 def grand_morrey_norm(f, space: QuasimetricSpace, params: GrandParams,
@@ -961,8 +1033,16 @@ def grand_morrey_norm(f, space: QuasimetricSpace, params: GrandParams,
     F = as_matrix(f, space)
     if grid is None:
         grid = grid_for(params)
-    vals = grand_profile(F, space, params, grid.nodes).max(axis=0)
-    return _squeeze(vals, f)
+    return _squeeze(_grand_max(F, space, params, grid.nodes), f)
+
+
+def _grand_max(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
+               nodes: np.ndarray) -> np.ndarray:
+    """The largest weighted row per column of F at ``nodes``: grand_supremum
+    for one column, the maximum of grand_profile for a batch."""
+    if F.shape[1] == 1:
+        return np.array([grand_supremum(F, space, shift_schedule(params, nodes))[1]])
+    return grand_profile(F, space, params, nodes).max(axis=0)
 
 
 def grand_lebesgue_norm(f, space: QuasimetricSpace, p: float, theta: float = 1.0):

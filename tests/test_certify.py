@@ -581,7 +581,7 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
     """Exact single-column rows of the sharpening trials: each side of a
     trial that the surrogates do not reject evaluates its argmax row and
     only the rows within the surrogate margin of it."""
-    real_rows, real_sharpen = certify.grand_rows, certify.sharpen_witness
+    real_rows, real_sharpen = norms.grand_rows, certify.sharpen_witness
     real_tops = norms.ProfileScreen._tops
     trials = []
     screened = [0]
@@ -602,7 +602,7 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
             return evaluate(vec)
         return real_sharpen(tracked, values, *args, **kwargs)
 
-    monkeypatch.setattr(certify, "grand_rows", recording)
+    monkeypatch.setattr(norms, "grand_rows", recording)
     monkeypatch.setattr(certify, "sharpen_witness", sharpen)
     monkeypatch.setattr(norms.ProfileScreen, "_tops", tops)
     rep = certify_boundedness("thm-3.6", get_space("grid-16"), family_spec="mixed",

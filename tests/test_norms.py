@@ -605,6 +605,177 @@ def test_surrogate_steps_aside_where_a_ball_sum_could_overflow_float32():
     assert screen.rows(F * 1e-5) is not None
 
 
+# ---------------------------------------------------------------------------
+# one-column grand suprema
+
+
+def _full_supremum(F, space, schedule):
+    """np.argmax and max of the whole weighted profile of the one-column F."""
+    prof = norms.grand_rows(F, space, schedule, slice(None))[:, 0]
+    return int(np.argmax(prof)), prof.max()
+
+
+def _spy_rows(monkeypatch):
+    """Record the number of rows of every grand_rows call."""
+    calls, real = [], norms.grand_rows
+
+    def spy(F, space, schedule, rows):
+        out = real(F, space, schedule, rows)
+        calls.append(out.shape[0])
+        return out
+    monkeypatch.setattr(norms, "grand_rows", spy)
+    return calls
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+       n=st.integers(3, 24), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), stride=st.sampled_from((2, 3, 16)))
+@example(kind="tied", n=24, seed=3, variant=2, which=2, scale=1.0, stride=3)
+def test_grand_supremum_matches_the_full_profile_on_random_spaces(
+        kind, n, seed, variant, which, scale, stride):
+    """The screened supremum of one column, with the gate lowered so that
+    every table screens, gives the full profile's argmax row and maximum
+    bit for bit; the second and third params are transported shifts."""
+    space = _random_space(kind, n, seed)
+    params = _profile_params(_VARIANTS[variant])[which]
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    rng = np.random.default_rng(seed + 5)
+    F = rng.uniform(-2.0, 2.0, size=(n, 1)) * scale
+    F[rng.random(n) < 0.3] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+        patch.setattr(norms, "_COARSE_STRIDE", stride)
+        i, value = norms.grand_supremum(F, space, schedule)
+    want_i, want = _full_supremum(F, space, schedule)
+    assert i == want_i
+    assert value == want
+
+
+def _screened_case(kind="asymmetric", n=24, seed=13):
+    space = _random_space(kind, n, seed)
+    params = _profile_params(MorreyVariant())[0]
+    F = np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, 1))
+    return space, params, F
+
+
+def test_grand_supremum_takes_the_first_of_tied_rows(monkeypatch):
+    """Every row repeats 64 rows on; the first copy of the maximum wins."""
+    monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+    space, params, F = _screened_case()
+    nodes = grid_for(params).nodes
+    schedule = shift_schedule(params, np.concatenate([nodes, nodes]))
+    i, value = norms.grand_supremum(F, space, schedule)
+    want_i, want = _full_supremum(F, space, schedule)
+    assert (i, value) == (want_i, want)
+    assert i < nodes.size
+
+
+def test_grand_supremum_evaluates_every_row_where_the_screen_declines(monkeypatch):
+    """Weights far below the float32 range make _f32_terms decline, so
+    ProfileScreen.rows returns None and every row is evaluated exactly."""
+    monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+    space, params, F = _screened_case()
+    full = shift_schedule(params, grid_for(params).nodes)
+    schedule = replace(full, weight=full.weight * 1e-60)
+    assert norms.ProfileScreen(space, schedule, undominated=False).rows(F) is None
+    calls = _spy_rows(monkeypatch)
+    got = norms.grand_supremum(F, space, schedule)
+    assert calls == [schedule.nodes.size]
+    assert got == _full_supremum(F, space, schedule)
+    # at the shipped weights only a few rows are evaluated
+    calls.clear()
+    assert norms.grand_supremum(F, space, full) == _full_supremum(F, space, full)
+    assert calls[0] < full.nodes.size // 4
+
+
+def test_grand_supremum_edge_cases(monkeypatch):
+    monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+    space, params, F = _screened_case()
+    nodes = grid_for(params).nodes
+    # one node
+    one = shift_schedule(params, nodes[[7]])
+    assert norms.grand_supremum(F, space, one) == _full_supremum(F, space, one)
+    # a zero column makes every row a candidate, and row 0 wins
+    schedule = shift_schedule(params, nodes)
+    calls = _spy_rows(monkeypatch)
+    zero = np.zeros_like(F)
+    assert norms.grand_supremum(zero, space, schedule) == (0, 0.0)
+    assert calls == [nodes.size]
+    # a one-point space: an empty table (measure) and a one-ball table
+    # (modified, uncapped)
+    point = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])
+    for variant in (MorreyVariant(), _VARIANTS[2]):
+        p = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", variant, 32)
+        sched = shift_schedule(p, grid_for(p).nodes)
+        assert norms.grand_supremum(np.ones((1, 1)), point, sched) == \
+            _full_supremum(np.ones((1, 1)), point, sched)
+
+
+def test_grand_supremum_refuses_low_exponents_before_screening(monkeypatch):
+    """A shifted exponent below 1 at a row the screen would rule out raises
+    the full profile's error, before any screen is built."""
+    monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+    space, params, F = _screened_case()
+    full = shift_schedule(params, grid_for(params).nodes)
+    p_eff = full.p_eff.copy()
+    p_eff[-1] = 0.75
+    schedule = replace(full, p_eff=p_eff)
+    with pytest.raises(NormError, match="shifted exponent fell below 1: 0.75") as want:
+        norms.grand_rows(F, space, schedule, slice(None))
+    monkeypatch.setattr(norms, "ProfileScreen", None)
+    with pytest.raises(NormError) as got:
+        norms.grand_supremum(F, space, schedule)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("screens", [False, True])
+def test_grand_supremum_gate_on_table_size(monkeypatch, screens):
+    """A table of B n ball-point pairs screens from _SCREEN_ELEMENTS on; the
+    shipped gate screens circle-64 and not grid-16."""
+    space, params, F = _screened_case()
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    table, _ = norms.variant_table(space, params.variant)
+    monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", table.size * space.n + (not screens))
+    built, real = [], norms.ProfileScreen
+    monkeypatch.setattr(norms, "ProfileScreen",
+                        lambda *args, **kw: built.append(1) or real(*args, **kw))
+    assert norms.grand_supremum(F, space, schedule) == _full_supremum(F, space, schedule)
+    assert bool(built) == screens
+    assert "masks32" not in vars(table)
+    monkeypatch.undo()
+    for name, large in (("grid-16", False), ("circle-64", True)):
+        s = get_space(name)
+        t, _ = norms.variant_table(s, params.variant)
+        assert (t.size * s.n >= norms._SCREEN_ELEMENTS) == large
+
+
+def test_one_column_grand_norms_take_the_screened_supremum(monkeypatch):
+    """grand_morrey_norm and phi_functional, open and closed, of one column
+    on circle-64 (above the shipped gate) equal the maximum of their full
+    profiles; a batch keeps the profile path."""
+    space = get_space("circle-64")
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5")
+    rng = np.random.default_rng(17)
+    F = rng.uniform(-1.0, 1.0, size=(space.n, 2))
+    nodes = grid_for(params).nodes
+    s = float(nodes[40] + nodes[41]) / 2.0
+    f = F[:, 0]
+    want = [grand_profile(F, space, params, sel).max(axis=0) for sel in
+            (nodes, nodes[nodes < s], np.append(nodes[nodes < s], s))]
+    calls = []
+    real = norms.grand_supremum
+    monkeypatch.setattr(norms, "grand_supremum",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    assert grand_morrey_norm(f, space, params) == want[0][0]
+    assert phi_functional(f, space, params, s) == want[1][0]
+    assert phi_functional(f, space, params, s, include_endpoint=True) == want[2][0]
+    assert len(calls) == 3
+    assert np.array_equal(grand_morrey_norm(F, space, params), want[0])
+    assert len(calls) == 3
+
+
 def _gathered(masks, pw):
     """The ball sums of the mask rows ``masks`` at every node of the terms
     pw (nodes, points, columns), (rows, nodes, columns), from one product
