@@ -29,7 +29,7 @@ import numpy as np
 # inner_seminorm_matrix is unused here but stays bound: perfbench's tracer
 # test wraps and restores it through this module
 from .norms import (ProfileScreen, as_matrix,  # noqa: F401
-                    appended_profile, dominance_report, grand_supremum,
+                    appended_profile, dominance_report,
                     inner_seminorm_matrix, lebesgue_norm, morrey_norm,
                     phi_functional, pruning_work, seminorm_profile)
 from .operators import (cz_apply, hilbert_kernel, maximal, modified_maximal,
@@ -273,7 +273,7 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
     out).  Division is monotone, so a trial with max(upper out) /
     max(lower in) <= best (1 + _SHARPEN_GAIN) cannot be accepted, and
     returns that upper bound.  Otherwise each side's grand norm is
-    norms.grand_supremum from that side's screen and bounds: the largest
+    ProfileScreen.supremum from that side's screen and bounds: the largest
     exact row among the candidates, which hold the exact maximum, so the
     ratio is bit for bit that of _ratio_evaluator.  ``work`` counts the
     trials, the surrogate rejections, the exact rows, the screen fallbacks
@@ -296,8 +296,8 @@ def _early_rejecting_evaluator(apply_op, space, s_out, s_in, work):
             if lower > 0.0 and upper / lower <= best * (1.0 + _SHARPEN_GAIN):
                 work["surrogate_rejections"] += 1
                 return upper / lower
-        pout = grand_supremum(col_out, space, s_out, screen_out, bounds_out)[1]
-        pin = grand_supremum(col, space, s_in, screen_in, bounds_in)[1]
+        pout = screen_out.supremum(col_out, bounds_out)[1]
+        pin = screen_in.supremum(col, bounds_in)[1]
         work["exact_rows"] = screen_out.exact_rows + screen_in.exact_rows
         ratio = 0.0 if pin <= 0.0 else pout / pin
         if best is None or ratio > best * (1.0 + _SHARPEN_GAIN):

@@ -26,7 +26,7 @@ from .norms import (GridFunction, NormError, _scaled_integrals,
 from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
-                     make_grand_params, shift_schedule)
+                     make_grand_params)
 from .space import (SpaceError, ball_chain_check, dilation_constants,
                     geometry_constants, load_space, nested_ball_bound_check,
                     read_json, save_space)
@@ -184,8 +184,7 @@ def _cmd_norm_eval(args) -> int:
                                    variant, args.grid_count,
                                    closed_grid=args.closed_grid)
         nodes = grid_for(params).nodes
-        i, value = grand_supremum(fn.values[:, None], space,
-                                  shift_schedule(params, nodes))
+        i, value = grand_supremum(fn.values[:, None], space, params, nodes)
         eps = float(nodes[i])
         p_eff = params.p - eps
         lam_eff = params.lam - float(params.A(eps))

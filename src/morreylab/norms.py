@@ -45,13 +45,13 @@ by tests/test_norms.py.
 ProfileScreen is the one certified float32 screen of a schedule: the
 margin delta, the range and the float32 values of the den factors, and
 the Lyapunov bound of every fine row.  The pruned path reads it, and so
-does every supremum over the rows of one column (grand_supremum): the
-screen brackets every row of the profile of one column, and only the
-rows that can hold the maximum are evaluated exactly, each with its own
-bits.  norm eval, grand_morrey_norm and phi_functional of one column
-take it with a screen used once, the sharpening trials with their own
-screens, which also reject a trial from the bounds alone where they
-suffice.
+does every supremum over the rows of one column: the screen brackets
+every row of the profile of one column, and only the rows that can hold
+the maximum are evaluated exactly, each with its own bits.  norm eval,
+grand_morrey_norm and phi_functional of one column take grand_supremum,
+whose screen is used once and whose exact rows are grand_profile's; the
+sharpening trials take ProfileScreen.supremum with their own screens,
+which also reject a trial from the bounds alone where they suffice.
 
 A screen reads only the balls of its table that no other ball dominates
 (space.undominated: whose members lie in another ball's, at no smaller
@@ -810,11 +810,13 @@ class ProfileScreen:
     factors computed block by block.  ``candidates`` are the rows whose
     upper bound reaches the largest lower bound; the exact maximum row is
     always among them, since its upper bound reaches its exact value.
-    ``screened_rows`` counts the surrogate rows evaluated, and
-    ``exact_rows`` the candidates grand_supremum evaluated exactly, over
-    all calls.  With ``undominated`` false the screen reads the whole
-    table, as a screen used once does: the scan that finds the undominated
-    balls can cost more than the screen it saves.
+    ``supremum`` evaluates exactly only the candidates and returns their
+    maximum, which is the exact one.  ``screened_rows`` counts the
+    surrogate rows evaluated, and ``exact_rows`` the candidates
+    ``supremum`` evaluated, over all calls.  With ``undominated`` false
+    the screen reads the whole table, as a screen used once does: the scan
+    that finds the undominated balls can cost more than the screen it
+    saves.
     """
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule,
@@ -942,6 +944,15 @@ class ProfileScreen:
         upper, lower = bounds
         return np.flatnonzero(upper >= lower.max())
 
+    def supremum(self, F: np.ndarray, bounds: tuple | None) -> tuple:
+        """grand_supremum of the one-column F at this screen's schedule, from
+        its bounds ``rows(F)``: the candidates' exact rows (grand_rows), the
+        first holding their maximum, and that maximum.  ``exact_rows``
+        counts the candidates."""
+        rows = self.candidates(bounds)
+        self.exact_rows += rows.size
+        return _first_max(grand_rows(F, self.space, self.schedule, rows), rows)
+
 
 # a one-column supremum screens its rows (grand_supremum) on a table of at
 # least _SCREEN_ELEMENTS ball-point pairs B n; below, building the screen
@@ -960,50 +971,46 @@ class ProfileScreen:
 _SCREEN_ELEMENTS = 1 << 15
 
 
-def grand_supremum(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
-                   screen: ProfileScreen | None = None,
-                   bounds: tuple | None = None) -> tuple:
+def grand_supremum(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
+                   nodes: np.ndarray) -> tuple:
     """The first row holding the largest weighted row of the one-column F at
-    ``schedule``, and that row's value: bit for bit np.argmax and max of
-    grand_rows(F, space, schedule, slice(None)).
+    ``nodes``, and that row's value: bit for bit np.argmax and max of
+    grand_profile(F, space, params, nodes).
 
     Only the candidates of a ProfileScreen's bracket of the rows are
-    evaluated exactly, through grand_rows, so each keeps its per-node bits;
-    every row holding the maximum is among them, and they ascend, so the
-    first of those is the first overall.  Where the screen declines
-    (bounds None) every row is a candidate.  With ``screen``, ``bounds``
-    are its rows(F), and its exact_rows counts the candidates.  Without,
-    a table of fewer than _SCREEN_ELEMENTS ball-point pairs takes the
-    whole profile; a larger one gets a screen used once, over the whole
-    table, and loses the float32 masks that screen built before the exact
-    rows build masks_f, so that the two are never held together.
+    evaluated exactly, as grand_profile's rows ``rows``, so each keeps its
+    per-node bits; every row holding the maximum is among them, and they
+    ascend, so the first of those is the first overall.  Where the screen
+    declines (bounds None) every row is a candidate.  Shifted exponents
+    below 1 are refused over the whole schedule first.  A table of fewer
+    than _SCREEN_ELEMENTS ball-point pairs takes every row; a larger one
+    gets a screen used once, over the whole table, whose float32 masks go
+    before the exact rows build masks_f (BallTable.transient_masks32), so
+    that the two are never held together.
     """
+    schedule = shift_schedule(params, nodes)
     _check_exponents(schedule.p_eff)
-    if screen is None:
-        table, _ = variant_table(space, schedule.variant)
-        if schedule.nodes.size == 0 or table.size * space.n < _SCREEN_ELEMENTS:
-            prof = grand_rows(F, space, schedule, slice(None))[:, 0]
-            i = int(np.argmax(prof))
-            return i, float(prof[i])
-        held = "masks32" in vars(table)
-        once = ProfileScreen(space, schedule, undominated=False)
-        rows = once.candidates(once.rows(F))
-        # the screen's buffers and float32 masks go before masks_f comes
-        del once
-        if not held:
-            vars(table).pop("masks32", None)
-    else:
-        rows = screen.candidates(bounds)
-        screen.exact_rows += rows.size
-    vals = grand_rows(F, space, schedule, rows)[:, 0]
-    i = int(np.argmax(vals))
-    return int(rows[i]), float(vals[i])
+    table, _ = variant_table(space, schedule.variant)
+    rows = np.arange(schedule.nodes.size)
+    if rows.size and table.size * space.n >= _SCREEN_ELEMENTS:
+        with table.transient_masks32():
+            screen = ProfileScreen(space, schedule, undominated=False)
+            rows = screen.candidates(screen.rows(F))
+    return _first_max(grand_profile(F, space, params, nodes, rows), rows)
+
+
+def _first_max(vals: np.ndarray, rows: np.ndarray) -> tuple:
+    """The row of ``rows`` holding the first maximum of the one-column
+    ``vals`` (rows ``rows`` of a weighted profile), and that maximum."""
+    i = int(np.argmax(vals[:, 0]))
+    return int(rows[i]), float(vals[i, 0])
 
 
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
-                  nodes: np.ndarray) -> np.ndarray:
-    """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and column."""
-    return grand_rows(F, space, shift_schedule(params, nodes), slice(None))
+                  nodes: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and
+    column: the rows ``rows`` (grand_rows) of them, all by default."""
+    return grand_rows(F, space, shift_schedule(params, nodes), rows)
 
 
 def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,
@@ -1041,7 +1048,7 @@ def _grand_max(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
     """The largest weighted row per column of F at ``nodes``: grand_supremum
     for one column, the maximum of grand_profile for a batch."""
     if F.shape[1] == 1:
-        return np.array([grand_supremum(F, space, shift_schedule(params, nodes))[1]])
+        return np.array([grand_supremum(F, space, params, nodes)[1]])
     return grand_profile(F, space, params, nodes).max(axis=0)
 
 

@@ -13,6 +13,7 @@ largest threshold.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -121,7 +122,8 @@ class BallTable:
     their float copy ``masks_f`` that ball integrals multiply, and the
     float32 copy ``masks32`` that surrogate screens multiply (0 and 1 are
     exact in both), are built on first use: readers of radii, counts and
-    measures never allocate them.
+    measures never allocate them.  ``transient_masks32`` bounds the life of
+    a float32 copy built for one screen.
     """
 
     centers: np.ndarray
@@ -166,6 +168,18 @@ class BallTable:
     @cached_property
     def masks32(self) -> np.ndarray:
         return self.masks.astype(np.float32)
+
+    @contextlib.contextmanager
+    def transient_masks32(self):
+        """Drop on exit the ``masks32`` built inside the block, so that a
+        screen used once does not hold it while ``masks_f`` is built; a copy
+        the table held before the block stays."""
+        held = "masks32" in vars(self)
+        try:
+            yield self
+        finally:
+            if not held:
+                vars(self).pop("masks32", None)
 
 
 @dataclass(frozen=True)

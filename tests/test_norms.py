@@ -609,9 +609,9 @@ def test_surrogate_steps_aside_where_a_ball_sum_could_overflow_float32():
 # one-column grand suprema
 
 
-def _full_supremum(F, space, schedule):
+def _full_supremum(F, space, params, nodes):
     """np.argmax and max of the whole weighted profile of the one-column F."""
-    prof = norms.grand_rows(F, space, schedule, slice(None))[:, 0]
+    prof = grand_profile(F, space, params, nodes)[:, 0]
     return int(np.argmax(prof)), prof.max()
 
 
@@ -636,21 +636,24 @@ def _spy_rows(monkeypatch):
 def test_grand_supremum_matches_the_full_profile_on_random_spaces(
         kind, n, seed, variant, which, scale, stride):
     """The screened supremum of one column, with the gate lowered so that
-    every table screens, gives the full profile's argmax row and maximum
-    bit for bit; the second and third params are transported shifts."""
+    every table screens, and a screen's supremum over its undominated
+    table give the full profile's argmax row and maximum bit for bit; the
+    second and third params are transported shifts."""
     space = _random_space(kind, n, seed)
     params = _profile_params(_VARIANTS[variant])[which]
-    schedule = shift_schedule(params, grid_for(params).nodes)
+    nodes = grid_for(params).nodes
     rng = np.random.default_rng(seed + 5)
     F = rng.uniform(-2.0, 2.0, size=(n, 1)) * scale
     F[rng.random(n) < 0.3] = 0.0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(norms, "_SCREEN_ELEMENTS", 1)
         patch.setattr(norms, "_COARSE_STRIDE", stride)
-        i, value = norms.grand_supremum(F, space, schedule)
-    want_i, want = _full_supremum(F, space, schedule)
-    assert i == want_i
-    assert value == want
+        i, value = norms.grand_supremum(F, space, params, nodes)
+        screen = norms.ProfileScreen(space, shift_schedule(params, nodes))
+        kept = screen.supremum(F, screen.rows(F))
+    want_i, want = _full_supremum(F, space, params, nodes)
+    assert i == want_i and kept[0] == want_i
+    assert value == want and kept[1] == want
 
 
 def _screened_case(kind="asymmetric", n=24, seed=13):
@@ -665,29 +668,33 @@ def test_grand_supremum_takes_the_first_of_tied_rows(monkeypatch):
     monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
     space, params, F = _screened_case()
     nodes = grid_for(params).nodes
-    schedule = shift_schedule(params, np.concatenate([nodes, nodes]))
-    i, value = norms.grand_supremum(F, space, schedule)
-    want_i, want = _full_supremum(F, space, schedule)
+    twice = np.concatenate([nodes, nodes])
+    i, value = norms.grand_supremum(F, space, params, twice)
+    want_i, want = _full_supremum(F, space, params, twice)
     assert (i, value) == (want_i, want)
     assert i < nodes.size
 
 
 def test_grand_supremum_evaluates_every_row_where_the_screen_declines(monkeypatch):
-    """Weights far below the float32 range make _f32_terms decline, so
-    ProfileScreen.rows returns None and every row is evaluated exactly."""
+    """phi scaled by 1e-120 puts the weights near 1e-60, far below the
+    float32 range, so _f32_terms declines, ProfileScreen.rows returns None
+    and every row is evaluated exactly."""
     monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
     space, params, F = _screened_case()
-    full = shift_schedule(params, grid_for(params).nodes)
-    schedule = replace(full, weight=full.weight * 1e-60)
-    assert norms.ProfileScreen(space, schedule, undominated=False).rows(F) is None
+    tiny = make_grand_params(2.0, 0.3, "pow:1:1e-120", "lin:0.5", MorreyVariant(), 32)
+    nodes = grid_for(tiny).nodes
+    screen = norms.ProfileScreen(space, shift_schedule(tiny, nodes), undominated=False)
+    assert screen.rows(F) is None
     calls = _spy_rows(monkeypatch)
-    got = norms.grand_supremum(F, space, schedule)
-    assert calls == [schedule.nodes.size]
-    assert got == _full_supremum(F, space, schedule)
+    assert norms.grand_supremum(F, space, tiny, nodes) == \
+        _full_supremum(F, space, tiny, nodes)
+    assert calls[0] == nodes.size
     # at the shipped weights only a few rows are evaluated
     calls.clear()
-    assert norms.grand_supremum(F, space, full) == _full_supremum(F, space, full)
-    assert calls[0] < full.nodes.size // 4
+    nodes = grid_for(params).nodes
+    assert norms.grand_supremum(F, space, params, nodes) == \
+        _full_supremum(F, space, params, nodes)
+    assert calls[0] < nodes.size // 4
 
 
 def test_grand_supremum_edge_cases(monkeypatch):
@@ -695,22 +702,22 @@ def test_grand_supremum_edge_cases(monkeypatch):
     space, params, F = _screened_case()
     nodes = grid_for(params).nodes
     # one node
-    one = shift_schedule(params, nodes[[7]])
-    assert norms.grand_supremum(F, space, one) == _full_supremum(F, space, one)
+    one = nodes[[7]]
+    assert norms.grand_supremum(F, space, params, one) == \
+        _full_supremum(F, space, params, one)
     # a zero column makes every row a candidate, and row 0 wins
-    schedule = shift_schedule(params, nodes)
     calls = _spy_rows(monkeypatch)
     zero = np.zeros_like(F)
-    assert norms.grand_supremum(zero, space, schedule) == (0, 0.0)
+    assert norms.grand_supremum(zero, space, params, nodes) == (0, 0.0)
     assert calls == [nodes.size]
     # a one-point space: an empty table (measure) and a one-ball table
     # (modified, uncapped)
     point = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])
     for variant in (MorreyVariant(), _VARIANTS[2]):
         p = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", variant, 32)
-        sched = shift_schedule(p, grid_for(p).nodes)
-        assert norms.grand_supremum(np.ones((1, 1)), point, sched) == \
-            _full_supremum(np.ones((1, 1)), point, sched)
+        grid = grid_for(p).nodes
+        assert norms.grand_supremum(np.ones((1, 1)), point, p, grid) == \
+            _full_supremum(np.ones((1, 1)), point, p, grid)
 
 
 def test_grand_supremum_refuses_low_exponents_before_screening(monkeypatch):
@@ -718,32 +725,35 @@ def test_grand_supremum_refuses_low_exponents_before_screening(monkeypatch):
     the full profile's error, before any screen is built."""
     monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", 1)
     space, params, F = _screened_case()
-    full = shift_schedule(params, grid_for(params).nodes)
-    p_eff = full.p_eff.copy()
-    p_eff[-1] = 0.75
-    schedule = replace(full, p_eff=p_eff)
+    nodes = np.append(grid_for(params).nodes, 1.25)
     with pytest.raises(NormError, match="shifted exponent fell below 1: 0.75") as want:
-        norms.grand_rows(F, space, schedule, slice(None))
+        grand_profile(F, space, params, nodes)
     monkeypatch.setattr(norms, "ProfileScreen", None)
     with pytest.raises(NormError) as got:
-        norms.grand_supremum(F, space, schedule)
+        norms.grand_supremum(F, space, params, nodes)
     assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("screens", [False, True])
 def test_grand_supremum_gate_on_table_size(monkeypatch, screens):
-    """A table of B n ball-point pairs screens from _SCREEN_ELEMENTS on; the
-    shipped gate screens circle-64 and not grid-16."""
+    """A table of B n ball-point pairs screens from _SCREEN_ELEMENTS on and
+    drops the float32 masks it built, but not those the table held before;
+    the shipped gate screens circle-64 and not grid-16."""
     space, params, F = _screened_case()
-    schedule = shift_schedule(params, grid_for(params).nodes)
+    nodes = grid_for(params).nodes
     table, _ = norms.variant_table(space, params.variant)
     monkeypatch.setattr(norms, "_SCREEN_ELEMENTS", table.size * space.n + (not screens))
     built, real = [], norms.ProfileScreen
     monkeypatch.setattr(norms, "ProfileScreen",
                         lambda *args, **kw: built.append(1) or real(*args, **kw))
-    assert norms.grand_supremum(F, space, schedule) == _full_supremum(F, space, schedule)
+    want = _full_supremum(F, space, params, nodes)
+    assert norms.grand_supremum(F, space, params, nodes) == want
     assert bool(built) == screens
     assert "masks32" not in vars(table)
+    held = table.masks32
+    assert norms.grand_supremum(F, space, params, nodes) == want
+    assert vars(table)["masks32"] is held
+    del vars(table)["masks32"]
     monkeypatch.undo()
     for name, large in (("grid-16", False), ("circle-64", True)):
         s = get_space(name)
