@@ -20,9 +20,8 @@ import numpy as np
 from . import catalog
 from .certify import (PARAM_TYPES, CertifyError, certify_boundedness,
                       known_theorems, param_value, save_report, write_index)
-from .norms import (GridFunction, NormError, _scaled_integrals,
-                    grand_lebesgue_norm, grand_supremum, lebesgue_norm,
-                    morrey_norm, variant_table)
+from .norms import (GridFunction, NormError, grand_lebesgue_norm,
+                    grand_supremum, lebesgue_norm, morrey_norm, variant_table)
 from .operators import (OperatorError, cz_apply, hilbert_kernel, maximal,
                         modified_maximal, potential)
 from .scales import (FreeConstants, MorreyVariant, ScaleError, grid_for,
@@ -37,8 +36,9 @@ from .space import (SpaceError, ball_chain_check, dilation_constants,
 # bytes as masks_f, which the full path of the exact ball integrals reads
 # (the exact rows of a grand supremum, inner seminorms, the ball that norm
 # eval prints), and 2n^3 bytes as masks32, which the float32 screens read
-# (about 450 GB together at n = 4096).  norm eval drops its screen's masks32
-# before it builds masks_f, so it holds at most one of them.  Larger spaces
+# (about 450 GB together at n = 4096).  norm eval's screen copies its float32
+# mask rows block by block instead of building masks32, so it holds the bool
+# masks and masks_f only.  Larger spaces
 # are refused, but the cap does not bound memory; the ROADMAP item "No
 # cached B × n array in any subcommand, then an honest size model" plans
 # that.
@@ -147,11 +147,11 @@ def _variant_from_args(args) -> MorreyVariant:
                          radius_cap=args.radius_cap)
 
 
-def _plain_argmax(values, space, p_eff, lam_eff, variant):
-    table, den = variant_table(space, variant)
-    pw = np.abs(values) ** p_eff * space.weights
-    k = int(np.argmax(_scaled_integrals(table.masks_f, pw[None, :, None], den,
-                                        np.array([lam_eff]))))
+def _ball(space, variant, k: int) -> tuple[int, float]:
+    """(center, radius) of row ``k`` of the variant's ball table."""
+    if k < 0:
+        raise CertifyError(f"space {space.name} has no representative ball")
+    table, _ = variant_table(space, variant)
     return int(table.centers[k]), float(table.radii[k])
 
 
@@ -171,10 +171,9 @@ def _cmd_norm_eval(args) -> int:
         return 0
     variant = _variant_from_args(args)
     if kind == "morrey":
-        value = float(morrey_norm(fn.values, space, args.p, args.lam,
-                                  variant))
-        center, radius = _plain_argmax(fn.values, space, args.p, args.lam,
-                                       variant)
+        value, k = morrey_norm(fn.values, space, args.p, args.lam, variant,
+                               return_ball=True)
+        center, radius = _ball(space, variant, k)
         print(f"morrey(p={args.p:g}, lam={args.lam:g}, {variant.kind}) "
               f"[{fn.name}] = {value:.12g} at ball(center={center}, "
               f"radius={radius:.6g})")
@@ -184,12 +183,10 @@ def _cmd_norm_eval(args) -> int:
                                    variant, args.grid_count,
                                    closed_grid=args.closed_grid)
         nodes = grid_for(params).nodes
-        i, value = grand_supremum(fn.values[:, None], space, params, nodes)
+        i, value, k = grand_supremum(fn.values[:, None], space, params, nodes,
+                                     return_ball=True)
         eps = float(nodes[i])
-        p_eff = params.p - eps
-        lam_eff = params.lam - float(params.A(eps))
-        center, radius = _plain_argmax(fn.values, space, p_eff, lam_eff,
-                                       variant)
+        center, radius = _ball(space, variant, k)
         print(f"grand-morrey(p={args.p:g}, lam={args.lam:g}, "
               f"phi={params.phi.describe()}, A={params.A.describe()}) "
               f"[{fn.name}] = {value:.12g} at eps={eps:.6g} "

@@ -262,21 +262,29 @@ def _undominated_table(space: QuasimetricSpace, variant: MorreyVariant) -> tuple
 
 
 def inner_seminorm_matrix(F: np.ndarray, space: QuasimetricSpace, p_eff: float,
-                          lam_eff: float, variant: MorreyVariant) -> np.ndarray:
+                          lam_eff: float, variant: MorreyVariant,
+                          at: np.ndarray | None = None) -> np.ndarray:
     """max over balls of [den^(-lam) integral_B |f|^p]^(1/p), per column of F:
-    the one-node case of _full_max."""
+    the one-node case of _full_max, which writes to ``at`` (1, columns),
+    when given, the row of variant_table of the first ball holding each
+    column's maximum (nothing on an empty table)."""
     if p_eff < 1:
         raise NormError(f"shifted exponent fell below 1: {p_eff:g}")
     table, den = variant_table(space, variant)
     if table.size == 0:
         return np.zeros(F.shape[1])
     pw = np.abs(F) ** p_eff * space.weights[:, None]
-    return _full_max(table.masks_f, pw[None], den, np.array([lam_eff]))[0] ** (1.0 / p_eff)
+    return _full_max(table.masks_f, pw[None], den, np.array([lam_eff]),
+                     at=at)[0] ** (1.0 / p_eff)
 
 
 def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
-                variant: MorreyVariant | None = None):
-    """sup over representative balls of [den^(-lam) integral_B |f|^p]^(1/p)."""
+                variant: MorreyVariant | None = None, return_ball: bool = False):
+    """sup over representative balls of [den^(-lam) integral_B |f|^p]^(1/p).
+
+    With ``return_ball`` also the row of variant_table of the first ball
+    attaining it, per column for a batch, -1 on an empty table: the argmax
+    of the product that gives the norm."""
     if not (np.isfinite(p) and p >= 1):
         raise NormError(f"Morrey norm needs a finite p >= 1, got {p:g}")
     if not 0 <= lam < 1:
@@ -284,7 +292,11 @@ def morrey_norm(f, space: QuasimetricSpace, p: float, lam: float,
     if variant is None:
         variant = MorreyVariant()
     F = as_matrix(f, space)
-    return _squeeze(inner_seminorm_matrix(F, space, p, lam, variant), f)
+    at = np.full((1, F.shape[1]), -1, dtype=np.intp) if return_ball else None
+    norm = _squeeze(inner_seminorm_matrix(F, space, p, lam, variant, at), f)
+    if not return_ball:
+        return norm
+    return norm, (at[0] if is_batch(f) else int(at[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,7 @@ _COARSE_STRIDE = 16
 
 
 def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
-                     schedule: ShiftSchedule) -> np.ndarray:
+                     schedule: ShiftSchedule, at: np.ndarray | None = None) -> np.ndarray:
     """Inner seminorms N(eps; f) per schedule node (rows) and column of F.
 
     Row i equals inner_seminorm_matrix at (p_eff[i], lam_eff[i]) bit for bit.
@@ -342,9 +354,11 @@ def seminorm_profile(F: np.ndarray, space: QuasimetricSpace,
     (_gathered_max), which keeps the bits; pruning_work counts its work.
     On circle-64 (2,048 balls) that holds from 8 columns on, on grid-64
     (1,119 balls) from 15, so the families of their reduction certificates
-    (38 and 39 columns) prune; one column never does.
+    (38 and 39 columns) prune; one column never does.  With ``at`` (nodes,
+    columns) given, the full path writes there the row of variant_table of
+    the first ball holding each maximum (_full_max).
     """
-    return _trailing_profile(F, space, schedule, F.shape[1])
+    return _trailing_profile(F, space, schedule, F.shape[1], at)
 
 
 def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
@@ -375,11 +389,13 @@ def appended_profile(prof: np.ndarray, F: np.ndarray, space: QuasimetricSpace,
 
 
 def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
-                      schedule: ShiftSchedule, screened: int) -> np.ndarray:
+                      schedule: ShiftSchedule, screened: int,
+                      at: np.ndarray | None = None) -> np.ndarray:
     """The last ``screened`` columns of seminorm_profile(F, space, schedule):
     pruned (_pruned_max) under seminorm_profile's rule when all m columns
     are screened, always when fewer are, unless the margin of the
-    schedule's ProfileScreen is 1 or more.
+    schedule's ProfileScreen is 1 or more.  A profile that fills ``at``
+    (_full_max) takes the full path.
 
     A pruned block runs from one coarse row to the next: it evaluates its
     rows and screens the next coarse row with them, whose surrogates the
@@ -397,13 +413,13 @@ def _trailing_profile(F: np.ndarray, space: QuasimetricSpace,
     w = space.weights[:, None]
     pad = -(-_EXACT_MADDS // max(1, n * m))
     screen = None
-    if screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad):
+    if at is None and (screened < m or (m >= 2 and table.size >= _PRUNE_RATIO * pad)):
         screen = ProfileScreen(space, schedule)
     # a margin of 1 or more (or NaN) admits every ball
     if screen is None or not screen.delta < 1.0:
         pe = p_eff[:, None, None]
         return _full_max(table.masks_f, absF ** pe * w, den, lam_eff,
-                         m - screened) ** (1.0 / pe[:, 0])
+                         m - screened, at) ** (1.0 / pe[:, 0])
     coarse, held = screen._coarse, None
     tail = absF[:, m - screened:]
     # rows a..b-1 of the profile, from coarse row j; the terms of rows a..c-1
@@ -444,16 +460,21 @@ def _scaled_integrals(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
 
 
 def _full_max(masks_f: np.ndarray, pw: np.ndarray, den: np.ndarray,
-              lam: np.ndarray, first: int = 0) -> np.ndarray:
+              lam: np.ndarray, first: int = 0, at: np.ndarray | None = None) -> np.ndarray:
     """The largest scaled ball integral over every ball per (node, column)
     of the terms pw (nodes, points, columns), columns from ``first`` on:
-    _scaled_integrals per block of nodes."""
+    _scaled_integrals per block of nodes.  With ``at`` given, the first
+    ball holding each maximum is written there, from the same product."""
     k, _, m = pw.shape
     top = np.empty((k, m - first))
     step = max(1, _BLOCK_ELEMENTS // max(1, masks_f.shape[0] * m))
     for a in range(0, k, step):
-        top[a:a + step] = _scaled_integrals(masks_f, pw[a:a + step], den,
-                                            lam[a:a + step], first).max(axis=1)
+        scaled = _scaled_integrals(masks_f, pw[a:a + step], den, lam[a:a + step], first)
+        if at is None:
+            top[a:a + step] = scaled.max(axis=1)
+        else:
+            at[a:a + step] = balls = scaled.argmax(axis=1)
+            top[a:a + step] = np.take_along_axis(scaled, balls[:, None], axis=1)[:, 0]
     return top
 
 
@@ -680,9 +701,11 @@ def _count(**counts) -> None:
 
 
 def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
-               rows) -> np.ndarray:
+               rows, at: np.ndarray | None = None) -> np.ndarray:
     """The rows ``rows`` (indices or a slice) of the weighted profile of
-    ``schedule``; grand_profile takes them all.
+    ``schedule``; grand_profile takes them all.  With ``at`` (rows,
+    columns) given, the first ball holding each maximum is written there
+    (seminorm_profile).
 
     Each row equals the same row over the whole schedule bit for bit, since
     every node is evaluated on its own.
@@ -690,7 +713,7 @@ def grand_rows(F: np.ndarray, space: QuasimetricSpace, schedule: ShiftSchedule,
     part = replace(schedule, nodes=schedule.nodes[rows],
                    p_eff=schedule.p_eff[rows], lam_eff=schedule.lam_eff[rows],
                    weight=schedule.weight[rows])
-    return part.weight[:, None] * seminorm_profile(F, space, part)
+    return part.weight[:, None] * seminorm_profile(F, space, part, at)
 
 
 # elements of one ball block's (balls, nodes x columns) float32 surrogate
@@ -816,12 +839,17 @@ class ProfileScreen:
     ``supremum`` evaluated, over all calls.  With ``undominated`` false
     the screen reads the whole table, as a screen used once does: the scan
     that finds the undominated balls can cost more than the screen it
-    saves.
+    saves.  Such a screen builds no ``masks32`` either, unless the table
+    holds it already: each pass over the balls copies one block of float32
+    mask rows at a time from the bool masks into a one-block buffer, so
+    that a one-shot request never holds a float32 copy of the table next
+    to ``masks_f``.
     """
 
     def __init__(self, space: QuasimetricSpace, schedule: ShiftSchedule,
                  undominated: bool = True):
         self.table, self._den = variant_table(space, schedule.variant)
+        self._copy_masks = not undominated
         small, small_den, levels = (_undominated_table(space, schedule.variant)
                                     if undominated else (None, None, None))
         if levels is not None:
@@ -890,16 +918,25 @@ class ProfileScreen:
               factors: np.ndarray | None = None) -> np.ndarray:
         """The float32 maxima over every ball of the scaled ball sums at the
         schedule rows ``rows``, with the den factors ``factors`` (balls,
-        rows) or, without them, factors computed per block of balls."""
-        masks, step = self.table.masks32, self.step
+        rows) or, without them, factors computed per block of balls.  A
+        screen that copies its float32 mask rows holds one block of them,
+        for this call only."""
+        step = self.step
+        copy = self._copy_masks and "masks32" not in vars(self.table)
+        masks = self.table.masks if copy else self.table.masks32
+        if copy:
+            rows32 = np.empty((min(step, masks.shape[0]), masks.shape[1]), dtype=np.float32)
         terms = pw32[:, rows]
         block = self._buffer[:min(step, masks.shape[0]) * rows.size].reshape(-1, rows.size)
         top = np.zeros(rows.size, dtype=np.float32)
         for a in range(0, masks.shape[0], step):
             f = (self._den_factors(slice(a, a + step), rows) if factors is None
                  else factors[a:a + step])
-            np.maximum(top, _f32_scaled(masks[a:a + step], terms, f, block).max(axis=0),
-                       out=top)
+            part = masks[a:a + step]
+            if copy:
+                part = rows32[:part.shape[0]]
+                np.copyto(part, masks[a:a + step])
+            np.maximum(top, _f32_scaled(part, terms, f, block).max(axis=0), out=top)
         self.screened_rows += rows.size
         return top
 
@@ -972,10 +1009,12 @@ _SCREEN_ELEMENTS = 1 << 15
 
 
 def grand_supremum(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
-                   nodes: np.ndarray) -> tuple:
+                   nodes: np.ndarray, return_ball: bool = False) -> tuple:
     """The first row holding the largest weighted row of the one-column F at
     ``nodes``, and that row's value: bit for bit np.argmax and max of
-    grand_profile(F, space, params, nodes).
+    grand_profile(F, space, params, nodes).  With ``return_ball`` also the
+    row of variant_table of the first ball holding that row's maximum, -1
+    on an empty table, from the product that gives the row.
 
     Only the candidates of a ProfileScreen's bracket of the rows are
     evaluated exactly, as grand_profile's rows ``rows``, so each keeps its
@@ -984,19 +1023,22 @@ def grand_supremum(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
     declines (bounds None) every row is a candidate.  Shifted exponents
     below 1 are refused over the whole schedule first.  A table of fewer
     than _SCREEN_ELEMENTS ball-point pairs takes every row; a larger one
-    gets a screen used once, over the whole table, whose float32 masks go
-    before the exact rows build masks_f (BallTable.transient_masks32), so
-    that the two are never held together.
+    gets a screen used once, over the whole table, which copies its
+    float32 mask rows block by block instead of building masks32, so that
+    the request holds no float32 copy of the table next to masks_f.
     """
     schedule = shift_schedule(params, nodes)
     _check_exponents(schedule.p_eff)
     table, _ = variant_table(space, schedule.variant)
     rows = np.arange(schedule.nodes.size)
     if rows.size and table.size * space.n >= _SCREEN_ELEMENTS:
-        with table.transient_masks32():
-            screen = ProfileScreen(space, schedule, undominated=False)
-            rows = screen.candidates(screen.rows(F))
-    return _first_max(grand_profile(F, space, params, nodes, rows), rows)
+        screen = ProfileScreen(space, schedule, undominated=False)
+        rows = screen.candidates(screen.rows(F))
+    at = np.full((rows.size, 1), -1, dtype=np.intp) if return_ball else None
+    row, value = _first_max(grand_profile(F, space, params, nodes, rows, at), rows)
+    if not return_ball:
+        return row, value
+    return row, value, int(at[np.searchsorted(rows, row), 0])
 
 
 def _first_max(vals: np.ndarray, rows: np.ndarray) -> tuple:
@@ -1007,10 +1049,12 @@ def _first_max(vals: np.ndarray, rows: np.ndarray) -> tuple:
 
 
 def grand_profile(F: np.ndarray, space: QuasimetricSpace, params: GrandParams,
-                  nodes: np.ndarray, rows=slice(None)) -> np.ndarray:
+                  nodes: np.ndarray, rows=slice(None),
+                  at: np.ndarray | None = None) -> np.ndarray:
     """Weighted inner values phi(eps)^(1/(p-eps)) N(eps; f) per node and
-    column: the rows ``rows`` (grand_rows) of them, all by default."""
-    return grand_rows(F, space, shift_schedule(params, nodes), rows)
+    column: the rows ``rows`` (grand_rows, which fills ``at``) of them, all
+    by default."""
+    return grand_rows(F, space, shift_schedule(params, nodes), rows, at)
 
 
 def phi_functional(f, space: QuasimetricSpace, params: GrandParams, s: float,

@@ -13,7 +13,6 @@ largest threshold.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -90,10 +89,13 @@ class QuasimetricSpace:
         return arr
 
     def space_id(self) -> str:
-        """Stable content hash of the space definition."""
-        body = json.dumps(self.to_dict(), sort_keys=True)
-        digest = hashlib.sha256(body.encode()).hexdigest()[:12]
-        return f"{self.name or 'space'}-{digest}"
+        """Stable content hash of the space definition, computed once."""
+        cached = self._cache.get("space_id")
+        if cached is None:
+            body = json.dumps(self.to_dict(), sort_keys=True)
+            digest = hashlib.sha256(body.encode()).hexdigest()[:12]
+            cached = self._cache["space_id"] = f"{self.name or 'space'}-{digest}"
+        return cached
 
     def to_dict(self) -> dict:
         points = [p.tolist() if isinstance(p, np.ndarray) else p for p in self.points]
@@ -122,8 +124,7 @@ class BallTable:
     their float copy ``masks_f`` that ball integrals multiply, and the
     float32 copy ``masks32`` that surrogate screens multiply (0 and 1 are
     exact in both), are built on first use: readers of radii, counts and
-    measures never allocate them.  ``transient_masks32`` bounds the life of
-    a float32 copy built for one screen.
+    measures never allocate them.
     """
 
     centers: np.ndarray
@@ -168,18 +169,6 @@ class BallTable:
     @cached_property
     def masks32(self) -> np.ndarray:
         return self.masks.astype(np.float32)
-
-    @contextlib.contextmanager
-    def transient_masks32(self):
-        """Drop on exit the ``masks32`` built inside the block, so that a
-        screen used once does not hold it while ``masks_f`` is built; a copy
-        the table held before the block stays."""
-        held = "masks32" in vars(self)
-        try:
-            yield self
-        finally:
-            if not held:
-                vars(self).pop("masks32", None)
 
 
 @dataclass(frozen=True)
@@ -505,24 +494,54 @@ def rep_balls(space: QuasimetricSpace, *, dilation: float = 1.0,
         rank=prof.rank,
     )
     if dedupe:
-        # one byte row per ball: packed members, then the bytes of both
-        # measures; np.unique returns the first index of each distinct row
-        packed = np.packbits(table.masks, axis=1)
-        keys = np.concatenate([packed,
-                               table.measures.view(np.uint8).reshape(-1, 8),
-                               table.dilated_measures.view(np.uint8).reshape(-1, 8)], axis=1)
-        _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
-                             return_index=True)
-        if first.size < table.size:
-            keep = np.sort(first)
-            # the kept rows of the key's masks fill the cache of ``masks``,
-            # unpacked once the full table's masks are gone
-            vars(table).pop("masks")
+        keep = _first_of_each_key(prof, table)
+        if keep.size < table.size:
             table = table.take(keep)
-            vars(table)["masks"] = np.unpackbits(packed[keep], axis=1,
-                                                 count=space.n).view(bool)
     space._cache[key] = table
     return table
+
+
+# uint64 words of one block of centers' prefix bitsets
+_PREFIX_WORDS = 1 << 18
+# float64 sums d(x, z) + d(z, y) of one block of rows x in quasimetric_constants
+_BLOCK_SUMS = 1 << 15
+
+
+def _first_of_each_key(prof: PrefixProfile, table: BallTable) -> np.ndarray:
+    """Row indices, ascending, of the first ball of each (member set,
+    measure bits, dilated measure bits) key of ``table``.
+
+    The member set of ball (x, k) is the prefix ``prof.order[x, :k]``, so
+    its bitset, ceil(n/64) uint64 words, is a running OR along the order
+    of x: the prefix bitsets of a block of centers are built at once and
+    gathered at each ball's (center, count), without any B x n mask.  A
+    stable np.lexsort over the key's words puts equal keys next to each
+    other in table order.
+    """
+    n = prof.order.shape[0]
+    words = -(-n // 64)
+    keys = np.empty((words + 2, table.size), dtype=np.uint64)
+    keys[words] = table.measures.view(np.uint64)
+    keys[words + 1] = table.dilated_measures.view(np.uint64)
+    word = prof.order // 64
+    bit = np.left_shift(np.uint64(1), (prof.order % 64).astype(np.uint64))
+    bounds = np.searchsorted(table.centers, np.arange(n + 1))
+    step = max(1, _PREFIX_WORDS // ((n + 1) * words))
+    for x0 in range(0, n, step):
+        xs = np.arange(x0, min(n, x0 + step))
+        # prefix[i, k]: the bitset of the first k points of center xs[i]
+        prefix = np.zeros((xs.size, n + 1, words), dtype=np.uint64)
+        prefix[np.arange(xs.size)[:, None], np.arange(1, n + 1), word[xs]] = bit[xs]
+        np.bitwise_or.accumulate(prefix, axis=1, out=prefix)
+        a, b = bounds[x0], bounds[xs[-1] + 1]
+        keys[:words, a:b] = prefix[table.centers[a:b] - x0, table.counts[a:b]].T
+    order = np.lexsort(keys)
+    first = np.zeros(table.size, dtype=bool)
+    first[:1] = True
+    for row in keys:
+        ranked = row[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return np.sort(order[first])
 
 
 def undominated(space: QuasimetricSpace, table: BallTable, den: np.ndarray) -> np.ndarray:
@@ -564,7 +583,11 @@ def quasimetric_constants(space: QuasimetricSpace) -> tuple[float, float]:
     """Minimal (C_t, C_s) with d(x,y) <= C_t [d(x,z)+d(z,y)] and d(x,y) <= C_s d(y,x).
 
     The triple scan includes degenerate triples z in {x, y}, which pin both
-    constants at 1 from below.
+    constants at 1 from below.  Per pair x != y it divides once, by the
+    smallest d(x,z) + d(z,y) over z (a min-plus product of a block of rows
+    with D): correctly rounded division is monotone, so that quotient is
+    the largest of the per-z quotients bit for bit.  Distinct points lie
+    at positive distance, so every such sum is positive.
     """
     cached = space._cache.get("qm_consts")
     if cached is not None:
@@ -577,12 +600,12 @@ def quasimetric_constants(space: QuasimetricSpace) -> tuple[float, float]:
     off = ~np.eye(n, dtype=bool)
     C_s = float((D[off] / D.T[off]).max())
     C_t = 1.0
-    for i in range(n):
-        denom = D[i][:, None] + D
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = D[i][None, :] / denom
-        ratios[:, i] = 0.0
-        np.nan_to_num(ratios, copy=False, nan=0.0, posinf=0.0)
+    step = max(1, _BLOCK_SUMS // (n * n))
+    for a in range(0, n, step):
+        # sums[i, z, y] = d(a + i, z) + d(z, y)
+        sums = D[a:a + step, :, None] + D[None]
+        low = sums.min(axis=1)
+        ratios = np.divide(D[a:a + step], low, out=np.zeros_like(low), where=off[a:a + step])
         C_t = max(C_t, float(ratios.max()))
     result = (max(C_t, 1.0), max(C_s, 1.0))
     space._cache["qm_consts"] = result

@@ -556,10 +556,10 @@ def test_sharpening_rejects_trials_before_their_full_input_norm(monkeypatch):
     trial = [None]
     rows = []
 
-    def counting(F, space, schedule):
+    def counting(F, space, schedule, *at):
         if trial[0] is not None and np.shares_memory(F, trial[0]):
             rows[-1] += schedule.nodes.size
-        return real_profile(F, space, schedule)
+        return real_profile(F, space, schedule, *at)
 
     def sharpen(evaluate, values, *args, **kwargs):
         def tracked(vec):
@@ -590,8 +590,8 @@ def test_sharpening_evaluates_one_exact_row_per_trial_side_plus_ties(monkeypatch
         screened[0] += rows.size
         return real_tops(self, pw32, rows, *args)
 
-    def recording(F, space, schedule, rows):
-        out = real_rows(F, space, schedule, rows)
+    def recording(F, space, schedule, rows, *at):
+        out = real_rows(F, space, schedule, rows, *at)
         delta = norms.ProfileScreen(space, schedule).delta
         trials[-1].append((out[:, 0], delta))
         return out

@@ -15,8 +15,10 @@ import morreylab
 from morreylab import certify, cli
 from morreylab.catalog import get_space
 from morreylab.cli import main
-from morreylab.norms import GridFunction
-from morreylab.space import load_space, save_space
+from morreylab import norms
+from morreylab.norms import GridFunction, grand_profile, variant_table
+from morreylab.scales import MorreyVariant, grid_for, make_grand_params
+from morreylab.space import build_space, load_space, save_space
 
 
 @pytest.fixture()
@@ -116,6 +118,89 @@ def test_norm_eval_grand_morrey_prints_argmax(staged, capsys):
     assert "grand-morrey" in line
     assert "at eps=" in line
     assert "ball(center=" in line
+
+
+def plain_argmax(values, space, p_eff, lam_eff, variant):
+    """(center, radius) of the first ball of variant_table holding the
+    largest scaled ball integral at one (p_eff, lam_eff), from a product of
+    its own: the rule norm eval printed its ball by before the norm's own
+    product gave it."""
+    table, den = variant_table(space, variant)
+    pw = np.abs(values) ** p_eff * space.weights
+    k = int(np.argmax(norms._scaled_integrals(table.masks_f, pw[None, :, None], den,
+                                              np.array([lam_eff]))))
+    return int(table.centers[k]), float(table.radii[k])
+
+
+def _tied_spaces(tmp_path):
+    """Space files with tied distances: a line grid, a circle and an
+    asymmetric integer matrix."""
+    rng = np.random.default_rng(29)
+    mat = rng.integers(1, 4, size=(12, 12)).astype(float)
+    np.fill_diagonal(mat, 0.0)
+    spaces = [get_space("grid-16"), get_space("circle-16"),
+              build_space(list(range(12)), {"kind": "matrix", "matrix": mat.tolist()},
+                          rng.uniform(0.5, 2.0, size=12).tolist(), name="tied-12")]
+    files = []
+    for space in spaces:
+        path = tmp_path / f"{space.name}.space"
+        save_space(space, path)
+        files.append((load_space(path), str(path)))
+    return files
+
+
+_VARIANT_FLAGS = {"measure": [], "radius": ["--gamma", "0.8"],
+                  "modified": ["--dilation", "2.5"]}
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANT_FLAGS))
+def test_norm_eval_prints_the_first_ball_holding_the_maximum(tmp_path, capsys, variant):
+    """The printed ball of morrey and grand-morrey is the first ball
+    holding the winning row's maximum (plain_argmax), on spaces with tied
+    distances and on functions with tied values (a constant, spikes)."""
+    mv = MorreyVariant(kind=variant, gamma=0.8 if variant == "radius" else 1.0,
+                       dilation=2.5 if variant == "modified" else 1.0)
+    rng = np.random.default_rng(31)
+    for space, path in _tied_spaces(tmp_path):
+        spikes = np.where(rng.random(space.n) < 0.3, 2.0, 0.0)
+        for k, values in enumerate((np.ones(space.n), spikes,
+                                    rng.uniform(-1.0, 2.0, space.n))):
+            fn = str(tmp_path / f"{space.name}-{k}.fn")
+            GridFunction(name=f"f{k}", values=values).save(fn, space)
+            flags = ["--variant", variant, *_VARIANT_FLAGS[variant]]
+            assert main(["norm", "eval", "--norm", "morrey", "--p", "1.7",
+                         "--lambda", "0.4", fn, path, *flags]) == 0
+            center, radius = plain_argmax(values, space, 1.7, 0.4, mv)
+            line = capsys.readouterr().out
+            assert line.endswith(f"at ball(center={center}, radius={radius:.6g})\n"), line
+            params = make_grand_params(2.2, 0.3, "pow:1", "lin:0.5", mv, 16)
+            prof = grand_profile(values[:, None], space, params, grid_for(params).nodes)
+            i = int(np.argmax(prof[:, 0]))
+            eps = float(grid_for(params).nodes[i])
+            center, radius = plain_argmax(values, space, params.p - eps,
+                                          params.lam - float(params.A(eps)), mv)
+            assert main(["norm", "eval", "--norm", "grand-morrey", "--p", "2.2",
+                         "--lambda", "0.3", "--phi", "pow:1", "--A", "lin:0.5",
+                         "--grid-count", "16", fn, path, *flags]) == 0
+            line = capsys.readouterr().out
+            assert line.endswith(f"at eps={eps:.6g} ball(center={center}, "
+                                 f"radius={radius:.6g})\n"), line
+
+
+def test_norm_eval_on_a_space_without_balls(tmp_path, capsys):
+    """A one-point space has no ball under the diameter cap: norm eval
+    refuses to print one."""
+    space = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0], name="point")
+    path = tmp_path / "point.space"
+    save_space(space, path)
+    fn = tmp_path / "f.fn"
+    GridFunction(name="f", values=np.ones(1)).save(fn, space)
+    assert main(["norm", "eval", "--norm", "morrey", "--p", "2", "--lambda", "0.3",
+                 str(fn), str(path)]) == 1
+    assert "no representative ball" in capsys.readouterr().err
+    assert main(["norm", "eval", "--norm", "morrey", "--p", "2", "--lambda", "0.3",
+                 "--radius-cap", "none", str(fn), str(path)]) == 0
+    assert capsys.readouterr().out.endswith("ball(center=0, radius=1)\n")
 
 
 def test_norm_eval_accepts_catalog_name(staged, capsys):

@@ -619,8 +619,8 @@ def _spy_rows(monkeypatch):
     """Record the number of rows of every grand_rows call."""
     calls, real = [], norms.grand_rows
 
-    def spy(F, space, schedule, rows):
-        out = real(F, space, schedule, rows)
+    def spy(F, space, schedule, rows, *at):
+        out = real(F, space, schedule, rows, *at)
         calls.append(out.shape[0])
         return out
     monkeypatch.setattr(norms, "grand_rows", spy)
@@ -654,6 +654,54 @@ def test_grand_supremum_matches_the_full_profile_on_random_spaces(
     want_i, want = _full_supremum(F, space, params, nodes)
     assert i == want_i and kept[0] == want_i
     assert value == want and kept[1] == want
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("asymmetric", "tied", "snowflake")),
+       n=st.integers(3, 24), seed=st.integers(0, 2**16),
+       variant=st.sampled_from(range(3)), which=st.sampled_from(range(3)))
+@example(kind="tied", n=24, seed=3, variant=2, which=2)
+def test_returned_balls_are_the_first_holding_the_winning_maximum(
+        kind, n, seed, variant, which):
+    """return_ball adds, from the product that gives the value, the first
+    ball holding the maximum of the winning row: np.argmax of that row's
+    scaled ball integrals.  Values on a coarse lattice and a constant
+    column tie many balls."""
+    space = _random_space(kind, n, seed)
+    params = _profile_params(_VARIANTS[variant])[which]
+    nodes = grid_for(params).nodes
+    sched = shift_schedule(params, nodes)
+    table, den = norms.variant_table(space, params.variant)
+    rng = np.random.default_rng(seed + 7)
+    G = np.column_stack([rng.integers(0, 3, size=n).astype(float), np.ones(n),
+                         rng.uniform(-2.0, 2.0, size=n)])
+
+    def first_ball(f, p, lam):
+        pw = np.abs(f) ** p * space.weights
+        return int(np.argmax(norms._scaled_integrals(table.masks_f, pw[None, :, None], den,
+                                                     np.array([lam]))))
+    for j in range(G.shape[1]):
+        F = G[:, j:j + 1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(norms, "_SCREEN_ELEMENTS", 1)
+            i, value, k = norms.grand_supremum(F, space, params, nodes, return_ball=True)
+        assert (i, value) == _full_supremum(F, space, params, nodes)
+        assert k == first_ball(F[:, 0], sched.p_eff[i], sched.lam_eff[i])
+        value, k = morrey_norm(F[:, 0], space, 1.5, 0.4, params.variant, return_ball=True)
+        assert value == morrey_norm(F[:, 0], space, 1.5, 0.4, params.variant)
+        assert k == first_ball(F[:, 0], 1.5, 0.4)
+    values, balls = morrey_norm(G, space, 1.5, 0.4, params.variant, return_ball=True)
+    assert np.array_equal(values, morrey_norm(G, space, 1.5, 0.4, params.variant))
+    assert balls.tolist() == [first_ball(G[:, j], 1.5, 0.4) for j in range(G.shape[1])]
+
+
+def test_returned_ball_on_an_empty_table():
+    point = build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])
+    params = make_grand_params(2.0, 0.3, "pow:1", "lin:0.5", MorreyVariant(), 32)
+    nodes = grid_for(params).nodes
+    assert norms.grand_supremum(np.ones((1, 1)), point, params, nodes, return_ball=True) \
+        == (0, 0.0, -1)
+    assert morrey_norm(np.ones(1), point, 2.0, 0.3, return_ball=True) == (0.0, -1)
 
 
 def _screened_case(kind="asymmetric", n=24, seed=13):
@@ -759,6 +807,45 @@ def test_grand_supremum_gate_on_table_size(monkeypatch, screens):
         s = get_space(name)
         t, _ = norms.variant_table(s, params.variant)
         assert (t.size * s.n >= norms._SCREEN_ELEMENTS) == large
+
+
+@pytest.mark.parametrize("name", ["circle-64", "grid-64"])
+def test_screen_used_once_copies_mask_blocks_with_the_same_bits(monkeypatch, name):
+    """A screen used once builds no masks32: its blocks of float32 mask rows,
+    copied from the bool masks, give the bounds of a screen that reads a
+    held masks32, bit for bit, with a short last block; a held masks32 is
+    read as it is."""
+    space = get_space(name)
+    params = _profile_params(MorreyVariant(kind="modified", dilation=2.0))[0]
+    schedule = shift_schedule(params, grid_for(params).nodes)
+    table, _ = norms.variant_table(space, params.variant)
+    # blocks of 197 balls: the table ends inside a block
+    k = schedule.nodes.size
+    monkeypatch.setattr(norms, "_SURROGATE_ELEMENTS", 197 * k)
+    assert table.size % 197
+    F = np.random.default_rng(3).uniform(-1.0, 2.0, size=(space.n, 1))
+    blocks, real = [], norms._f32_scaled
+
+    def recording(masks32, *args):
+        blocks[-1].append(masks32.copy())
+        return real(masks32, *args)
+    monkeypatch.setattr(norms, "_f32_scaled", recording)
+    blocks.append([])
+    got = norms.ProfileScreen(space, schedule, undominated=False).rows(F)
+    assert "masks32" not in vars(table)
+    held = table.masks32
+    blocks.append([])
+    want = norms.ProfileScreen(space, schedule, undominated=False).rows(F)
+    assert vars(table)["masks32"] is held
+    del vars(table)["masks32"]
+    assert got is not None
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # every block the screen multiplied: the held masks32's own rows
+    assert len(blocks[0]) == len(blocks[1]) > table.size // 197
+    for a, b in zip(*blocks):
+        assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+    assert np.array_equal(np.concatenate(blocks[1][:-(-table.size // 197)]), held)
 
 
 def test_one_column_grand_norms_take_the_screened_supremum(monkeypatch):
@@ -1251,9 +1338,9 @@ def test_appended_profile_of_small_products_and_out_of_range_columns(monkeypatch
     trailing = norms._trailing_profile
     screened = []
 
-    def recording(F, space, schedule, cols):
+    def recording(F, space, schedule, cols, *at):
         screened.append(cols)
-        return trailing(F, space, schedule, cols)
+        return trailing(F, space, schedule, cols, *at)
     # a small table, and one family column (a matrix-vector product), take
     # the whole profile again: no column is screened on its own, and the
     # whole profile of the tied space (2 columns) takes the pruned path

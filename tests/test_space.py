@@ -8,6 +8,7 @@ dominate them (envelopes over sampled radii versus exact enumeration).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -534,17 +535,36 @@ def test_rep_balls_dedupe_preserves_value_set():
     assert small_keys == full_keys
 
 
-def test_rep_balls_dedupe_caches_the_kept_rows_masks():
-    # the dedupe key's masks fill the deduped table's cache, equal to a
-    # fresh build from its counts and ranks
+def _spy_masks(monkeypatch):
+    """Record every BallTable whose bool ``masks`` get built."""
+    built, real = [], space_module.BallTable.masks.func
+
+    def masks(table):
+        built.append(table)
+        return real(table)
+    prop = functools.cached_property(masks)
+    prop.__set_name__(space_module.BallTable, "masks")
+    monkeypatch.setattr(space_module.BallTable, "masks", prop)
+    return built
+
+
+def test_rep_balls_dedupe_builds_no_raw_masks(monkeypatch):
+    # the dedupe key comes from prefix bitsets: neither the raw table nor
+    # the kept one builds its masks, and the kept masks, built on first
+    # use, equal a fresh dense build from counts and ranks
+    built = _spy_masks(monkeypatch)
     for s in oracle_spaces():
         for dilation in (1.0, 3.0):
             small = rep_balls(s, dilation=dilation, dedupe=True)
-            assert "masks" in small.__dict__
+            assert built == []
+            assert "masks" not in small.__dict__
             fresh = dataclasses.replace(small)
-            assert "masks" not in fresh.__dict__
-            assert small.masks.dtype == fresh.masks.dtype
+            dense = small.rank[small.centers] < small.counts[:, None]
+            assert small.masks.dtype == fresh.masks.dtype == bool
             assert np.array_equal(small.masks, fresh.masks)
+            assert np.array_equal(small.masks, dense)
+            assert len(built) == 2 and built[0] is small and built[1] is fresh
+            built.clear()
 
 
 def test_float_masks_are_built_on_first_use_only():
@@ -1077,3 +1097,102 @@ def test_undominated_matches_the_subset_oracle(name):
 @example(kind="snowflake", n=24, seed=3)
 def test_undominated_matches_the_subset_oracle_on_random_spaces(kind, n, seed):
     _assert_undominated(random_space(kind, n, seed))
+
+
+# ---------------------------------------------------------------------------
+# the bitset dedupe and the min-plus constants against their oracles
+
+
+def packbits_first_of_key(table):
+    """Ascending rows of the first ball of each key of ``table``: the
+    packed member bits, then the bytes of both measures, one byte row per
+    ball, first indices from np.unique."""
+    keys = np.concatenate([np.packbits(table.masks, axis=1),
+                           table.measures.view(np.uint8).reshape(-1, 8),
+                           table.dilated_measures.view(np.uint8).reshape(-1, 8)], axis=1)
+    _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                         return_index=True)
+    return np.sort(first)
+
+
+def _assert_dedupe_matches_packbits(s):
+    for dilation in (1.0, 3.0, dilation_constants(s)[0]):
+        for cap in ("diameter", "none"):
+            raw = rep_balls(s, dilation=dilation, radius_cap=cap)
+            want = raw.take(packbits_first_of_key(raw))
+            got = rep_balls(s, dilation=dilation, radius_cap=cap, dedupe=True)
+            label = (s.name, dilation, cap)
+            for f in dataclasses.fields(space_module.BallTable):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, \
+                    (label, f.name)
+            assert np.array_equal(got.masks, want.masks), label
+
+
+def _assert_constants_match_triples(s):
+    C_t, C_s = quasimetric_constants(s)
+    assert C_t == oracle_triangle_constant(s)
+    assert C_s == oracle_symmetry_constant(s)
+    w = quasimetric_witnesses(s)
+    D = s.dist
+    if s.n > 1:
+        i, j, k = w["triple"]
+        ratio = D[i][j] / (D[i][k] + D[k][j])
+        assert C_t * (1 - 1e-15) <= ratio <= C_t
+        i, j = w["pair"]
+        assert C_s * (1 - 1e-15) <= D[i][j] / D[j][i] <= C_s
+
+
+def test_bitset_dedupe_equals_packbits_on_oracle_spaces():
+    spaces = oracle_spaces() + [get_space("asym-4"), get_space("two-atom"),
+                                build_space([0], {"kind": "matrix", "matrix": [[0.0]]}, [2.0])]
+    for s in spaces:
+        _assert_dedupe_matches_packbits(s)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_RANDOM_SPACES)
+@example(kind="asymmetric", n=24, seed=1)
+@example(kind="tied", n=24, seed=2)
+@example(kind="snowflake", n=24, seed=3)
+def test_bitset_dedupe_equals_packbits_on_random_spaces(kind, n, seed):
+    _assert_dedupe_matches_packbits(random_space(kind, n, seed))
+
+
+def test_bitset_dedupe_spans_several_words_and_center_blocks(monkeypatch):
+    # 130 points take three uint64 words per bitset; a block of two centers
+    # per prefix build makes the blocks end inside the table
+    monkeypatch.setattr(space_module, "_PREFIX_WORDS", 2 * 131 * 3)
+    s = line_grid(130)
+    for dilation in (1.0, 2.988):
+        raw = rep_balls(s, dilation=dilation)
+        got = rep_balls(s, dilation=dilation, dedupe=True)
+        keep = packbits_first_of_key(raw)
+        assert keep.size < raw.size
+        assert np.array_equal(got.centers, raw.centers[keep])
+        assert np.array_equal(got.radii, raw.radii[keep])
+        assert np.array_equal(got.masks, raw.masks[keep])
+
+
+def test_quasimetric_constants_equal_the_triple_oracle():
+    for s in oracle_spaces() + [get_space("asym-4"), get_space("two-atom")]:
+        _assert_constants_match_triples(s)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**_RANDOM_SPACES)
+@example(kind="asymmetric", n=24, seed=1)
+@example(kind="tied", n=24, seed=2)
+@example(kind="snowflake", n=24, seed=3)
+def test_quasimetric_constants_equal_the_triple_oracle_on_random_spaces(kind, n, seed):
+    _assert_constants_match_triples(random_space(kind, n, seed))
+
+
+def test_quasimetric_constants_blocks_of_rows(monkeypatch):
+    # one row per min-plus block and all rows in one block give the same bits
+    s = random_space("asymmetric", 24, 5)
+    want = oracle_triangle_constant(s)
+    for elements in (1, 24 * 24 * 5, 1 << 20):
+        monkeypatch.setattr(space_module, "_BLOCK_SUMS", elements)
+        s._cache.clear()
+        assert quasimetric_constants(s)[0] == want
